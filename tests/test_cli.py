@@ -3,8 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from combident import cli
+
+GOLDEN_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all.json"
 
 
 def run_cli(*argv, check=False):
@@ -61,6 +66,13 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert len(report["entries"]) == 49
         assert all(e["counts"]["failed"] == 0 for e in report["entries"])
+
+    def test_full_catalog_matches_golden_report(self, tmp_path):
+        # the per-entry part of the report is the regression oracle for refactors
+        out = tmp_path / "all.json"
+        assert cli.main(["verify", "--id", "all", "--format", "quiet", "--out", str(out)]) == 0
+        golden = json.loads(GOLDEN_VERIFY_ALL.read_text(encoding="utf-8"))
+        assert json.loads(out.read_text(encoding="utf-8"))["entries"] == golden["entries"]
 
 
 class TestDerive:
