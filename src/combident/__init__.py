@@ -56,7 +56,7 @@ from .integrals import (
     beta_integral_exact,
     beta_integral_quadrature,
 )
-from .poly import Polynomial, RationalFunction, poly_arith, poly_pow, rf_equal, substitute
+from .poly import Polynomial, RationalFunction, rf_equal
 from .terms import SumSpec, TermExpr, evaluate, evaluate_sum
 from .transforms import (
     DerivedIdentity,

@@ -1,9 +1,10 @@
 """Executable fixtures for the identity catalog, plus grid verification.
 
-Every entry pins one identity: a left-hand summation and either a right-hand
-summation, a closed form, a parity-cased closed form, or (for the F fixtures
-and the two seed identities) a two-sided polynomial identity in x.  Entries
-carry a validity predicate, a human anchor naming the classical identity they
+Every entry pins one identity as a two-sided :class:`IdentityDescriptor`.  The
+F fixtures and the two seed identities are polynomial identities in x; every
+other entry is a summation identity, whose blocks are kernel-free (``x^0``)
+and whose closed forms are one-term ``k=0..0`` blocks.  Entries carry a
+validity predicate, a human anchor naming the classical identity they
 reproduce, and a default verification grid.
 
 Anchors use the conventional names (Frisch, Klamkin, Simons, Dixon, MacMahon,
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .affine import Affine, Bound
 from .descriptors import (
@@ -31,27 +32,15 @@ from .descriptors import (
     Side,
     ValidityPredicate,
     binding_key,
-    check_sorts,
     check_two_sided,
-    format_binding,
 )
-from .errors import (
-    EmptyGridError,
-    PoleError,
-    PreconditionError,
-    UnboundParameterError,
-    UnknownEntryError,
-)
-from .exact import binom_int
+from .errors import EmptyGridError, UnboundParameterError, UnknownEntryError
 from .terms import (
-    SumSpec,
     TermExpr,
     af,
     altpowsum,
     binom,
     const,
-    evaluate,
-    evaluate_blocks,
     ibinom,
     power,
     prod,
@@ -75,10 +64,6 @@ def _b(value) -> Bound:
     return Bound.of(value)
 
 
-def _halves(values: Iterable[int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
 GridSpec = Mapping[str, Sequence[Fraction]]
 
 
@@ -87,23 +72,13 @@ class CatalogEntry:
     id: str
     title: str
     anchor: str
-    params: tuple[tuple[str, str], ...]
     default_grid: dict[str, tuple[Fraction, ...]]
+    descriptor: IdentityDescriptor
     validity: ValidityPredicate = field(default_factory=ValidityPredicate)
-    lhs: tuple[SumSpec, ...] = ()
-    rhs: tuple[SumSpec, ...] = ()
-    rhs_closed: TermExpr | None = None
-    rhs_cases: Callable[[Mapping[str, Fraction]], Fraction] | None = None
-    descriptor: IdentityDescriptor | None = None
 
-    def kind(self) -> str:
-        if self.descriptor is not None:
-            return "polynomial"
-        if self.rhs_cases is not None:
-            return "cases"
-        if self.rhs_closed is not None:
-            return "closed"
-        return "sum"
+    @property
+    def params(self) -> tuple[tuple[str, str], ...]:
+        return self.descriptor.params
 
 
 _REGISTRY: dict[str, CatalogEntry] = {}
@@ -114,6 +89,26 @@ def _register(entry: CatalogEntry) -> CatalogEntry:
         raise ValueError(f"duplicate catalog id {entry.id}")
     _REGISTRY[entry.id] = entry
     return entry
+
+
+def _sum_entry(
+    id: str,
+    title: str,
+    anchor: str,
+    params: tuple[tuple[str, str], ...],
+    default_grid: dict[str, tuple[Fraction, ...]],
+    left: tuple[KernelBlock, ...],
+    right: tuple[KernelBlock, ...],
+    validity: ValidityPredicate = ValidityPredicate(),
+) -> CatalogEntry:
+    """Register a summation identity given by its kernel-free blocks."""
+    descriptor = IdentityDescriptor(params, Side(left), Side(right), name=id)
+    return _register(CatalogEntry(id, title, anchor, default_grid, descriptor, validity))
+
+
+def _closed(term: TermExpr) -> tuple[KernelBlock, ...]:
+    """A k-free closed form as a side: the single term k = 0."""
+    return (KernelBlock(ZERO, ZERO, term),)
 
 
 def entry_ids() -> tuple[str, ...]:
@@ -128,49 +123,13 @@ def get_entry(entry_id: str) -> CatalogEntry:
 
 # -- verification -----------------------------------------------------------
 
-def _evaluate_rhs(entry: CatalogEntry, binding: Mapping[str, Fraction]) -> Fraction:
-    if entry.rhs_cases is not None:
-        return entry.rhs_cases(binding)
-    if entry.rhs_closed is not None:
-        env = dict(binding)
-        env["k"] = Fraction(0)  # closed forms are k-free
-        return evaluate(entry.rhs_closed, env)
-    return evaluate_blocks(entry.rhs, binding)
-
-
 def verify_entry(entry_id: str, binding: Mapping[str, Fraction]) -> CheckResult:
     """Check one binding of one entry; errors are reified into the status."""
     entry = get_entry(entry_id)
-    binding = {name: Fraction(v) for name, v in binding.items()}
-    if entry.descriptor is not None:
-        result = check_two_sided(entry.descriptor, binding, entry.validity)
-        return CheckResult(entry.id, binding, result.status, result.lhs, result.rhs, result.witness)
     try:
-        sort_issue = check_sorts(entry.params, binding)
+        return check_two_sided(entry.descriptor, binding, entry.validity)
     except UnboundParameterError as exc:
         raise UnboundParameterError(f"entry {entry.id} needs parameter {exc.args[0]}") from None
-    if sort_issue is not None:
-        return CheckResult(entry.id, binding, SKIPPED_PRECONDITION, witness=sort_issue)
-    issue = entry.validity.violation(binding)
-    if issue is not None:
-        return CheckResult(entry.id, binding, SKIPPED_PRECONDITION, witness=issue)
-    try:
-        lhs = evaluate_blocks(entry.lhs, binding)
-        rhs = _evaluate_rhs(entry, binding)
-    except PoleError as exc:
-        return CheckResult(entry.id, binding, SKIPPED_POLE, witness=str(exc))
-    except (PreconditionError, UnboundParameterError) as exc:
-        return CheckResult(entry.id, binding, SKIPPED_PRECONDITION, witness=str(exc))
-    if lhs == rhs:
-        return CheckResult(entry.id, binding, VERIFIED, lhs=lhs, rhs=rhs)
-    return CheckResult(
-        entry.id,
-        binding,
-        FAILED,
-        lhs=lhs,
-        rhs=rhs,
-        witness=f"lhs = {lhs}, rhs = {rhs} at {format_binding(binding)}",
-    )
 
 
 @dataclass(frozen=True)
@@ -188,6 +147,19 @@ class GridReport:
     def verified(self) -> int:
         return self.counts.get(VERIFIED, 0)
 
+    @staticmethod
+    def tally(
+        entry_id: str, results: Iterable[CheckResult], max_witnesses: int = 10
+    ) -> "GridReport":
+        """Count statuses and keep the first ``max_witnesses`` failures."""
+        counts = {VERIFIED: 0, FAILED: 0, SKIPPED_POLE: 0, SKIPPED_PRECONDITION: 0}
+        witnesses = []
+        for result in results:
+            counts[result.status] += 1
+            if result.status == FAILED and len(witnesses) < max_witnesses:
+                witnesses.append(result)
+        return GridReport(entry_id, counts, tuple(witnesses), sum(counts.values()))
+
 
 def iter_grid(grid: GridSpec) -> Iterable[dict[str, Fraction]]:
     names = sorted(grid)
@@ -202,25 +174,12 @@ def verify_grid(
     entry_id: str,
     grid: GridSpec | None = None,
     max_witnesses: int = 10,
-    jobs: int = 1,
 ) -> GridReport:
     """Exhaustive deterministic sweep of one entry over a binding grid."""
     entry = get_entry(entry_id)
     bindings = sorted(iter_grid(grid or entry.default_grid), key=binding_key)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda b: verify_entry(entry_id, b), bindings))
-    else:
-        results = [verify_entry(entry_id, b) for b in bindings]
-    counts = {VERIFIED: 0, FAILED: 0, SKIPPED_POLE: 0, SKIPPED_PRECONDITION: 0}
-    witnesses = []
-    for result in results:
-        counts[result.status] += 1
-        if result.status == FAILED and len(witnesses) < max_witnesses:
-            witnesses.append(result)
-    return GridReport(entry.id, counts, tuple(witnesses), len(results))
+    results = (verify_entry(entry_id, b) for b in bindings)
+    return GridReport.tally(entry.id, results, max_witnesses)
 
 
 # -- grid shorthands ---------------------------------------------------------
@@ -293,7 +252,6 @@ _register(
         id="C01",
         title="binomial-weighted expansion with inverse binomials",
         anchor="seed polynomial identity (specializes to Frisch at x = -1)",
-        params=_POLY1.params,
         default_grid=_grid(n=N0_8, r=[1, 2, 3, 4, 5, 6, _H + 3, Fraction(5, 3)], s=[1, 2, 3, 4]),
         validity=_v(IntegerValued(S), _S_POSITIVE),
         descriptor=_POLY1,
@@ -305,7 +263,6 @@ _register(
         id="C02",
         title="reflected expansion with inverse binomials",
         anchor="seed polynomial identity (specializes to Klamkin at x = 1)",
-        params=_POLY2.params,
         default_grid=_grid(n=N0_8, r=[8, 10, 12, Fraction(25, 2)], s=[0, 1, 2]),
         validity=_v(IntegerValued(S), _S_NONNEG),
         descriptor=_POLY2,
@@ -315,496 +272,460 @@ _register(
 
 # -- Frisch / Klamkin and direct consequences --------------------------------
 
-_register(
-    CatalogEntry(
-        id="C03",
-        title="alternating inverse-binomial sum",
-        anchor="Frisch's identity",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_10, r=[1, 2, 3, 4, 5, 6, Fraction(3, 2), Fraction(8, 3)], s=[1, 2, 3, 4, 5]),
-        validity=_v(IntegerValued(S), _S_POSITIVE),
-        lhs=(SumSpec(ZERO, _b(N), prod(sign(K), binom(N, K), ibinom(K + R, S))),),
-        rhs_closed=prod(quot(S, N + S), ibinom(N + R, N + S)),
-    )
+_sum_entry(
+    id="C03",
+    title="alternating inverse-binomial sum",
+    anchor="Frisch's identity",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_10, r=[1, 2, 3, 4, 5, 6, Fraction(3, 2), Fraction(8, 3)], s=[1, 2, 3, 4, 5]),
+    validity=_v(IntegerValued(S), _S_POSITIVE),
+    left=(KernelBlock(ZERO, _b(N), prod(sign(K), binom(N, K), ibinom(K + R, S))),),
+    right=_closed(prod(quot(S, N + S), ibinom(N + R, N + S))),
 )
 
-_register(
-    CatalogEntry(
-        id="C04",
-        title="plain inverse-binomial sum",
-        anchor="Klamkin's identity",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_10, r=[13, 15, Fraction(25, 2), Fraction(47, 3)], s=[0, 1, 2]),
-        validity=_v(IntegerValued(S), _S_NONNEG),
-        lhs=(SumSpec(ZERO, _b(N), prod(binom(N, K), ibinom(R, K + S))),),
-        rhs_closed=prod(quot(R + 1, R - N + 1), ibinom(R - N, S)),
-    )
+_sum_entry(
+    id="C04",
+    title="plain inverse-binomial sum",
+    anchor="Klamkin's identity",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_10, r=[13, 15, Fraction(25, 2), Fraction(47, 3)], s=[0, 1, 2]),
+    validity=_v(IntegerValued(S), _S_NONNEG),
+    left=(KernelBlock(ZERO, _b(N), prod(binom(N, K), ibinom(R, K + S))),),
+    right=_closed(prod(quot(R + 1, R - N + 1), ibinom(R - N, S))),
 )
 
-_register(
-    CatalogEntry(
-        id="C05",
-        title="generalized Frisch, plain orientation",
-        anchor="generalization of Frisch's identity",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("u", "rat")),
-        default_grid=_grid(n=N0_8, r=[2, 3, 4, 5, Fraction(9, 2)], s=[1, 2, 3], u=[-1, 0, 1, 3, Fraction(7, 2), Fraction(-5, 3)]),
-        validity=_v(IntegerValued(S), _S_NONNEG),
-        lhs=(SumSpec(ZERO, _b(N), prod(binom(N, K), binom(U, N - K), ibinom(K + R, S))),),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(sign(K), quot(S, K + S), binom(N, K), binom(U + N - K, N - K), ibinom(K + R, K + S)),
+_sum_entry(
+    id="C05",
+    title="generalized Frisch, plain orientation",
+    anchor="generalization of Frisch's identity",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("u", "rat")),
+    default_grid=_grid(n=N0_8, r=[2, 3, 4, 5, Fraction(9, 2)], s=[1, 2, 3], u=[-1, 0, 1, 3, Fraction(7, 2), Fraction(-5, 3)]),
+    validity=_v(IntegerValued(S), _S_NONNEG),
+    left=(KernelBlock(ZERO, _b(N), prod(binom(N, K), binom(U, N - K), ibinom(K + R, S))),),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(sign(K), quot(S, K + S), binom(N, K), binom(U + N - K, N - K), ibinom(K + R, K + S)),
+        ),
+    ),
+)
+
+_sum_entry(
+    id="C06",
+    title="generalized Frisch, alternating orientation",
+    anchor="generalization of Frisch's identity",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("u", "rat")),
+    default_grid=_grid(n=N0_8, r=[2, 3, 4, 5, Fraction(9, 2)], s=[1, 2, 3], u=[-1, 0, 1, 3, Fraction(7, 2), Fraction(-5, 3)]),
+    validity=_v(IntegerValued(S), _S_NONNEG),
+    left=(
+        KernelBlock(
+            ZERO, _b(N), prod(sign(K), binom(N, K), binom(U + N - K, N - K), ibinom(K + R, S))
+        ),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(quot(S, K + S), binom(N, K), binom(U, N - K), ibinom(K + R, K + S)),
+        ),
+    ),
+)
+
+_sum_entry(
+    id="C07",
+    title="alternating inverse-binomial transform",
+    anchor="binomial transform of Frisch's identity",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_10, r=[1, 2, 3, 4, 5, Fraction(7, 2)], s=[1, 2, 3, 4]),
+    validity=_v(IntegerValued(S), _S_POSITIVE),
+    left=(
+        KernelBlock(ZERO, _b(N), prod(sign(K), quot(1, K + S), binom(N, K), ibinom(K + R, K + S))),
+    ),
+    right=_closed(prod(quot(1, S), ibinom(N + R, S))),
+)
+
+_sum_entry(
+    id="C08",
+    title="harmonic-style alternating binomial sum",
+    anchor="equal-index case of the Frisch binomial transform",
+    params=(("n", "nat"), ("r", "int")),
+    default_grid=_grid(n=N0_10, r=[1, 2, 3, 4, 5, 6]),
+    validity=_v(IntegerValued(R), RangeConstraint(R, ">=", 1)),
+    left=(KernelBlock(ZERO, _b(N), prod(sign(K), quot(1, K + R), binom(N, K))),),
+    right=_closed(prod(quot(1, R), ibinom(N + R, R))),
+)
+
+_sum_entry(
+    id="C09",
+    title="alternating reflected inverse-binomial sum",
+    anchor="x = 0 evaluation of the reflected seed identity",
+    params=(("n", "nat"), ("r", "int"), ("s", "int")),
+    default_grid=_grid(n=N0_8, r=[10, 12, 14], s=[0, 1, 2]),
+    validity=_v(IntegerValued(S), _S_NONNEG, IntegerValued(R)),
+    left=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(sign(K), quot(1, R - K + 1), binom(N, K), ibinom(R - K, R - S - N)),
+        ),
+    ),
+    right=_closed(prod(sign(N), quot(1, R + 1), ibinom(R, S))),
+)
+
+_sum_entry(
+    id="C10",
+    title="Frisch-type transform of the Simons identity",
+    anchor="Simons' identity, Frisch-type consequence",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_8, r=[1, 2, 3, 4, Fraction(5, 2)], s=[1, 2, 3]),
+    validity=_v(IntegerValued(S), _S_POSITIVE),
+    left=(
+        KernelBlock(ZERO, _b(N), prod(sign(K), binom(N, K), binom(N + K, K), ibinom(K + R, S))),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(
+                sign(N - K),
+                quot(S, K + S),
+                binom(N, K),
+                binom(N + K, K),
+                ibinom(K + R, K + S),
             ),
         ),
-    )
-)
-
-_register(
-    CatalogEntry(
-        id="C06",
-        title="generalized Frisch, alternating orientation",
-        anchor="generalization of Frisch's identity",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("u", "rat")),
-        default_grid=_grid(n=N0_8, r=[2, 3, 4, 5, Fraction(9, 2)], s=[1, 2, 3], u=[-1, 0, 1, 3, Fraction(7, 2), Fraction(-5, 3)]),
-        validity=_v(IntegerValued(S), _S_NONNEG),
-        lhs=(
-            SumSpec(
-                ZERO, _b(N), prod(sign(K), binom(N, K), binom(U + N - K, N - K), ibinom(K + R, S))
-            ),
-        ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(quot(S, K + S), binom(N, K), binom(U, N - K), ibinom(K + R, K + S)),
-            ),
-        ),
-    )
-)
-
-_register(
-    CatalogEntry(
-        id="C07",
-        title="alternating inverse-binomial transform",
-        anchor="binomial transform of Frisch's identity",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_10, r=[1, 2, 3, 4, 5, Fraction(7, 2)], s=[1, 2, 3, 4]),
-        validity=_v(IntegerValued(S), _S_POSITIVE),
-        lhs=(
-            SumSpec(ZERO, _b(N), prod(sign(K), quot(1, K + S), binom(N, K), ibinom(K + R, K + S))),
-        ),
-        rhs_closed=prod(quot(1, S), ibinom(N + R, S)),
-    )
-)
-
-_register(
-    CatalogEntry(
-        id="C08",
-        title="harmonic-style alternating binomial sum",
-        anchor="equal-index case of the Frisch binomial transform",
-        params=(("n", "nat"), ("r", "int")),
-        default_grid=_grid(n=N0_10, r=[1, 2, 3, 4, 5, 6]),
-        validity=_v(IntegerValued(R), RangeConstraint(R, ">=", 1)),
-        lhs=(SumSpec(ZERO, _b(N), prod(sign(K), quot(1, K + R), binom(N, K))),),
-        rhs_closed=prod(quot(1, R), ibinom(N + R, R)),
-    )
-)
-
-_register(
-    CatalogEntry(
-        id="C09",
-        title="alternating reflected inverse-binomial sum",
-        anchor="x = 0 evaluation of the reflected seed identity",
-        params=(("n", "nat"), ("r", "int"), ("s", "int")),
-        default_grid=_grid(n=N0_8, r=[10, 12, 14], s=[0, 1, 2]),
-        validity=_v(IntegerValued(S), _S_NONNEG, IntegerValued(R)),
-        lhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(sign(K), quot(1, R - K + 1), binom(N, K), ibinom(R - K, R - S - N)),
-            ),
-        ),
-        rhs_closed=prod(sign(N), quot(1, R + 1), ibinom(R, S)),
-    )
-)
-
-_register(
-    CatalogEntry(
-        id="C10",
-        title="Frisch-type transform of the Simons identity",
-        anchor="Simons' identity, Frisch-type consequence",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_8, r=[1, 2, 3, 4, Fraction(5, 2)], s=[1, 2, 3]),
-        validity=_v(IntegerValued(S), _S_POSITIVE),
-        lhs=(
-            SumSpec(ZERO, _b(N), prod(sign(K), binom(N, K), binom(N + K, K), ibinom(K + R, S))),
-        ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(
-                    sign(N - K),
-                    quot(S, K + S),
-                    binom(N, K),
-                    binom(N + K, K),
-                    ibinom(K + R, K + S),
-                ),
-            ),
-        ),
-    )
+    ),
 )
 
 
 # -- two-denominator Frisch-type family --------------------------------------
 
-_register(
-    CatalogEntry(
-        id="C11",
-        title="two-denominator Frisch-type identity",
-        anchor="Frisch-type identity with two inverse binomials",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("t", "rat"), ("u", "int")),
-        default_grid=_grid(n=N0_6, r=[2, 3, Fraction(9, 2)], s=[1, 2], t=[3, 4, Fraction(11, 2)], u=[1, 2]),
-        validity=_v(IntegerValued(S), _S_POSITIVE, IntegerValued(U), RangeConstraint(U, ">=", 1)),
-        lhs=(
-            SumSpec(
-                ZERO, _b(N), prod(sign(K), binom(N, K), ibinom(K + R, S), ibinom(K + T, U))
+_sum_entry(
+    id="C11",
+    title="two-denominator Frisch-type identity",
+    anchor="Frisch-type identity with two inverse binomials",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("t", "rat"), ("u", "int")),
+    default_grid=_grid(n=N0_6, r=[2, 3, Fraction(9, 2)], s=[1, 2], t=[3, 4, Fraction(11, 2)], u=[1, 2]),
+    validity=_v(IntegerValued(S), _S_POSITIVE, IntegerValued(U), RangeConstraint(U, ">=", 1)),
+    left=(
+        KernelBlock(
+            ZERO, _b(N), prod(sign(K), binom(N, K), ibinom(K + R, S), ibinom(K + T, U))
+        ),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(
+                af(S),
+                af(U),
+                quot(1, K + S),
+                quot(1, N - K + U),
+                binom(N, K),
+                ibinom(K + R, K + S),
+                ibinom(N + T, N - K + U),
             ),
         ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(
-                    af(S),
-                    af(U),
-                    quot(1, K + S),
-                    quot(1, N - K + U),
-                    binom(N, K),
-                    ibinom(K + R, K + S),
-                    ibinom(N + T, N - K + U),
-                ),
-            ),
-        ),
-    )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C12",
-        title="squared-denominator Frisch-type identity",
-        anchor="Frisch-type identity with a squared inverse binomial",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_6, r=[2, 3, 4, Fraction(7, 2)], s=[1, 2]),
-        validity=_v(IntegerValued(S), _S_POSITIVE),
-        lhs=(
-            SumSpec(
-                ZERO, _b(N), prod(sign(K), binom(N, K), ibinom(K + R, S), ibinom(K + R, S))
+_sum_entry(
+    id="C12",
+    title="squared-denominator Frisch-type identity",
+    anchor="Frisch-type identity with a squared inverse binomial",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_6, r=[2, 3, 4, Fraction(7, 2)], s=[1, 2]),
+    validity=_v(IntegerValued(S), _S_POSITIVE),
+    left=(
+        KernelBlock(
+            ZERO, _b(N), prod(sign(K), binom(N, K), ibinom(K + R, S), ibinom(K + R, S))
+        ),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(
+                power(S, 2),
+                quot(1, K + S),
+                quot(1, N - K + S),
+                binom(N, K),
+                ibinom(K + R, K + S),
+                ibinom(N + R, N - K + S),
             ),
         ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(
-                    power(S, 2),
-                    quot(1, K + S),
-                    quot(1, N - K + S),
-                    binom(N, K),
-                    ibinom(K + R, K + S),
-                    ibinom(N + R, N - K + S),
-                ),
-            ),
-        ),
-    )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C13",
-        title="equal-index squared-denominator identity",
-        anchor="Frisch-type identity with a squared inverse binomial, equal indices",
-        params=(("n", "nat"), ("r", "int")),
-        default_grid=_grid(n=N0_6, r=[1, 2, 3, 4]),
-        validity=_v(IntegerValued(R), RangeConstraint(R, ">=", 1)),
-        lhs=(
-            SumSpec(
-                ZERO, _b(N), prod(sign(K), binom(N, K), ibinom(K + R, R), ibinom(K + R, R))
+_sum_entry(
+    id="C13",
+    title="equal-index squared-denominator identity",
+    anchor="Frisch-type identity with a squared inverse binomial, equal indices",
+    params=(("n", "nat"), ("r", "int")),
+    default_grid=_grid(n=N0_6, r=[1, 2, 3, 4]),
+    validity=_v(IntegerValued(R), RangeConstraint(R, ">=", 1)),
+    left=(
+        KernelBlock(
+            ZERO, _b(N), prod(sign(K), binom(N, K), ibinom(K + R, R), ibinom(K + R, R))
+        ),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(
+                power(R, 2),
+                quot(1, K + R),
+                quot(1, N - K + R),
+                binom(N, K),
+                ibinom(N + R, N - K + R),
             ),
         ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(
-                    power(R, 2),
-                    quot(1, K + R),
-                    quot(1, N - K + R),
-                    binom(N, K),
-                    ibinom(N + R, N - K + R),
-                ),
-            ),
-        ),
-    )
+    ),
 )
 
 
 # -- Klamkin-type family ------------------------------------------------------
 
-_register(
-    CatalogEntry(
-        id="C14",
-        title="two-denominator Klamkin-type identity, plain orientation",
-        anchor="Klamkin-type identity with two inverse binomials",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("t", "int"), ("u", "int")),
-        default_grid=_grid(n=N0_6, r=[9, 10, Fraction(21, 2)], s=[1, 2], t=[8, 9], u=[1, 2]),
-        validity=_v(
-            IntegerValued(S), _S_NONNEG, IntegerValued(T), IntegerValued(U), RangeConstraint(U, ">=", 0)
-        ),
-        lhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(
-                    quot(1, T - K + 1),
-                    binom(N, K),
-                    ibinom(T - K, T - U - N),
-                    ibinom(R, N - K + S),
-                ),
+_sum_entry(
+    id="C14",
+    title="two-denominator Klamkin-type identity, plain orientation",
+    anchor="Klamkin-type identity with two inverse binomials",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("t", "int"), ("u", "int")),
+    default_grid=_grid(n=N0_6, r=[9, 10, Fraction(21, 2)], s=[1, 2], t=[8, 9], u=[1, 2]),
+    validity=_v(
+        IntegerValued(S), _S_NONNEG, IntegerValued(T), IntegerValued(U), RangeConstraint(U, ">=", 0)
+    ),
+    left=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(
+                quot(1, T - K + 1),
+                binom(N, K),
+                ibinom(T - K, T - U - N),
+                ibinom(R, N - K + S),
             ),
         ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(
-                    quot(R + 1, T + 1),
-                    quot(1, R - K + 1),
-                    binom(N, K),
-                    ibinom(T, K + U),
-                    ibinom(R - K, S),
-                ),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(
+                quot(R + 1, T + 1),
+                quot(1, R - K + 1),
+                binom(N, K),
+                ibinom(T, K + U),
+                ibinom(R - K, S),
             ),
         ),
-    )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C15",
-        title="two-denominator Klamkin-type identity, alternating orientation",
-        anchor="Klamkin-type identity with two inverse binomials",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("t", "int"), ("u", "int")),
-        default_grid=_grid(n=N0_6, r=[9, 10, Fraction(21, 2)], s=[1, 2], t=[8, 9], u=[1, 2]),
-        validity=_v(
-            IntegerValued(S), _S_NONNEG, IntegerValued(T), IntegerValued(U), RangeConstraint(U, ">=", 0)
+_sum_entry(
+    id="C15",
+    title="two-denominator Klamkin-type identity, alternating orientation",
+    anchor="Klamkin-type identity with two inverse binomials",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("t", "int"), ("u", "int")),
+    default_grid=_grid(n=N0_6, r=[9, 10, Fraction(21, 2)], s=[1, 2], t=[8, 9], u=[1, 2]),
+    validity=_v(
+        IntegerValued(S), _S_NONNEG, IntegerValued(T), IntegerValued(U), RangeConstraint(U, ">=", 0)
+    ),
+    left=(
+        KernelBlock(
+            ZERO, _b(N), prod(sign(K), binom(N, K), ibinom(T, K + U), ibinom(R, K + S))
         ),
-        lhs=(
-            SumSpec(
-                ZERO, _b(N), prod(sign(K), binom(N, K), ibinom(T, K + U), ibinom(R, K + S))
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(
+                af(R + 1),
+                af(T + 1),
+                sign(N - K),
+                quot(1, T - K + 1),
+                quot(1, R - N + K + 1),
+                binom(N, K),
+                ibinom(T - K, T - U - N),
+                ibinom(R - N + K, S),
             ),
         ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(
-                    af(R + 1),
-                    af(T + 1),
-                    sign(N - K),
-                    quot(1, T - K + 1),
-                    quot(1, R - N + K + 1),
-                    binom(N, K),
-                    ibinom(T - K, T - U - N),
-                    ibinom(R - N + K, S),
-                ),
-            ),
-        ),
-    )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C16",
-        title="squared-denominator Klamkin-type identity",
-        anchor="Klamkin-type identity with a squared inverse binomial",
-        params=(("n", "nat"), ("r", "int"), ("s", "int")),
-        default_grid=_grid(n=N0_6, r=[10, 12], s=[1, 2]),
-        validity=_v(IntegerValued(S), _S_NONNEG, IntegerValued(R)),
-        lhs=(
-            SumSpec(
-                ZERO, _b(N), prod(sign(K), binom(N, K), ibinom(R, K + S), ibinom(R, K + S))
+_sum_entry(
+    id="C16",
+    title="squared-denominator Klamkin-type identity",
+    anchor="Klamkin-type identity with a squared inverse binomial",
+    params=(("n", "nat"), ("r", "int"), ("s", "int")),
+    default_grid=_grid(n=N0_6, r=[10, 12], s=[1, 2]),
+    validity=_v(IntegerValued(S), _S_NONNEG, IntegerValued(R)),
+    left=(
+        KernelBlock(
+            ZERO, _b(N), prod(sign(K), binom(N, K), ibinom(R, K + S), ibinom(R, K + S))
+        ),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(
+                power(R + 1, 2),
+                quot(1, R - S - N + 1),
+                quot(1, S + 1),
+                sign(N - K),
+                binom(N, K),
+                ibinom(R - K + 1, R - S - N + 1),
+                ibinom(R - N + K + 1, S + 1),
             ),
         ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(
-                    power(R + 1, 2),
-                    quot(1, R - S - N + 1),
-                    quot(1, S + 1),
-                    sign(N - K),
-                    binom(N, K),
-                    ibinom(R - K + 1, R - S - N + 1),
-                    ibinom(R - N + K + 1, S + 1),
-                ),
-            ),
-        ),
-    )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C17",
-        title="Klamkin-type transform of the Simons identity",
-        anchor="Simons' identity, Klamkin-type consequence",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_8, r=[12, 14, Fraction(29, 2)], s=[0, 1, 2]),
-        validity=_v(IntegerValued(S), _S_NONNEG),
-        lhs=(
-            SumSpec(ZERO, _b(N), prod(binom(N, K), binom(N + K, K), ibinom(R, K + S))),
-        ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(
-                    af(R + 1),
-                    sign(N),
-                    sign(K),
-                    quot(1, R - K + 1),
-                    binom(N, K),
-                    binom(N + K, K),
-                    ibinom(R - K, S),
-                ),
+_sum_entry(
+    id="C17",
+    title="Klamkin-type transform of the Simons identity",
+    anchor="Simons' identity, Klamkin-type consequence",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_8, r=[12, 14, Fraction(29, 2)], s=[0, 1, 2]),
+    validity=_v(IntegerValued(S), _S_NONNEG),
+    left=(
+        KernelBlock(ZERO, _b(N), prod(binom(N, K), binom(N + K, K), ibinom(R, K + S))),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(
+                af(R + 1),
+                sign(N),
+                sign(K),
+                quot(1, R - K + 1),
+                binom(N, K),
+                binom(N + K, K),
+                ibinom(R - K, S),
             ),
         ),
-    )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C18",
-        title="generalized Klamkin, plain orientation",
-        anchor="generalization of Klamkin's identity",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("u", "rat")),
-        default_grid=_grid(n=N0_8, r=[12, 14, Fraction(29, 2)], s=[0, 1], u=[0, 1, 2, Fraction(5, 2), Fraction(-4, 3)]),
-        validity=_v(IntegerValued(S), _S_NONNEG),
-        lhs=(
-            SumSpec(
-                ZERO, _b(N), prod(binom(N, K), binom(U + N - K, N - K), ibinom(R, K + S))
+_sum_entry(
+    id="C18",
+    title="generalized Klamkin, plain orientation",
+    anchor="generalization of Klamkin's identity",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("u", "rat")),
+    default_grid=_grid(n=N0_8, r=[12, 14, Fraction(29, 2)], s=[0, 1], u=[0, 1, 2, Fraction(5, 2), Fraction(-4, 3)]),
+    validity=_v(IntegerValued(S), _S_NONNEG),
+    left=(
+        KernelBlock(
+            ZERO, _b(N), prod(binom(N, K), binom(U + N - K, N - K), ibinom(R, K + S))
+        ),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(
+                af(R + 1),
+                quot(1, R - K + 1),
+                binom(N, K),
+                binom(U, N - K),
+                ibinom(R - K, S),
             ),
         ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(
-                    af(R + 1),
-                    quot(1, R - K + 1),
-                    binom(N, K),
-                    binom(U, N - K),
-                    ibinom(R - K, S),
-                ),
-            ),
-        ),
-    )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C19",
-        title="generalized Klamkin, alternating orientation",
-        anchor="generalization of Klamkin's identity",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("u", "rat")),
-        default_grid=_grid(n=N0_8, r=[12, 14, Fraction(29, 2)], s=[0, 1], u=[0, 1, 2, Fraction(5, 2), Fraction(-4, 3)]),
-        validity=_v(IntegerValued(S), _S_NONNEG),
-        lhs=(
-            SumSpec(
-                ZERO, _b(N), prod(sign(K), binom(N, K), binom(U, N - K), ibinom(R, K + S))
+_sum_entry(
+    id="C19",
+    title="generalized Klamkin, alternating orientation",
+    anchor="generalization of Klamkin's identity",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int"), ("u", "rat")),
+    default_grid=_grid(n=N0_8, r=[12, 14, Fraction(29, 2)], s=[0, 1], u=[0, 1, 2, Fraction(5, 2), Fraction(-4, 3)]),
+    validity=_v(IntegerValued(S), _S_NONNEG),
+    left=(
+        KernelBlock(
+            ZERO, _b(N), prod(sign(K), binom(N, K), binom(U, N - K), ibinom(R, K + S))
+        ),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(
+                af(R + 1),
+                sign(K),
+                quot(1, R - K + 1),
+                binom(N, K),
+                binom(U + N - K, N - K),
+                ibinom(R - K, S),
             ),
         ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(
-                    af(R + 1),
-                    sign(K),
-                    quot(1, R - K + 1),
-                    binom(N, K),
-                    binom(U + N - K, N - K),
-                    ibinom(R - K, S),
-                ),
-            ),
-        ),
-    )
+    ),
 )
 
 
 # -- moment extensions --------------------------------------------------------
 
-_register(
-    CatalogEntry(
-        id="C20",
-        title="moment extension of the Frisch sum",
-        anchor="extension of Frisch's identity",
-        params=(("n", "nat"), ("m", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_8, m=[0, 1, 2, 3, 4], r=[2, 3, 4, Fraction(9, 2)], s=[1, 2]),
-        validity=_v(IntegerValued(S), _S_POSITIVE),
-        lhs=(
-            SumSpec(
-                ZERO, _b(N), prod(sign(K), power(K, M), binom(N, K), ibinom(K + R, S))
+_sum_entry(
+    id="C20",
+    title="moment extension of the Frisch sum",
+    anchor="extension of Frisch's identity",
+    params=(("n", "nat"), ("m", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_8, m=[0, 1, 2, 3, 4], r=[2, 3, 4, Fraction(9, 2)], s=[1, 2]),
+    validity=_v(IntegerValued(S), _S_POSITIVE),
+    left=(
+        KernelBlock(
+            ZERO, _b(N), prod(sign(K), power(K, M), binom(N, K), ibinom(K + R, S))
+        ),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            Bound(M, cap=N),
+            prod(
+                af(S),
+                quot(1, N - K + S),
+                altpowsum(K, N - K, M),
+                binom(N, K),
+                ibinom(N - K + R, N - K + S),
             ),
         ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                Bound(M, cap=N),
-                prod(
-                    af(S),
-                    quot(1, N - K + S),
-                    altpowsum(K, N - K, M),
-                    binom(N, K),
-                    ibinom(N - K + R, N - K + S),
-                ),
-            ),
-        ),
-    )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C21",
-        title="first moment of the Frisch sum",
-        anchor="extension of Frisch's identity, first moment",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_8, r=[2, 3, 4, 5, Fraction(9, 2)], s=[1, 2, 3]),
-        validity=_v(IntegerValued(S), _S_POSITIVE),
-        lhs=(
-            SumSpec(ZERO, _b(N), prod(sign(K), af(K), binom(N, K), ibinom(K + R, S))),
-        ),
-        rhs_closed=prod(
+_sum_entry(
+    id="C21",
+    title="first moment of the Frisch sum",
+    anchor="extension of Frisch's identity, first moment",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_8, r=[2, 3, 4, 5, Fraction(9, 2)], s=[1, 2, 3]),
+    validity=_v(IntegerValued(S), _S_POSITIVE),
+    left=(
+        KernelBlock(ZERO, _b(N), prod(sign(K), af(K), binom(N, K), ibinom(K + R, S))),
+    ),
+    right=_closed(
+        prod(
             af(N), af(S), quot(1, N + R), quot(S - R - 1, N + S - 1), ibinom(N + R - 1, N + S - 1)
-        ),
-    )
+        )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C22",
-        title="second moment of the Frisch sum",
-        anchor="extension of Frisch's identity, second moment",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_8, r=[2, 3, 4, 5, Fraction(9, 2)], s=[1, 2, 3]),
-        validity=_v(IntegerValued(S), _S_POSITIVE),
-        lhs=(
-            SumSpec(ZERO, _b(N), prod(sign(K), power(K, 2), binom(N, K), ibinom(K + R, S))),
-        ),
-        rhs_closed=prod(
+_sum_entry(
+    id="C22",
+    title="second moment of the Frisch sum",
+    anchor="extension of Frisch's identity, second moment",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_8, r=[2, 3, 4, 5, Fraction(9, 2)], s=[1, 2, 3]),
+    validity=_v(IntegerValued(S), _S_POSITIVE),
+    left=(
+        KernelBlock(ZERO, _b(N), prod(sign(K), power(K, 2), binom(N, K), ibinom(K + R, S))),
+    ),
+    right=_closed(
+        prod(
             af(N),
             af(S),
             quot(1, N + R),
@@ -812,438 +733,409 @@ _register(
             tsum(prod(af(N), af(R - S + 1)), prod(const(-1), af(R))),
             quot(1, N + S - 2),
             ibinom(N + R - 2, N + S - 2),
-        ),
-    )
+        )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C23",
-        title="first moment, equal indices",
-        anchor="extension of Frisch's identity, first moment at equal indices",
-        params=(("n", "nat"), ("r", "int")),
-        default_grid=_grid(n=N0_8, r=[1, 2, 3, 4]),
-        validity=_v(IntegerValued(R), RangeConstraint(R, ">=", 1)),
-        lhs=(
-            SumSpec(ZERO, _b(N), prod(sign(K), af(K), binom(N, K), ibinom(K + R, R))),
-        ),
-        rhs_closed=prod(const(-1), af(N), af(R), quot(1, N + R - 1), quot(1, N + R)),
-    )
+_sum_entry(
+    id="C23",
+    title="first moment, equal indices",
+    anchor="extension of Frisch's identity, first moment at equal indices",
+    params=(("n", "nat"), ("r", "int")),
+    default_grid=_grid(n=N0_8, r=[1, 2, 3, 4]),
+    validity=_v(IntegerValued(R), RangeConstraint(R, ">=", 1)),
+    left=(
+        KernelBlock(ZERO, _b(N), prod(sign(K), af(K), binom(N, K), ibinom(K + R, R))),
+    ),
+    right=_closed(prod(const(-1), af(N), af(R), quot(1, N + R - 1), quot(1, N + R))),
 )
 
-_register(
-    CatalogEntry(
-        id="C24",
-        title="second moment, equal indices",
-        anchor="extension of Frisch's identity, second moment at equal indices",
-        params=(("n", "nat"), ("r", "int")),
-        default_grid=_grid(n=N0_8, r=[1, 2, 3, 4]),
-        validity=_v(IntegerValued(R), RangeConstraint(R, ">=", 1)),
-        lhs=(
-            SumSpec(ZERO, _b(N), prod(sign(K), power(K, 2), binom(N, K), ibinom(K + R, R))),
-        ),
-        rhs_closed=prod(
+_sum_entry(
+    id="C24",
+    title="second moment, equal indices",
+    anchor="extension of Frisch's identity, second moment at equal indices",
+    params=(("n", "nat"), ("r", "int")),
+    default_grid=_grid(n=N0_8, r=[1, 2, 3, 4]),
+    validity=_v(IntegerValued(R), RangeConstraint(R, ">=", 1)),
+    left=(
+        KernelBlock(ZERO, _b(N), prod(sign(K), power(K, 2), binom(N, K), ibinom(K + R, R))),
+    ),
+    right=_closed(
+        prod(
             af(N), af(R), af(N - R), quot(1, N + R), quot(1, N + R - 1), quot(1, N + R - 2)
-        ),
-    )
+        )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C25",
-        title="moment extension of the Klamkin sum",
-        anchor="extension of Klamkin's identity",
-        params=(("n", "nat"), ("m", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_8, m=[0, 1, 2, 3, 4], r=[13, 15, Fraction(29, 2)], s=[0, 1, 2]),
-        validity=_v(IntegerValued(S), _S_NONNEG),
-        lhs=(
-            SumSpec(ZERO, _b(N), prod(power(K, M), binom(N, K), ibinom(R, K + S))),
-        ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                Bound(M, cap=N),
-                prod(
-                    af(R + 1),
-                    sign(K),
-                    altpowsum(K, 0, M),
-                    quot(1, R - N + K + 1),
-                    binom(N, K),
-                    ibinom(K + R - N, K + S),
-                ),
+_sum_entry(
+    id="C25",
+    title="moment extension of the Klamkin sum",
+    anchor="extension of Klamkin's identity",
+    params=(("n", "nat"), ("m", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_8, m=[0, 1, 2, 3, 4], r=[13, 15, Fraction(29, 2)], s=[0, 1, 2]),
+    validity=_v(IntegerValued(S), _S_NONNEG),
+    left=(
+        KernelBlock(ZERO, _b(N), prod(power(K, M), binom(N, K), ibinom(R, K + S))),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            Bound(M, cap=N),
+            prod(
+                af(R + 1),
+                sign(K),
+                altpowsum(K, 0, M),
+                quot(1, R - N + K + 1),
+                binom(N, K),
+                ibinom(K + R - N, K + S),
             ),
         ),
-    )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C26",
-        title="first moment of the Klamkin sum",
-        anchor="extension of Klamkin's identity, first moment",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_8, r=[13, 15, Fraction(29, 2)], s=[0, 1, 2]),
-        validity=_v(IntegerValued(S), _S_NONNEG),
-        lhs=(
-            SumSpec(ZERO, _b(N), prod(af(K), binom(N, K), ibinom(R, K + S))),
-        ),
-        rhs_closed=prod(af(N), af(R + 1), quot(1, R - N + 2), ibinom(R - N + 1, S + 1)),
-    )
+_sum_entry(
+    id="C26",
+    title="first moment of the Klamkin sum",
+    anchor="extension of Klamkin's identity, first moment",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_8, r=[13, 15, Fraction(29, 2)], s=[0, 1, 2]),
+    validity=_v(IntegerValued(S), _S_NONNEG),
+    left=(
+        KernelBlock(ZERO, _b(N), prod(af(K), binom(N, K), ibinom(R, K + S))),
+    ),
+    right=_closed(prod(af(N), af(R + 1), quot(1, R - N + 2), ibinom(R - N + 1, S + 1))),
 )
 
-_register(
-    CatalogEntry(
-        id="C27",
-        title="second moment of the Klamkin sum",
-        anchor="extension of Klamkin's identity, second moment",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_8, r=[13, 15, Fraction(29, 2)], s=[0, 1, 2]),
-        validity=_v(IntegerValued(S), _S_NONNEG),
-        lhs=(
-            SumSpec(ZERO, _b(N), prod(power(K, 2), binom(N, K), ibinom(R, K + S))),
-        ),
-        rhs_closed=prod(
+_sum_entry(
+    id="C27",
+    title="second moment of the Klamkin sum",
+    anchor="extension of Klamkin's identity, second moment",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_8, r=[13, 15, Fraction(29, 2)], s=[0, 1, 2]),
+    validity=_v(IntegerValued(S), _S_NONNEG),
+    left=(
+        KernelBlock(ZERO, _b(N), prod(power(K, 2), binom(N, K), ibinom(R, K + S))),
+    ),
+    right=_closed(
+        prod(
             af(R + 1),
             af(N),
             tsum(prod(af(N), af(S + 1)), af(R - S + 1)),
             quot(1, N - R - 2),
             quot(1, N - R - 3),
             ibinom(R - N + 1, S + 1),
-        ),
-    )
+        )
+    ),
 )
 
 
 # -- geometric, Waring, MacMahon ----------------------------------------------
 
-_register(
-    CatalogEntry(
-        id="C28",
-        title="inverse-binomial geometric sum",
-        anchor="geometric progression (equal-index case due to Rockett)",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_10, r=[2, 3, 4, 5, 6, Fraction(9, 2), Fraction(14, 3)], s=[2, 3, 4]),
-        validity=_v(IntegerValued(S), _S_POSITIVE),
-        lhs=(SumSpec(ZERO, _b(N), ibinom(K + R, S)),),
-        rhs_closed=prod(
+_sum_entry(
+    id="C28",
+    title="inverse-binomial geometric sum",
+    anchor="geometric progression (equal-index case due to Rockett)",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_10, r=[2, 3, 4, 5, 6, Fraction(9, 2), Fraction(14, 3)], s=[2, 3, 4]),
+    validity=_v(IntegerValued(S), _S_POSITIVE),
+    left=(KernelBlock(ZERO, _b(N), ibinom(K + R, S)),),
+    right=_closed(
+        prod(
             quot(S, S - 1),
             tsum(ibinom(R - 1, S - 1), prod(const(-1), ibinom(N + R, S - 1))),
-        ),
-    )
+        )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C29",
-        title="alternating inverse-binomial geometric sum",
-        anchor="alternating geometric progression",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_10, r=[12, 14, Fraction(25, 2)], s=[0, 1, 2]),
-        validity=_v(IntegerValued(S), _S_NONNEG),
-        lhs=(SumSpec(ZERO, _b(N), prod(sign(K), ibinom(R, K + S))),),
-        rhs_closed=tsum(
+_sum_entry(
+    id="C29",
+    title="alternating inverse-binomial geometric sum",
+    anchor="alternating geometric progression",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_10, r=[12, 14, Fraction(25, 2)], s=[0, 1, 2]),
+    validity=_v(IntegerValued(S), _S_NONNEG),
+    left=(KernelBlock(ZERO, _b(N), prod(sign(K), ibinom(R, K + S))),),
+    right=_closed(
+        tsum(
             prod(quot(R + 1, S + 1), ibinom(R + 2, S + 1)),
             prod(sign(N), quot(R + 1, N + S + 2), ibinom(R + 2, N + S + 2)),
-        ),
-    )
+        )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C30",
-        title="power-sum identity with inverse binomials",
-        anchor="Waring's formula at y = 1 - x",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_10, r=[1, 2, 3, 4, 5, Fraction(7, 2)], s=[1, 2, 3]),
-        validity=_v(IntegerValued(S), _S_POSITIVE),
-        lhs=(
-            SumSpec(
-                ZERO,
-                Bound(N, half=True),
-                prod(sign(K), quot(N, N - K), quot(1, K + S), binom(N - K, K), ibinom(2 * K + R, K + S)),
-            ),
+_sum_entry(
+    id="C30",
+    title="power-sum identity with inverse binomials",
+    anchor="Waring's formula at y = 1 - x",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_10, r=[1, 2, 3, 4, 5, Fraction(7, 2)], s=[1, 2, 3]),
+    validity=_v(IntegerValued(S), _S_POSITIVE),
+    left=(
+        KernelBlock(
+            ZERO,
+            Bound(N, half=True),
+            prod(sign(K), quot(N, N - K), quot(1, K + S), binom(N - K, K), ibinom(2 * K + R, K + S)),
         ),
-        rhs_closed=tsum(
+    ),
+    right=_closed(
+        tsum(
             prod(quot(1, S), ibinom(N + R, S)),
             prod(quot(1, N + S), ibinom(N + R, N + S)),
-        ),
-    )
+        )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C31",
-        title="cubed-binomial sum with an inverse binomial",
-        anchor="MacMahon's identity, Frisch-type consequence",
-        params=(("n", "nat"), ("r", "rat"), ("s", "int")),
-        default_grid=_grid(n=N0_8, r=[1, 2, 3, 4, Fraction(9, 2)], s=[1, 2, 3]),
-        validity=_v(IntegerValued(S), _S_POSITIVE),
-        lhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(sign(K), binom(N, K), binom(N, K), binom(N, K), ibinom(K + R, S)),
+_sum_entry(
+    id="C31",
+    title="cubed-binomial sum with an inverse binomial",
+    anchor="MacMahon's identity, Frisch-type consequence",
+    params=(("n", "nat"), ("r", "rat"), ("s", "int")),
+    default_grid=_grid(n=N0_8, r=[1, 2, 3, 4, Fraction(9, 2)], s=[1, 2, 3]),
+    validity=_v(IntegerValued(S), _S_POSITIVE),
+    left=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(sign(K), binom(N, K), binom(N, K), binom(N, K), ibinom(K + R, S)),
+        ),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            Bound(N, half=True),
+            prod(
+                sign(K),
+                af(S),
+                quot(1, N - 2 * K + S),
+                binom(N + K, 2 * K),
+                binom(2 * K, K),
+                binom(N - K, K),
+                ibinom(N + R - K, N - 2 * K + S),
             ),
         ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                Bound(N, half=True),
-                prod(
-                    sign(K),
-                    af(S),
-                    quot(1, N - 2 * K + S),
-                    binom(N + K, 2 * K),
-                    binom(2 * K, K),
-                    binom(N - K, K),
-                    ibinom(N + R - K, N - 2 * K + S),
-                ),
-            ),
-        ),
-    )
+    ),
 )
 
 
 # -- Dixon complements ---------------------------------------------------------
 
-_register(
-    CatalogEntry(
-        id="C32",
-        title="moment-weighted cubed-binomial sum",
-        anchor="Dixon complement, general moment",
-        params=(("n", "nat"), ("m", "nat")),
-        default_grid=_grid(n=[0, 1, 2, 3, 4, 5], m=[1, 2, 3, 4]),
-        validity=_v(RangeConstraint(M, ">=", 1)),
-        lhs=(
-            SumSpec(
-                ZERO,
-                _b(2 * N),
-                prod(sign(K), power(K, M), binom(2 * N, K), binom(2 * N, K), binom(2 * N, K)),
+_sum_entry(
+    id="C32",
+    title="moment-weighted cubed-binomial sum",
+    anchor="Dixon complement, general moment",
+    params=(("n", "nat"), ("m", "nat")),
+    default_grid=_grid(n=[0, 1, 2, 3, 4, 5], m=[1, 2, 3, 4]),
+    validity=_v(RangeConstraint(M, ">=", 1)),
+    left=(
+        KernelBlock(
+            ZERO,
+            _b(2 * N),
+            prod(sign(K), power(K, M), binom(2 * N, K), binom(2 * N, K), binom(2 * N, K)),
+        ),
+    ),
+    right=(
+        KernelBlock(
+            Bound(N - M + 1),
+            _b(N),
+            prod(
+                sign(K),
+                binom(2 * N + K, 2 * K),
+                binom(2 * K, K),
+                binom(2 * N - K, K),
+                altpowsum(2 * N - 2 * K, K, M),
             ),
         ),
-        rhs=(
-            SumSpec(
-                Bound(N - M + 1),
-                _b(N),
-                prod(
-                    sign(K),
-                    binom(2 * N + K, 2 * K),
-                    binom(2 * K, K),
-                    binom(2 * N - K, K),
-                    altpowsum(2 * N - 2 * K, K, M),
-                ),
-            ),
-        ),
-    )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C33",
-        title="first-moment Dixon complement",
-        anchor="Dixon complement, first moment",
-        params=(("n", "nat"),),
-        default_grid=_grid(n=N0_6),
-        lhs=(
-            SumSpec(
-                ZERO,
-                _b(2 * N),
-                prod(sign(K), af(K), binom(2 * N, K), binom(2 * N, K), binom(2 * N, K)),
-            ),
+_sum_entry(
+    id="C33",
+    title="first-moment Dixon complement",
+    anchor="Dixon complement, first moment",
+    params=(("n", "nat"),),
+    default_grid=_grid(n=N0_6),
+    left=(
+        KernelBlock(
+            ZERO,
+            _b(2 * N),
+            prod(sign(K), af(K), binom(2 * N, K), binom(2 * N, K), binom(2 * N, K)),
         ),
-        rhs_closed=prod(sign(N), af(N), binom(2 * N, N), binom(3 * N, N)),
-    )
+    ),
+    right=_closed(prod(sign(N), af(N), binom(2 * N, N), binom(3 * N, N))),
 )
 
-_register(
-    CatalogEntry(
-        id="C34",
-        title="second-moment Dixon complement",
-        anchor="Dixon complement, second moment",
-        params=(("n", "nat"),),
-        default_grid=_grid(n=N0_6),
-        lhs=(
-            SumSpec(
-                ZERO,
-                _b(2 * N),
-                prod(sign(K), power(K, 2), binom(2 * N, K), binom(2 * N, K), binom(2 * N, K)),
-            ),
+_sum_entry(
+    id="C34",
+    title="second-moment Dixon complement",
+    anchor="Dixon complement, second moment",
+    params=(("n", "nat"),),
+    default_grid=_grid(n=N0_6),
+    left=(
+        KernelBlock(
+            ZERO,
+            _b(2 * N),
+            prod(sign(K), power(K, 2), binom(2 * N, K), binom(2 * N, K), binom(2 * N, K)),
         ),
-        rhs_closed=prod(sign(N), const(2, 3), power(N, 2), binom(2 * N, N), binom(3 * N, N)),
-    )
+    ),
+    right=_closed(prod(sign(N), const(2, 3), power(N, 2), binom(2 * N, N), binom(3 * N, N))),
 )
 
 
-def _dixon_closed(binding: Mapping[str, Fraction]) -> Fraction:
-    n = int(binding["n"])
-    if n % 2:
-        return Fraction(0)
-    j = n // 2
-    value = Fraction(binom_int(n, j) * binom_int(3 * j, n))
-    return -value if j % 2 else value
-
-
-_register(
-    CatalogEntry(
-        id="C35",
-        title="alternating cubed-binomial sum",
-        anchor="Dixon's identity, original form",
-        params=(("n", "nat"),),
-        default_grid=_grid(n=N0_10),
-        lhs=(
-            SumSpec(ZERO, _b(N), prod(sign(K), binom(N, K), binom(N, K), binom(N, K))),
+_sum_entry(
+    id="C35",
+    title="alternating cubed-binomial sum",
+    anchor="Dixon's identity, original form",
+    params=(("n", "nat"),),
+    default_grid=_grid(n=N0_10),
+    left=(
+        KernelBlock(ZERO, _b(N), prod(sign(K), binom(N, K), binom(N, K), binom(N, K))),
+    ),
+    # the closed form as a floor-bounded sum: empty for odd n, the single term
+    # (-1)^j binom(2j, j) binom(3j, 2j) at k = j for n = 2j
+    right=(
+        KernelBlock(
+            Bound(N + 1, half=True),
+            Bound(N, half=True),
+            prod(sign(K), binom(N, K), binom(N + K, N)),
         ),
-        rhs_cases=_dixon_closed,
-    )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C36",
-        title="alternating cubed-binomial sum, even order",
-        anchor="Dixon's identity, doubled order",
-        params=(("n", "nat"),),
-        default_grid=_grid(n=N0_8),
-        lhs=(
-            SumSpec(
-                ZERO, _b(2 * N), prod(sign(K), binom(2 * N, K), binom(2 * N, K), binom(2 * N, K))
-            ),
+_sum_entry(
+    id="C36",
+    title="alternating cubed-binomial sum, even order",
+    anchor="Dixon's identity, doubled order",
+    params=(("n", "nat"),),
+    default_grid=_grid(n=N0_8),
+    left=(
+        KernelBlock(
+            ZERO, _b(2 * N), prod(sign(K), binom(2 * N, K), binom(2 * N, K), binom(2 * N, K))
         ),
-        rhs_closed=prod(sign(N), binom(2 * N, N), binom(3 * N, N)),
-    )
+    ),
+    right=_closed(prod(sign(N), binom(2 * N, N), binom(3 * N, N))),
 )
 
 
 # -- Simons moment families -----------------------------------------------------
 
-_register(
-    CatalogEntry(
-        id="C37",
-        title="Simons moment family, plain reflection",
-        anchor="Simons' identity, moment transform",
-        params=(("n", "nat"), ("m", "nat")),
-        default_grid=_grid(n=N0_8, m=[0, 1, 2, 3, 4, 5]),
-        lhs=(
-            SumSpec(
-                ZERO, _b(N), prod(sign(K), power(K, M), binom(N, K), binom(N + K, K))
-            ),
+_sum_entry(
+    id="C37",
+    title="Simons moment family, plain reflection",
+    anchor="Simons' identity, moment transform",
+    params=(("n", "nat"), ("m", "nat")),
+    default_grid=_grid(n=N0_8, m=[0, 1, 2, 3, 4, 5]),
+    left=(
+        KernelBlock(
+            ZERO, _b(N), prod(sign(K), power(K, M), binom(N, K), binom(N + K, K))
         ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(M),
-                prod(sign(N), sign(K), altpowsum(K, 0, M), binom(N, K), binom(N + K, K)),
-            ),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(M),
+            prod(sign(N), sign(K), altpowsum(K, 0, M), binom(N, K), binom(N + K, K)),
         ),
-    )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C38",
-        title="Simons moment family, index reflection",
-        anchor="Simons' identity, reflected moment transform",
-        params=(("n", "nat"), ("m", "nat")),
-        default_grid=_grid(n=N0_8, m=[0, 1, 2, 3, 4, 5]),
-        lhs=(
-            SumSpec(
-                ZERO,
-                _b(N),
-                prod(sign(K), power(K, M), binom(N, K), binom(2 * N - K, N - K)),
-            ),
+_sum_entry(
+    id="C38",
+    title="Simons moment family, index reflection",
+    anchor="Simons' identity, reflected moment transform",
+    params=(("n", "nat"), ("m", "nat")),
+    default_grid=_grid(n=N0_8, m=[0, 1, 2, 3, 4, 5]),
+    left=(
+        KernelBlock(
+            ZERO,
+            _b(N),
+            prod(sign(K), power(K, M), binom(N, K), binom(2 * N - K, N - K)),
         ),
-        rhs=(
-            SumSpec(
-                ZERO,
-                _b(M),
-                prod(altpowsum(K, N - K, M), binom(N, K), binom(N + K, K)),
-            ),
+    ),
+    right=(
+        KernelBlock(
+            ZERO,
+            _b(M),
+            prod(altpowsum(K, N - K, M), binom(N, K), binom(N + K, K)),
         ),
-    )
+    ),
 )
 
-def _simons_plain_lhs(mexp: int) -> SumSpec:
-    return SumSpec(ZERO, _b(N), prod(sign(K), power(K, mexp), binom(N, K), binom(N + K, K)))
+def _simons_plain_lhs(mexp: int) -> KernelBlock:
+    return KernelBlock(ZERO, _b(N), prod(sign(K), power(K, mexp), binom(N, K), binom(N + K, K)))
 
 
-def _simons_reflected_lhs(mexp: int) -> SumSpec:
-    return SumSpec(
+def _simons_reflected_lhs(mexp: int) -> KernelBlock:
+    return KernelBlock(
         ZERO, _b(N), prod(sign(K), power(K, mexp), binom(N, K), binom(2 * N - K, N - K))
     )
 
-_register(
-    CatalogEntry(
-        id="C39a",
-        title="Simons moment, k weight",
-        anchor="Simons' identity, first moment",
-        params=(("n", "nat"),),
-        default_grid=_grid(n=N0_10),
-        lhs=(_simons_plain_lhs(1),),
-        rhs_closed=prod(sign(N), af(N), af(N + 1)),
-    )
+_sum_entry(
+    id="C39a",
+    title="Simons moment, k weight",
+    anchor="Simons' identity, first moment",
+    params=(("n", "nat"),),
+    default_grid=_grid(n=N0_10),
+    left=(_simons_plain_lhs(1),),
+    right=_closed(prod(sign(N), af(N), af(N + 1))),
 )
 
-_register(
-    CatalogEntry(
-        id="C39b",
-        title="Simons moment, k^2 weight",
-        anchor="Simons' identity, second moment",
-        params=(("n", "nat"),),
-        default_grid=_grid(n=N0_10),
-        lhs=(_simons_plain_lhs(2),),
-        rhs_closed=prod(sign(N), const(1, 2), power(N, 2), power(N + 1, 2)),
-    )
+_sum_entry(
+    id="C39b",
+    title="Simons moment, k^2 weight",
+    anchor="Simons' identity, second moment",
+    params=(("n", "nat"),),
+    default_grid=_grid(n=N0_10),
+    left=(_simons_plain_lhs(2),),
+    right=_closed(prod(sign(N), const(1, 2), power(N, 2), power(N + 1, 2))),
 )
 
-_register(
-    CatalogEntry(
-        id="C39c",
-        title="Simons moment, k^3 weight",
-        anchor="Simons' identity, third moment",
-        params=(("n", "nat"),),
-        default_grid=_grid(n=N0_10),
-        lhs=(_simons_plain_lhs(3),),
-        rhs_closed=prod(
+_sum_entry(
+    id="C39c",
+    title="Simons moment, k^3 weight",
+    anchor="Simons' identity, third moment",
+    params=(("n", "nat"),),
+    default_grid=_grid(n=N0_10),
+    left=(_simons_plain_lhs(3),),
+    right=_closed(
+        prod(
             sign(N), const(1, 6), power(N, 2), power(N + 1, 2), tsum(power(N, 2), af(N + 1))
-        ),
-    )
+        )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C40a",
-        title="reflected Simons moment, k weight",
-        anchor="Simons' identity, reflected first moment",
-        params=(("n", "nat"),),
-        default_grid=_grid(n=N0_10),
-        lhs=(_simons_reflected_lhs(1),),
-        rhs_closed=prod(const(-1), power(N, 2)),
-    )
+_sum_entry(
+    id="C40a",
+    title="reflected Simons moment, k weight",
+    anchor="Simons' identity, reflected first moment",
+    params=(("n", "nat"),),
+    default_grid=_grid(n=N0_10),
+    left=(_simons_reflected_lhs(1),),
+    right=_closed(prod(const(-1), power(N, 2))),
 )
 
-_register(
-    CatalogEntry(
-        id="C40b",
-        title="reflected Simons moment, k^2 weight",
-        anchor="Simons' identity, reflected second moment",
-        params=(("n", "nat"),),
-        default_grid=_grid(n=N0_10),
-        lhs=(_simons_reflected_lhs(2),),
-        rhs_closed=prod(
+_sum_entry(
+    id="C40b",
+    title="reflected Simons moment, k^2 weight",
+    anchor="Simons' identity, reflected second moment",
+    params=(("n", "nat"),),
+    default_grid=_grid(n=N0_10),
+    left=(_simons_reflected_lhs(2),),
+    right=_closed(
+        prod(
             const(1, 2), power(N, 2), tsum(power(N, 2), prod(const(-2), af(N)), const(-1))
-        ),
-    )
+        )
+    ),
 )
 
-_register(
-    CatalogEntry(
-        id="C40c",
-        title="reflected Simons moment, k^3 weight",
-        anchor="Simons' identity, reflected third moment",
-        params=(("n", "nat"),),
-        default_grid=_grid(n=N0_10),
-        lhs=(_simons_reflected_lhs(3),),
-        rhs_closed=prod(
+_sum_entry(
+    id="C40c",
+    title="reflected Simons moment, k^3 weight",
+    anchor="Simons' identity, reflected third moment",
+    params=(("n", "nat"),),
+    default_grid=_grid(n=N0_10),
+    left=(_simons_reflected_lhs(3),),
+    right=_closed(
+        prod(
             const(-1, 6),
             power(N, 2),
             tsum(
@@ -1253,8 +1145,8 @@ _register(
                 prod(const(6), af(N)),
                 const(1),
             ),
-        ),
-    )
+        )
+    ),
 )
 
 
@@ -1354,7 +1246,6 @@ _register(
         id="F01",
         title="geometric sum as a two-sided identity",
         anchor="geometric progression",
-        params=GEOM_SUM.params,
         default_grid=_grid(n=N0_10),
         descriptor=GEOM_SUM,
     )
@@ -1365,7 +1256,6 @@ _register(
         id="F02",
         title="alternating double-binomial identity",
         anchor="Simons' identity",
-        params=SIMONS.params,
         default_grid=_grid(n=N0_10),
         descriptor=SIMONS,
     )
@@ -1376,7 +1266,6 @@ _register(
         id="F03",
         title="upper-index shift identity",
         anchor="Gould's expansion at y = 1",
-        params=GOULD.params,
         default_grid=_grid(n=N0_8, u=[0, 1, 2, 3, Fraction(7, 3), Fraction(-3, 2)]),
         descriptor=GOULD,
     )
@@ -1387,7 +1276,6 @@ _register(
         id="F04",
         title="two-term power sum identity",
         anchor="Waring's formula at y = 1 - x",
-        params=WARING.params,
         default_grid=_grid(n=tuple(range(1, 11))),
         descriptor=WARING,
     )
@@ -1398,7 +1286,6 @@ _register(
         id="F05",
         title="cubed-binomial kernel identity",
         anchor="MacMahon's identity",
-        params=MACMAHON.params,
         default_grid=_grid(n=N0_10),
         descriptor=MACMAHON,
     )
@@ -1407,45 +1294,12 @@ _register(
 
 # -- export --------------------------------------------------------------------
 
-def entry_as_descriptor(entry: CatalogEntry) -> IdentityDescriptor | None:
-    """View a summation entry as a kernel-free two-sided identity.
-
-    Returns None for entries whose right side is a cased closed form (the
-    parity branch has no source representation).
-    """
-    if entry.descriptor is not None:
-        return entry.descriptor
-    if entry.rhs_cases is not None:
-        return None
-    if entry.rhs_closed is not None:
-        right = Side((KernelBlock(ZERO, ZERO, entry.rhs_closed),))
-    else:
-        right = Side(tuple(KernelBlock(s.lo, s.hi, s.term) for s in entry.rhs))
-    left = Side(tuple(KernelBlock(s.lo, s.hi, s.term) for s in entry.lhs))
-    return IdentityDescriptor(entry.params, left, right, name=entry.id)
-
-
 def entry_to_dsl(entry: CatalogEntry) -> str:
     """Serialize one entry to identity source, with a titling comment."""
     from .dsl import print_identity
 
     header = f"# {entry.id}: {entry.title}\n# anchor: {entry.anchor}\n"
-    desc = entry_as_descriptor(entry)
-    if desc is None:
-        return (
-            header
-            + "# built-in closed form with a parity branch; the left side is\n"
-            + "# exported for reference and the right side lives in code.\n"
-            + print_identity(
-                IdentityDescriptor(
-                    entry.params,
-                    Side(tuple(KernelBlock(s.lo, s.hi, s.term) for s in entry.lhs)),
-                    Side(tuple(KernelBlock(s.lo, s.hi, s.term) for s in entry.lhs)),
-                    name=entry.id,
-                )
-            )
-        )
-    return header + print_identity(desc)
+    return header + print_identity(entry.descriptor)
 
 
 def export_catalog(directory) -> list[str]:

@@ -25,7 +25,15 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import __version__
-from .catalog import entry_ids, export_catalog, get_entry, iter_grid, verify_grid
+from .catalog import (
+    GridReport,
+    entry_ids,
+    export_catalog,
+    get_entry,
+    iter_grid,
+    verify_entry,
+    verify_grid,
+)
 from .descriptors import FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED, binding_key
 from .dsl import parse_identity, print_identity
 from .errors import DslSyntaxError, EmptyGridError, ShapeError, UnknownEntryError
@@ -84,14 +92,6 @@ def _write_report(path: str, report: dict) -> None:
         handle.write("\n")
 
 
-def _jobs(args) -> int:
-    jobs = args.jobs
-    cap = os.environ.get("COMBIDENT_MAX_JOBS")
-    if cap is not None:
-        jobs = min(jobs, max(1, int(cap)))
-    return max(1, jobs)
-
-
 # -- verify -------------------------------------------------------------------
 
 def _witness_record(result) -> dict:
@@ -108,48 +108,40 @@ def cmd_verify(args) -> int:
         selection = list(entry_ids())
     else:
         selection = [part.strip() for part in args.id.split(",") if part.strip()]
+    entries = [get_entry(entry_id) for entry_id in selection]  # raises UnknownEntryError
     overrides = _grid_overrides(args)
-    jobs = _jobs(args)
+    unused = set(overrides) - {name for entry in entries for name in entry.default_grid}
+    if unused:
+        raise ValueError(
+            f"no selected entry has the axis {', '.join(sorted(unused))}; drop the override"
+        )
 
     entries_report = []
     any_failed = False
-    for entry_id in selection:
-        entry = get_entry(entry_id)  # raises UnknownEntryError
+    for entry in entries:
         grid = dict(entry.default_grid)
         for name, values in overrides.items():
             if name in grid:
                 grid[name] = values
         if args.sample is not None:
             bindings = _sample_grid(grid, args.sample, args.seed)
-            counts = {VERIFIED: 0, FAILED: 0, SKIPPED_POLE: 0, SKIPPED_PRECONDITION: 0}
-            witnesses = []
-            from .catalog import verify_entry
-
-            for binding in bindings:
-                result = verify_entry(entry_id, binding)
-                counts[result.status] += 1
-                if result.status == FAILED and len(witnesses) < 10:
-                    witnesses.append(result)
-            report_counts, report_witnesses, total = counts, witnesses, len(bindings)
+            grid_report = GridReport.tally(entry.id, (verify_entry(entry.id, b) for b in bindings))
         else:
-            grid_report = verify_grid(entry_id, grid, jobs=jobs)
-            report_counts = grid_report.counts
-            report_witnesses = list(grid_report.witnesses)
-            total = grid_report.total
-        failed = report_counts[FAILED]
+            grid_report = verify_grid(entry.id, grid)
+        counts = grid_report.counts
+        failed = counts[FAILED]
         any_failed = any_failed or failed > 0
         entries_report.append(
             {
                 "id": entry.id,
                 "title": entry.title,
                 "anchor": entry.anchor,
-                "total": total,
-                "counts": dict(sorted(report_counts.items())),
-                "witnesses": [_witness_record(w) for w in report_witnesses],
+                "total": grid_report.total,
+                "counts": dict(sorted(counts.items())),
+                "witnesses": [_witness_record(w) for w in grid_report.witnesses],
             }
         )
         if args.format == "human":
-            counts = report_counts
             status = "FAIL" if failed else "ok"
             print(
                 f"{entry.id:6s} {status:4s} verified={counts[VERIFIED]:<5d}"
@@ -172,7 +164,6 @@ def cmd_verify(args) -> int:
                     },
                     "sample": args.sample,
                     "seed": args.seed,
-                    "jobs": jobs,
                 },
                 "entries": entries_report,
             },
@@ -230,13 +221,9 @@ def cmd_derive(args) -> int:
         grid[name] = overrides.get(name) or _DERIVED_GRID_DEFAULTS.get(name)
         if grid[name] is None:
             grid[name] = (Fraction(1), Fraction(2))
-    counts = {VERIFIED: 0, FAILED: 0, SKIPPED_POLE: 0, SKIPPED_PRECONDITION: 0}
-    witnesses = []
-    for binding in sorted(iter_grid(grid), key=binding_key):
-        result = check_derived(derived, binding)
-        counts[result.status] += 1
-        if result.status == FAILED and len(witnesses) < 10:
-            witnesses.append(result)
+    bindings = sorted(iter_grid(grid), key=binding_key)
+    tallied = GridReport.tally(derived.provenance, (check_derived(derived, b) for b in bindings))
+    counts = tallied.counts
     print(
         f"# verification: verified={counts[VERIFIED]} pole={counts[SKIPPED_POLE]}"
         f" pre={counts[SKIPPED_PRECONDITION]} failed={counts[FAILED]}"
@@ -270,13 +257,12 @@ def cmd_derive(args) -> int:
                     "direction": args.direction,
                     "variant": args.variant,
                     "m": args.m,
-                    "seed": args.seed,
                 },
                 "derived": {
                     "provenance": derived.provenance,
                     "source": text,
                     "counts": dict(sorted(counts.items())),
-                    "witnesses": [_witness_record(w) for w in witnesses],
+                    "witnesses": [_witness_record(w) for w in tallied.witnesses],
                     "match": match_note,
                 },
             },
@@ -365,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
     verify.add_argument("--out", default=None, help="write a JSON report here")
     verify.add_argument("--format", choices=("human", "quiet"), default="human")
-    verify.add_argument("--jobs", type=int, default=1, help="worker threads for grid sweeps")
     verify.add_argument("--sample", type=int, default=None, help="sample this many bindings")
     verify.add_argument("--seed", type=int, default=0, help="seed for sampled grids")
     verify.set_defaults(func=cmd_verify)
@@ -389,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"--grid-{name}", dest=f"grid_{name}", default=None,
             help=f"override the {name} axis for verification",
         )
-    derive.add_argument("--seed", type=int, default=0)
     derive.set_defaults(func=cmd_derive)
 
     integrals = sub.add_parser("integrals", help="exact Beta values vs quadrature")

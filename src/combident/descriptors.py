@@ -4,13 +4,16 @@ An identity side is a list of kernel blocks; each block sums
 ``coef(k) * x^a(k) * (1-x)^b(k) * (1+x)^c(k)`` over an integer range.  The
 classical descriptor shape (plain ``x^p(k)`` on the left, ``(1-x)^q(k)`` on
 the right) is the single-block special case; the mixed-kernel generality is
-what the Waring and MacMahon identities need.
+what the Waring and MacMahon identities need.  A summation identity is the
+kernel-free case (every exponent 0, kernel ``x^0``), and a closed form is a
+one-term ``k=0..0`` block, so one descriptor and one check cover them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Union
 
 from .affine import Affine, Bound
@@ -55,6 +58,15 @@ class IdentityDescriptor:
     right: Side
     name: str = field(default="", compare=False)
 
+    @cached_property
+    def kernel_free(self) -> bool:
+        """True when every kernel exponent is 0: both sides are plain sums."""
+        return all(
+            b.x_exp.is_zero() and b.one_minus_exp.is_zero() and b.one_plus_exp.is_zero()
+            for side in (self.left, self.right)
+            for b in side.blocks
+        )
+
     def sort_of(self, name: str) -> str | None:
         for n, s in self.params:
             if n == name:
@@ -62,32 +74,9 @@ class IdentityDescriptor:
         return None
 
 
-def pure_descriptor(
-    params,
-    f: TermExpr,
-    p: Affine,
-    l_bounds: tuple[Bound, Bound],
-    g: TermExpr,
-    q: Affine,
-    n_bounds: tuple[Bound, Bound],
-    name: str = "",
-) -> IdentityDescriptor:
-    """The classical shape: sum f(k) x^p(k) == sum g(k) (1-x)^q(k)."""
-    return IdentityDescriptor(
-        params=tuple(params),
-        left=Side((KernelBlock(l_bounds[0], l_bounds[1], f, x_exp=p),)),
-        right=Side((KernelBlock(n_bounds[0], n_bounds[1], g, one_minus_exp=q),)),
-        name=name,
-    )
-
-
 # -- bindings ---------------------------------------------------------------
 
 ParamBinding = dict[str, Fraction]
-
-
-def make_binding(**values: Scalar) -> ParamBinding:
-    return {name: Fraction(v) for name, v in values.items()}
 
 
 def check_sorts(desc_params, binding: Mapping[str, Fraction]) -> str | None:
@@ -134,17 +123,6 @@ class IntegerValued:
 
     def describe(self) -> str:
         return f"{self.expr} integer"
-
-
-@dataclass(frozen=True)
-class NonzeroBinomial:
-    """Documents a denominator binomial; vanishing is caught during evaluation."""
-
-    upper: Affine
-    lower: Affine
-
-    def describe(self) -> str:
-        return f"binom({self.upper}, {self.lower}) != 0"
 
 
 Constraint = Union[RangeConstraint, IntegerValued]
@@ -202,28 +180,48 @@ def _kernel_exponent(a: Affine, env, what: str) -> int:
     return e
 
 
-def eval_side(desc: IdentityDescriptor, side: str, binding: Mapping[str, Fraction]) -> Polynomial:
-    """Fully expanded canonical polynomial in x for one side."""
-    blocks = (desc.left if side == "left" else desc.right).blocks
-    result = Polynomial.constant(0)
-    for block in blocks:
+def _side_terms(desc: IdentityDescriptor, side: str, binding: Mapping[str, Fraction]):
+    """Yield ``(coef, a, b, c)`` for every index of every block of one side.
+
+    A kernel-free descriptor skips the exponents, which are all 0.
+    """
+    kernels = not desc.kernel_free
+    for block in (desc.left if side == "left" else desc.right).blocks:
         lo = max(0, block.lo.evaluate(binding))
         hi = block.hi.evaluate(binding)
         for k in range(lo, hi + 1):
             env = dict(binding)
             env["k"] = Fraction(k)
             coef = evaluate(block.coef, env)
-            piece = Polynomial.constant(coef)
+            if not kernels:
+                yield coef, 0, 0, 0
+                continue
             a = _kernel_exponent(block.x_exp, env, "x")
             b = _kernel_exponent(block.one_minus_exp, env, "(1-x)")
             c = _kernel_exponent(block.one_plus_exp, env, "(1+x)")
-            if a:
-                piece = piece * _X**a
-            if b:
-                piece = piece * _ONE_MINUS_X**b
-            if c:
-                piece = piece * _ONE_PLUS_X**c
-            result = result + piece
+            yield coef, a, b, c
+
+
+def eval_side(
+    desc: IdentityDescriptor, side: str, binding: Mapping[str, Fraction]
+) -> Fraction | Polynomial:
+    """Exact value of one side.
+
+    A kernel-free descriptor sums plain rationals; any other side is fully
+    expanded into its canonical polynomial in x.
+    """
+    if desc.kernel_free:
+        return sum((coef for coef, _, _, _ in _side_terms(desc, side, binding)), Fraction(0))
+    result = Polynomial.constant(0)
+    for coef, a, b, c in _side_terms(desc, side, binding):
+        piece = Polynomial.constant(coef)
+        if a:
+            piece = piece * _X**a
+        if b:
+            piece = piece * _ONE_MINUS_X**b
+        if c:
+            piece = piece * _ONE_PLUS_X**c
+        result = result + piece
     return result
 
 
@@ -232,20 +230,13 @@ def eval_side_at(
 ) -> Fraction:
     """Direct rational summation of a side at a concrete x value."""
     x0 = Fraction(x0)
-    blocks = (desc.left if side == "left" else desc.right).blocks
-    total = Fraction(0)
-    for block in blocks:
-        lo = max(0, block.lo.evaluate(binding))
-        hi = block.hi.evaluate(binding)
-        for k in range(lo, hi + 1):
-            env = dict(binding)
-            env["k"] = Fraction(k)
-            coef = evaluate(block.coef, env)
-            a = _kernel_exponent(block.x_exp, env, "x")
-            b = _kernel_exponent(block.one_minus_exp, env, "(1-x)")
-            c = _kernel_exponent(block.one_plus_exp, env, "(1+x)")
-            total += coef * x0**a * (1 - x0) ** b * (1 + x0) ** c
-    return total
+    return sum(
+        (
+            coef * x0**a * (1 - x0) ** b * (1 + x0) ** c
+            for coef, a, b, c in _side_terms(desc, side, binding)
+        ),
+        Fraction(0),
+    )
 
 
 def side_degree_bound(desc: IdentityDescriptor, side: str, binding: Mapping[str, Fraction]) -> int:
@@ -298,7 +289,11 @@ def check_two_sided(
         return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=str(exc))
     if lhs == rhs:
         return CheckResult(label, binding, VERIFIED, lhs=lhs, rhs=rhs)
-    return CheckResult(label, binding, FAILED, lhs=lhs, rhs=rhs, witness=first_mismatch(lhs, rhs))
+    if desc.kernel_free:
+        witness = f"lhs = {lhs}, rhs = {rhs} at {format_binding(binding)}"
+    else:
+        witness = first_mismatch(lhs, rhs)
+    return CheckResult(label, binding, FAILED, lhs=lhs, rhs=rhs, witness=witness)
 
 
 # -- structural rewrites ----------------------------------------------------

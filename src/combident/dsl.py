@@ -15,7 +15,8 @@ Grammar (UTF-8, ``#`` line comments)::
                | "pow(" affine "," affine ")" | "altpowsum(" affine "," affine "," affine ")"
                | quotient | affine-atom | "(" term ")"
     quotient  := affine-atom "/" affine-atom
-    bound     := affine | "floor(" affine "/2" ")" | "min(" affine "," affine ")"
+    bound     := affine | "floor(" halved "/2)" | "min(" affine "," affine ")"
+    halved    := affine | "(" affine ")"    # printed bare only for a name or an integer
     affine    := signed linear combination of names with integer coefficients
                  plus a rational constant, e.g. "n - 2k + 1"
 
@@ -271,7 +272,11 @@ class _Parser:
         if self.peek().text == "floor":
             self.next()
             self.expect("(")
-            base = self.affine()
+            if self.accept("("):
+                base = self.affine()
+                self.expect(")")
+            else:
+                base = self.affine()
             self.expect("/")
             two = self.next()
             if two.text != "2":
@@ -490,7 +495,7 @@ def _print_bound(b: Bound) -> str:
     if b.half and b.cap is not None:
         raise ValueError("bounds cannot combine floor and min in source form")
     if b.half:
-        return f"floor({_print_affine(b.base)}/2)"
+        return f"floor({_print_operand(b.base)}/2)"
     if b.cap is not None:
         return f"min({_print_affine(b.base)}, {_print_affine(b.cap)})"
     return _print_affine(b.base)

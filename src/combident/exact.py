@@ -28,7 +28,6 @@ RationalLike = Union[int, Fraction]
 
 __all__ = [
     "Rational",
-    "frac",
     "binom_int",
     "binom_rational",
     "inv_binom",
@@ -36,11 +35,6 @@ __all__ = [
     "r_stirling2",
     "alternating_power_sum",
 ]
-
-
-def frac(value: RationalLike, denominator: int = 1) -> Fraction:
-    """Coerce to an exact rational."""
-    return Fraction(value, denominator)
 
 
 def binom_int(i: int, j: int) -> int:

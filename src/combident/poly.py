@@ -178,25 +178,6 @@ def _coerce(value) -> Polynomial:
     return Polynomial.constant(value)
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Exact canonical add / sub / mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_pow(a: Polynomial, e: int) -> Polynomial:
-    return a**e
-
-
-def substitute(p: Polynomial, name: str, value) -> Polynomial:
-    return p.substitute(name, value)
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """Formal quotient of polynomials, denominator monic in graded-lex order."""

@@ -154,10 +154,16 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 
 # -- exact evaluation -------------------------------------------------------
 
-def _as_integer(value: Fraction, what: str) -> int:
+def _as_integer(value: Fraction, what: str, form: Affine | None = None) -> int:
+    """``value`` as an int, or a PreconditionError naming ``what`` and its ``form``.
+
+    The message is formatted only when raising, because this runs for every
+    factor of every summand.
+    """
     value = Fraction(value)
     if value.denominator != 1:
-        raise PreconditionError(f"{what} must be an integer, got {value}")
+        label = what if form is None else f"{what} {form}"
+        raise PreconditionError(f"{label} must be an integer, got {value}")
     return int(value)
 
 
@@ -178,17 +184,17 @@ def evaluate(expr: TermExpr, env: Env) -> Fraction:
     if isinstance(expr, AffineFactor):
         return Fraction(expr.value.evaluate(env))
     if isinstance(expr, SignPow):
-        e = _as_integer(expr.exponent.evaluate(env), f"sign exponent {expr.exponent}")
+        e = _as_integer(expr.exponent.evaluate(env), "sign exponent", expr.exponent)
         return Fraction(-1 if e % 2 else 1)
     if isinstance(expr, Power):
         base = Fraction(expr.base.evaluate(env))
-        e = _as_integer(expr.exponent.evaluate(env), f"exponent {expr.exponent}")
+        e = _as_integer(expr.exponent.evaluate(env), "exponent", expr.exponent)
         if e < 0:
             raise PreconditionError(f"negative power {e} in term")
         return base**e
     if isinstance(expr, Binom):
         upper = Fraction(expr.upper.evaluate(env))
-        lower = _as_integer(expr.lower.evaluate(env), f"lower index {expr.lower}")
+        lower = _as_integer(expr.lower.evaluate(env), "lower index", expr.lower)
         value = _binom_value(upper, lower)
         if not expr.inverted:
             return value
@@ -201,11 +207,11 @@ def evaluate(expr: TermExpr, env: Env) -> Fraction:
             raise PoleError(f"denominator {expr.denom} vanishes")
         return Fraction(expr.numer.evaluate(env)) / den
     if isinstance(expr, AltPowerSum):
-        count = _as_integer(expr.count.evaluate(env), f"count {expr.count}")
+        count = _as_integer(expr.count.evaluate(env), "count", expr.count)
         if count < 0:
             raise PreconditionError(f"negative count {count} in alternating power sum")
         shift = Fraction(expr.shift.evaluate(env))
-        p = _as_integer(expr.power.evaluate(env), f"power {expr.power}")
+        p = _as_integer(expr.power.evaluate(env), "power", expr.power)
         if p < 0:
             raise PreconditionError(f"negative power {p} in alternating power sum")
         return alternating_power_sum(count, shift, p)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Union
 
 from .affine import Affine, Bound
@@ -26,7 +27,6 @@ from .descriptors import (
     FAILED,
     SKIPPED_POLE,
     SKIPPED_PRECONDITION,
-    VERIFIED,
     CheckResult,
     IdentityDescriptor,
     IntegerValued,
@@ -34,11 +34,12 @@ from .descriptors import (
     RangeConstraint,
     Side,
     ValidityPredicate,
-    check_sorts,
+    check_two_sided,
+    eval_side,
     format_binding,
     transpose_descriptor,
 )
-from .errors import PoleError, PreconditionError, ShapeError, UnboundParameterError
+from .errors import PoleError, PreconditionError, ShapeError
 from .terms import (
     Const,
     Product,
@@ -46,7 +47,6 @@ from .terms import (
     SumSpec,
     af,
     altpowsum,
-    evaluate_blocks,
     ibinom,
     power,
     prod,
@@ -72,6 +72,10 @@ class DerivedIdentity:
 
     def to_descriptor(self) -> IdentityDescriptor:
         """View the derived identity as a kernel-free two-sided descriptor."""
+        return self._descriptor
+
+    @cached_property
+    def _descriptor(self) -> IdentityDescriptor:
         return IdentityDescriptor(
             params=self.params,
             left=Side(tuple(KernelBlock(s.lo, s.hi, s.term) for s in self.lhs)),
@@ -81,30 +85,7 @@ class DerivedIdentity:
 
 
 def check_derived(derived: DerivedIdentity, binding: Mapping[str, Fraction]) -> CheckResult:
-    binding = {name: Fraction(v) for name, v in binding.items()}
-    sort_issue = check_sorts(derived.params, binding)
-    if sort_issue is not None:
-        return CheckResult(derived.provenance, binding, SKIPPED_PRECONDITION, witness=sort_issue)
-    issue = derived.validity.violation(binding)
-    if issue is not None:
-        return CheckResult(derived.provenance, binding, SKIPPED_PRECONDITION, witness=issue)
-    try:
-        lhs = evaluate_blocks(derived.lhs, binding)
-        rhs = evaluate_blocks(derived.rhs, binding)
-    except PoleError as exc:
-        return CheckResult(derived.provenance, binding, SKIPPED_POLE, witness=str(exc))
-    except (PreconditionError, UnboundParameterError) as exc:
-        return CheckResult(derived.provenance, binding, SKIPPED_PRECONDITION, witness=str(exc))
-    if lhs == rhs:
-        return CheckResult(derived.provenance, binding, VERIFIED, lhs=lhs, rhs=rhs)
-    return CheckResult(
-        derived.provenance,
-        binding,
-        FAILED,
-        lhs=lhs,
-        rhs=rhs,
-        witness=f"lhs = {lhs}, rhs = {rhs} at {format_binding(binding)}",
-    )
+    return check_two_sided(derived.to_descriptor(), binding, derived.validity)
 
 
 # -- parameter plumbing -------------------------------------------------------
@@ -439,12 +420,17 @@ def match_against_entry(
 
     Both identities must verify and agree up to one common nonzero factor per
     binding (a derivation may carry both sides by (-1)^n or a parameter
-    shift).  Returns the set of factors seen so callers can insist on exact
-    reproduction.
+    shift), so a binding where exactly one of them is 0 is a mismatch.
+    Returns the set of factors seen so callers can insist on exact
+    reproduction.  Only summation entries can be matched: an entry with x
+    kernels raises :class:`ShapeError`.
     """
-    from .catalog import _evaluate_rhs, get_entry, iter_grid
+    from .catalog import get_entry, iter_grid
 
     entry = get_entry(entry_id)
+    desc = entry.descriptor
+    if not desc.kernel_free:
+        raise ShapeError(f"entry {entry_id} is a polynomial identity in x, not a summation identity")
     bindings = list(iter_grid(grid or entry.default_grid))
     factors: set[Fraction] = set()
     checked = 0
@@ -455,14 +441,14 @@ def match_against_entry(
         if derived_result.status == FAILED:
             return MatchReport(False, checked, (), f"derived identity fails at {format_binding(binding)}")
         try:
-            cat_lhs = evaluate_blocks(entry.lhs, binding)
-            cat_rhs = _evaluate_rhs(entry, binding)
+            cat_lhs = eval_side(desc, "left", binding)
+            cat_rhs = eval_side(desc, "right", binding)
         except (PoleError, PreconditionError):
             continue
         if cat_lhs != cat_rhs:
             return MatchReport(False, checked, (), f"entry {entry_id} fails at {format_binding(binding)}")
         der_lhs = derived_result.lhs
-        if cat_lhs * derived_result.rhs != cat_rhs * der_lhs:
+        if (cat_lhs == 0) != (der_lhs == 0):
             return MatchReport(
                 False, checked, (), f"sides disagree at {format_binding(binding)}"
             )

@@ -56,10 +56,8 @@ def binding(**values):
 
 
 def entry_sides(entry_id, b):
-    from combident.catalog import _evaluate_rhs
-
-    entry = get_entry(entry_id)
-    return evaluate_blocks(entry.lhs, b), _evaluate_rhs(entry, b)
+    desc = get_entry(entry_id).descriptor
+    return eval_side(desc, "left", b), eval_side(desc, "right", b)
 
 
 def test_criterion_1_catalog_soundness():

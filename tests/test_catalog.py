@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from combident.catalog import entry_ids, get_entry, iter_grid, verify_entry, verify_grid
-from combident.descriptors import SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED
+from combident.descriptors import SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED, eval_side
 from combident.errors import EmptyGridError, UnknownEntryError
-from combident.terms import evaluate_blocks
 
 
 def binding(**values):
@@ -16,10 +15,8 @@ def binding(**values):
 
 def sides(entry_id, b):
     """Evaluate both sides of a summation entry directly."""
-    from combident.catalog import _evaluate_rhs
-
-    entry = get_entry(entry_id)
-    return evaluate_blocks(entry.lhs, b), _evaluate_rhs(entry, b)
+    desc = get_entry(entry_id).descriptor
+    return eval_side(desc, "left", b), eval_side(desc, "right", b)
 
 
 class TestSpotValues:
@@ -109,16 +106,28 @@ class TestGrids:
         )
         assert rational_only.verified == rational_only.total
 
-    def test_parallel_sweep_matches_serial(self):
-        serial = verify_grid("C07")
-        threaded = verify_grid("C07", jobs=4)
-        assert serial.counts == threaded.counts
-
     def test_every_entry_has_sane_metadata(self):
         for entry_id in entry_ids():
             entry = get_entry(entry_id)
             assert entry.anchor, entry_id
             assert entry.default_grid, entry_id
+
+    def test_every_entry_is_a_named_descriptor(self):
+        polynomial = {"C01", "C02", "F01", "F02", "F03", "F04", "F05"}
+        for entry_id in entry_ids():
+            desc = get_entry(entry_id).descriptor
+            assert desc.name == entry_id
+            assert get_entry(entry_id).params == desc.params
+            assert desc.kernel_free == (entry_id not in polynomial), entry_id
+
+    def test_dixon_right_side_is_the_parity_closed_form(self):
+        # the floor-bounded right side of C35 is empty for odd n and the single
+        # term (-1)^j binom(2j, j) binom(3j, 2j) for n = 2j
+        from combident.exact import binom_int
+
+        for n in range(30):
+            expected = 0 if n % 2 else (-1) ** (n // 2) * binom_int(n, n // 2) * binom_int(3 * n // 2, n)
+            assert sides("C35", binding(n=n)) == (expected, expected), n
 
 
 class TestConsistencyChains:

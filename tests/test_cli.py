@@ -36,6 +36,13 @@ class TestVerify:
         result = run_cli("verify", "--bogus-flag")
         assert result.returncode == 2
 
+    def test_override_of_an_absent_axis_exits_two(self):
+        result = run_cli("verify", "--id", "C03", "--m", "0..2")
+        assert result.returncode == 2
+        assert "axis m" in result.stderr
+        # an axis that some selected entry has is still accepted
+        assert run_cli("verify", "--id", "C03,C20", "--m", "0..1", "--n", "0..2").returncode == 0
+
     def test_report_is_deterministic(self, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -113,6 +120,14 @@ class TestDerive:
             "--match", "C31",
         )
         assert result.returncode == 0
+
+    def test_match_against_polynomial_entry_exits_two(self, exported):
+        result = run_cli(
+            "derive", "--scheme", "moment", "--m", "1", "--input", str(exported / "F02.dsl"),
+            "--match", "F01",
+        )
+        assert result.returncode == 2
+        assert "polynomial identity" in result.stderr
 
     def test_parse_error_exits_two(self, tmp_path):
         bad = tmp_path / "bad.dsl"

@@ -48,6 +48,17 @@ class TestEvalSide:
                     degree = eval_side(desc, side, b).degree("x")
                     assert degree <= side_degree_bound(desc, side, b), (name, side, n)
 
+    def test_kernel_free_side_is_a_rational(self):
+        # a summation entry never builds a polynomial; its value is the
+        # reference summation at any x
+        desc = get_entry("C03").descriptor
+        b = binding(n=4, r=Fraction(8, 3), s=2)
+        for side in ("left", "right"):
+            value = eval_side(desc, side, b)
+            assert isinstance(value, Fraction)
+            for x0 in (0, 1, Fraction(-1, 2)):
+                assert value == eval_side_at(desc, side, b, x0)
+
     def test_numeric_matches_polynomial(self):
         probe = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2)]
         desc = get_entry("C01").descriptor

@@ -2,6 +2,7 @@
 
 import pytest
 
+from combident.affine import Affine, Bound
 from combident.catalog import FIXTURES, entry_ids, entry_to_dsl, get_entry
 from combident.dsl import parse_identity, print_identity
 from combident.errors import DslArityError, DslSyntaxError
@@ -86,15 +87,25 @@ class TestRoundTrip:
             assert parse_identity(print_identity(desc)) == desc, name
 
     def test_whole_catalog_exports_and_reparses(self):
-        from combident.catalog import entry_as_descriptor
-
-        for entry_id in entry_ids():
+        ids = entry_ids()
+        assert len(ids) == 49
+        for entry_id in ids:
             entry = get_entry(entry_id)
-            desc = entry_as_descriptor(entry)
-            text = entry_to_dsl(entry)
-            if desc is None:
-                continue  # parity-cased closed form is exported as reference only
-            assert parse_identity(text) == desc, entry_id
+            assert parse_identity(entry_to_dsl(entry)) == entry.descriptor, entry_id
+
+    def test_floor_bound_with_offset(self):
+        desc = get_entry("C35").descriptor
+        text = print_identity(desc)
+        assert "floor((n + 1)/2)" in text
+        assert parse_identity(text) == desc
+
+    def test_floor_bounds_parse_as_before(self):
+        n = Affine.var("n")
+        for source, base in (("n", n), ("2n", 2 * n), ("(2n)", 2 * n), ("(n + 1)", n + 1)):
+            desc = parse_identity(
+                f"params n:nat;\nsum[k=0..floor({source}/2)] 1 * x^0 == sum[k=0..0] 1 * x^0\n"
+            )
+            assert desc.left.blocks[0].hi == Bound(base, half=True), source
 
     def test_print_normalized_source_is_stable(self):
         for desc in FIXTURES.values():

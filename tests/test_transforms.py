@@ -28,8 +28,9 @@ from combident.integrals import (
     beta_integral_exact,
     beta_integral_quadrature,
 )
-from combident.terms import SumSpec, evaluate_blocks
+from combident.terms import SumSpec, const, evaluate_blocks
 from combident.transforms import (
+    DerivedIdentity,
     check_derived,
     frisch_transform,
     klamkin_transform,
@@ -200,6 +201,32 @@ class TestMomentTransform:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             moment_transform(SIMONS, -1, "direct")
+
+
+class TestMatchAgainstEntry:
+    @staticmethod
+    def constant_identity(value):
+        """The derived identity ``sum[k=0..0] value == sum[k=0..0] value``."""
+        side = (SumSpec(Bound.of(0), Bound.of(0), const(value)),)
+        return DerivedIdentity((("n", "nat"),), side, side, f"constant {value}")
+
+    def test_zero_derived_side_against_nonzero_entry_is_a_mismatch(self):
+        # C39a is (-1)^n n(n+1), nonzero from n = 1 on; 0 == 0 holds everywhere
+        report = match_against_entry(self.constant_identity(0), "C39a")
+        assert not report.ok
+        assert report.detail == "sides disagree at n=1"
+
+    def test_nonzero_derived_side_against_zero_entry_is_a_mismatch(self):
+        # C35 vanishes at odd n; 1 == 1 never does
+        report = match_against_entry(self.constant_identity(1), "C35")
+        assert not report.ok
+        assert report.detail == "sides disagree at n=1"
+
+    def test_entry_with_kernels_is_rejected(self):
+        derived = moment_transform(SIMONS, 1, "direct")
+        for entry_id in ("F01", "C01"):
+            with pytest.raises(ShapeError):
+                match_against_entry(derived, entry_id)
 
 
 class TestRewrites:
