@@ -9,8 +9,9 @@ Commands:
 - ``export-catalog``: write every entry as an identity source file.
 
 Exit codes: 0 all verified (skips permitted), 1 at least one failure or
-mismatch, 2 usage or parse errors.  Structured reports are deterministic:
-the same configuration (including the seed) produces byte-identical output.
+mismatch, or (``verify``) an entry with no verified binding, 2 usage or parse
+errors.  Structured reports are deterministic: the same configuration
+(including the seed) produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -69,12 +70,18 @@ def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _grid_overrides(args, prefix: str = "") -> dict[str, tuple[Fraction, ...]]:
+def _grid_overrides(args, axes, prefix: str = "") -> dict[str, tuple[Fraction, ...]]:
+    """The ``--<prefix><axis>`` overrides; an axis not in ``axes`` is a usage error."""
     overrides = {}
     for name in GRID_PARAMS:
         spec = getattr(args, f"{prefix}{name}", None)
         if spec is not None:
             overrides[name] = _parse_values(spec)
+    unused = set(overrides) - set(axes)
+    if unused:
+        raise ValueError(
+            f"no selected entry has the axis {', '.join(sorted(unused))}; drop the override"
+        )
     return overrides
 
 
@@ -109,15 +116,10 @@ def cmd_verify(args) -> int:
     else:
         selection = [part.strip() for part in args.id.split(",") if part.strip()]
     entries = [get_entry(entry_id) for entry_id in selection]  # raises UnknownEntryError
-    overrides = _grid_overrides(args)
-    unused = set(overrides) - {name for entry in entries for name in entry.default_grid}
-    if unused:
-        raise ValueError(
-            f"no selected entry has the axis {', '.join(sorted(unused))}; drop the override"
-        )
+    overrides = _grid_overrides(args, {name for entry in entries for name in entry.default_grid})
 
     entries_report = []
-    any_failed = False
+    any_bad = False
     for entry in entries:
         grid = dict(entry.default_grid)
         for name, values in overrides.items():
@@ -130,7 +132,8 @@ def cmd_verify(args) -> int:
             grid_report = verify_grid(entry.id, grid)
         counts = grid_report.counts
         failed = counts[FAILED]
-        any_failed = any_failed or failed > 0
+        status = "FAIL" if failed else "ok" if counts[VERIFIED] else "unexercised"
+        any_bad = any_bad or status != "ok"
         entries_report.append(
             {
                 "id": entry.id,
@@ -142,7 +145,6 @@ def cmd_verify(args) -> int:
             }
         )
         if args.format == "human":
-            status = "FAIL" if failed else "ok"
             print(
                 f"{entry.id:6s} {status:4s} verified={counts[VERIFIED]:<5d}"
                 f" pole={counts[SKIPPED_POLE]:<4d} pre={counts[SKIPPED_PRECONDITION]:<4d}"
@@ -168,7 +170,7 @@ def cmd_verify(args) -> int:
                 "entries": entries_report,
             },
         )
-    return 1 if any_failed else 0
+    return 1 if any_bad else 0
 
 
 # -- derive -------------------------------------------------------------------
@@ -201,6 +203,12 @@ def cmd_derive(args) -> int:
             return 2
         derived = moment_transform(desc, args.m, variant=args.variant)
 
+    names = set()
+    for spec in derived.lhs + derived.rhs:
+        names |= collect_names(spec.term) | spec.lo.names() | spec.hi.names()
+    names.discard("k")
+    overrides = _grid_overrides(args, names, prefix="grid_")
+
     derived_desc = derived.to_descriptor()
     text = print_identity(derived_desc)
     print(f"# derived: {derived.provenance}")
@@ -211,11 +219,6 @@ def cmd_derive(args) -> int:
             handle.write(text)
 
     # grid-verify the derived identity over its free parameters
-    overrides = _grid_overrides(args, prefix="grid_")
-    names = set()
-    for spec in derived.lhs + derived.rhs:
-        names |= collect_names(spec.term) | spec.lo.names() | spec.hi.names()
-    names.discard("k")
     grid = {}
     for name in sorted(names):
         grid[name] = overrides.get(name) or _DERIVED_GRID_DEFAULTS.get(name)

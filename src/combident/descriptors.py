@@ -11,15 +11,22 @@ one-term ``k=0..0`` block, so one descriptor and one check cover them all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Union
 
 from .affine import Affine, Bound
 from .errors import PoleError, PreconditionError, ShapeError, UnboundParameterError
 from .poly import Polynomial
-from .terms import TermExpr, evaluate, rename_parameters as rename_term
+from .terms import (
+    TermExpr,
+    compile_affine,
+    compile_term,
+    exact_env,
+    rename_parameters as rename_term,
+)
 
 Scalar = Union[int, Fraction]
 
@@ -66,6 +73,20 @@ class IdentityDescriptor:
             for side in (self.left, self.right)
             for b in side.blocks
         )
+
+    @cached_property
+    def compiled(self) -> dict[str, tuple]:
+        """Each side's blocks as ``(lo, hi, coef, kernel)``, compiled on first use.
+
+        ``coef`` and ``kernel`` are closures over an ``exact_env`` environment
+        with k set; ``kernel`` returns the exponents ``(a, b, c)`` of
+        ``x^a (1-x)^b (1+x)^c`` and is None for a kernel-free descriptor.
+        """
+        kernels = not self.kernel_free
+        return {
+            name: tuple(_compile_block(b, kernels) for b in side.blocks)
+            for name, side in (("left", self.left), ("right", self.right))
+        }
 
     def sort_of(self, name: str) -> str | None:
         for n, s in self.params:
@@ -165,19 +186,30 @@ def format_binding(binding: Mapping[str, Fraction]) -> str:
 
 # -- evaluation -------------------------------------------------------------
 
-_X = Polynomial.variable("x")
-_ONE_MINUS_X = Polynomial.constant(1) - _X
-_ONE_PLUS_X = Polynomial.constant(1) + _X
+def _compile_exponent(form: Affine, what: str):
+    value = compile_affine(form)
+
+    def exponent(env) -> int:
+        e = value(env)
+        if e.denominator != 1:
+            raise PreconditionError(f"{what} exponent {form} is not an integer")
+        e = e.numerator
+        if e < 0:
+            raise PreconditionError(f"{what} exponent {form} is negative ({e})")
+        return e
+
+    return exponent
 
 
-def _kernel_exponent(a: Affine, env, what: str) -> int:
-    value = Fraction(a.evaluate(env))
-    if value.denominator != 1:
-        raise PreconditionError(f"{what} exponent {a} is not an integer")
-    e = int(value)
-    if e < 0:
-        raise PreconditionError(f"{what} exponent {a} is negative ({e})")
-    return e
+def _compile_block(block: KernelBlock, kernels: bool):
+    """``(lo, hi, coef, kernel)``: ``kernel`` returns ``(a, b, c)``, or is None."""
+    coef = compile_term(block.coef)
+    if not kernels:
+        return block.lo, block.hi, coef, None
+    a = _compile_exponent(block.x_exp, "x")
+    b = _compile_exponent(block.one_minus_exp, "(1-x)")
+    c = _compile_exponent(block.one_plus_exp, "(1+x)")
+    return block.lo, block.hi, coef, lambda env: (a(env), b(env), c(env))
 
 
 def _side_terms(desc: IdentityDescriptor, side: str, binding: Mapping[str, Fraction]):
@@ -185,21 +217,23 @@ def _side_terms(desc: IdentityDescriptor, side: str, binding: Mapping[str, Fract
 
     A kernel-free descriptor skips the exponents, which are all 0.
     """
-    kernels = not desc.kernel_free
-    for block in (desc.left if side == "left" else desc.right).blocks:
-        lo = max(0, block.lo.evaluate(binding))
-        hi = block.hi.evaluate(binding)
-        for k in range(lo, hi + 1):
-            env = dict(binding)
-            env["k"] = Fraction(k)
-            coef = evaluate(block.coef, env)
-            if not kernels:
-                yield coef, 0, 0, 0
-                continue
-            a = _kernel_exponent(block.x_exp, env, "x")
-            b = _kernel_exponent(block.one_minus_exp, env, "(1-x)")
-            c = _kernel_exponent(block.one_plus_exp, env, "(1+x)")
-            yield coef, a, b, c
+    env = exact_env(binding)
+    for lo, hi, coef, kernel in desc.compiled[side]:
+        for k in range(max(0, lo.evaluate(binding)), hi.evaluate(binding) + 1):
+            env["k"] = k
+            if kernel is None:
+                yield coef(env), 0, 0, 0
+            else:
+                yield (coef(env), *kernel(env))
+
+
+@lru_cache(maxsize=4096)
+def _kernel_coefficients(b: int, c: int) -> tuple[int, ...]:
+    """Integer coefficients of ``(1-x)^b (1+x)^c``, lowest power first."""
+    coeffs = [(-1) ** i * math.comb(b, i) for i in range(b + 1)]
+    for _ in range(c):
+        coeffs = [lo + hi for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
 
 
 def eval_side(
@@ -207,22 +241,24 @@ def eval_side(
 ) -> Fraction | Polynomial:
     """Exact value of one side.
 
-    A kernel-free descriptor sums plain rationals; any other side is fully
-    expanded into its canonical polynomial in x.
+    A kernel-free descriptor sums plain rationals; any other side is
+    accumulated as a dense coefficient list in x and converted once into its
+    canonical polynomial.
     """
+    terms = _side_terms(desc, side, binding)
     if desc.kernel_free:
-        return sum((coef for coef, _, _, _ in _side_terms(desc, side, binding)), Fraction(0))
-    result = Polynomial.constant(0)
-    for coef, a, b, c in _side_terms(desc, side, binding):
-        piece = Polynomial.constant(coef)
-        if a:
-            piece = piece * _X**a
-        if b:
-            piece = piece * _ONE_MINUS_X**b
-        if c:
-            piece = piece * _ONE_PLUS_X**c
-        result = result + piece
-    return result
+        return Fraction(sum(coef for coef, _, _, _ in terms))
+    dense: list = []
+    for coef, a, b, c in terms:
+        if not coef:
+            continue
+        kernel = _kernel_coefficients(b, c)
+        missing = a + len(kernel) - len(dense)
+        if missing > 0:
+            dense.extend([0] * missing)
+        for i, value in enumerate(kernel, a):
+            dense[i] += coef * value
+    return Polynomial.univariate("x", dense)
 
 
 def eval_side_at(

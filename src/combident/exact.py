@@ -1,7 +1,7 @@
 """Exact integer/rational arithmetic and the special numbers used by the catalog.
 
-All scalar values are :class:`fractions.Fraction` (arbitrary precision, always
-in lowest terms with positive denominator); nothing here ever rounds.
+Scalar values are ints or :class:`fractions.Fraction` (arbitrary precision,
+always in lowest terms with positive denominator); nothing here ever rounds.
 
 Conventions:
 - ``binom_int(i, j)`` is the counting binomial: 0 whenever j < 0 or j > i.
@@ -62,10 +62,11 @@ def binom_rational(a: RationalLike, j: int) -> Fraction:
     if j < 0:
         raise ValueError(f"binom_rational requires a non-negative lower index, got {j}")
     a = Fraction(a)
-    num = Fraction(1)
+    p, q = a.numerator, a.denominator
+    num = 1
     for i in range(j):
-        num *= a - i
-    return num / math.factorial(j)
+        num *= p - i * q
+    return Fraction(num, q**j * math.factorial(j))
 
 
 def inv_binom(a: RationalLike, j: int) -> Fraction:
@@ -80,20 +81,20 @@ def inv_binom(a: RationalLike, j: int) -> Fraction:
     return 1 / value
 
 
-def alternating_power_sum(count: int, shift: RationalLike, power: int) -> Fraction:
+def alternating_power_sum(count: int, shift: RationalLike, power: int) -> RationalLike:
     """``sum((-1)**p * C(count, p) * (shift + p)**power for p in 0..count)``.
 
     This is the inner sum appearing in every moment-transformed identity; for
     ``shift = 0`` it equals ``(-1)**count * count! * stirling2(power, count)``
     and for integer ``shift = v >= 0`` it carries the r-Stirling analogue.
-    The empty-power convention is ``x**0 == 1`` including ``0**0``.
+    The empty-power convention is ``x**0 == 1`` including ``0**0``.  The sum
+    is an int when ``shift`` is an int, and a Fraction otherwise.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     if power < 0:
         raise ValueError(f"power must be non-negative, got {power}")
-    shift = Fraction(shift)
-    total = Fraction(0)
+    total = 0
     for p in range(count + 1):
         term = math.comb(count, p) * (shift + p) ** power
         total += -term if p % 2 else term
@@ -110,7 +111,7 @@ def stirling2(m: int, k: int) -> int:
         raise ValueError(f"stirling2 requires non-negative arguments, got ({m}, {k})")
     value = alternating_power_sum(k, 0, m)
     signed = value if k % 2 == 0 else -value
-    result = signed / math.factorial(k)
+    result = Fraction(signed) / math.factorial(k)
     assert result.denominator == 1, "alternating sum must be divisible by k!"
     return int(result)
 
@@ -127,6 +128,6 @@ def r_stirling2(m: int, k: int, v: int) -> int:
         raise ValueError(f"r_stirling2 requires non-negative arguments, got ({m}, {k}, {v})")
     value = alternating_power_sum(k, v, m)
     signed = value if k % 2 == 0 else -value
-    result = signed / math.factorial(k)
+    result = Fraction(signed) / math.factorial(k)
     assert result.denominator == 1, "alternating sum must be divisible by k!"
     return int(result)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -56,6 +56,17 @@ class Polynomial:
         if value == 0:
             return Polynomial(())
         return Polynomial(((_ONE_MONOMIAL, value),))
+
+    @staticmethod
+    def univariate(name: str, coeffs: Sequence[Scalar]) -> "Polynomial":
+        """``sum(coeffs[i] * name^i)`` from a dense coefficient list."""
+        return Polynomial(
+            tuple(
+                ((((name, i),) if i else _ONE_MONOMIAL), Fraction(c))
+                for i, c in enumerate(coeffs)
+                if c
+            )
+        )
 
     @staticmethod
     def variable(name: str) -> "Polynomial":

@@ -13,15 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .affine import Affine, Bound
-from .errors import PoleError, PreconditionError
-from .exact import alternating_power_sum, binom_int, binom_rational
+from .errors import PoleError, PreconditionError, UnboundParameterError
+from .exact import alternating_power_sum, binom_rational
 from .poly import Polynomial, RationalFunction
 
 Scalar = Union[int, Fraction]
-Env = Mapping[str, Fraction]
+Env = Mapping[str, Scalar]
 
 
 class TermExpr:
@@ -153,23 +153,49 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 
 
 # -- exact evaluation -------------------------------------------------------
+#
+# A term compiles once into a closure.  The closures read an environment in
+# which integral values are ints (see :func:`exact_env`), and keep integer
+# factors as ints: a value becomes a Fraction only at a quotient, an inverse
+# binomial or a rational upper index.  No float ever appears.
 
-def _as_integer(value: Fraction, what: str, form: Affine | None = None) -> int:
+Compiled = Callable[[dict], Scalar]
+
+
+def _scalar(value: Scalar) -> Scalar:
+    return value.numerator if value.denominator == 1 else value
+
+
+def exact_env(binding: Mapping[str, Scalar]) -> dict[str, Scalar]:
+    """A copy of ``binding`` with every integral value as an int."""
+    return {name: _scalar(v) for name, v in binding.items()}
+
+
+def _as_integer(value: Scalar, what: str, form: Affine | None = None) -> int:
     """``value`` as an int, or a PreconditionError naming ``what`` and its ``form``.
 
     The message is formatted only when raising, because this runs for every
     factor of every summand.
     """
-    value = Fraction(value)
-    if value.denominator != 1:
-        label = what if form is None else f"{what} {form}"
-        raise PreconditionError(f"{label} must be an integer, got {value}")
-    return int(value)
+    if value.denominator == 1:
+        return value.numerator
+    label = what if form is None else f"{what} {form}"
+    raise PreconditionError(f"{label} must be an integer, got {value}")
 
 
-def _binom_value(upper: Fraction, lower: int) -> Fraction:
-    if upper.denominator == 1 and upper >= 0:
-        return Fraction(binom_int(int(upper), lower))
+def _binom_value(upper: Scalar, lower: int) -> Scalar:
+    """binom(upper, lower): an int for an integral upper index, else a Fraction.
+
+    A non-negative upper index counts (0 outside 0..upper); a negative integral
+    one uses upper negation, binom(u, j) = (-1)^j binom(j - u - 1, j).
+    """
+    if upper.denominator == 1:
+        u = upper.numerator
+        if u >= 0:
+            return math.comb(u, lower) if lower >= 0 else 0
+        if lower >= 0:
+            value = math.comb(lower - u - 1, lower)
+            return -value if lower % 2 else value
     if lower < 0:
         raise PreconditionError(
             f"binomial with upper index {upper} is undefined at negative lower index {lower}"
@@ -177,52 +203,121 @@ def _binom_value(upper: Fraction, lower: int) -> Fraction:
     return binom_rational(upper, lower)
 
 
+def compile_affine(a: Affine) -> Compiled:
+    """A closure computing ``a`` in an :func:`exact_env` environment.
+
+    A name missing from the environment raises UnboundParameterError.
+    """
+    const = _scalar(a.const)
+    coeffs = a.coeffs
+    if not coeffs:
+        return lambda env: const
+    if len(coeffs) == 1:
+        ((name, c),) = coeffs
+
+        def single(env):
+            try:
+                return c * env[name] + const
+            except KeyError:
+                raise UnboundParameterError(name) from None
+
+        return single
+
+    def value(env):
+        total = const
+        for name, c in coeffs:
+            try:
+                total += c * env[name]
+            except KeyError:
+                raise UnboundParameterError(name) from None
+        return total
+
+    return value
+
+
+def compile_term(expr: TermExpr) -> Compiled:
+    """A closure computing ``expr`` in an :func:`exact_env` environment (k included)."""
+    if isinstance(expr, Const):
+        value = _scalar(expr.value)
+        return lambda env: value
+    if isinstance(expr, AffineFactor):
+        return compile_affine(expr.value)
+    if isinstance(expr, SignPow):
+        form = expr.exponent
+        exponent = compile_affine(form)
+        return lambda env: -1 if _as_integer(exponent(env), "sign exponent", form) % 2 else 1
+    if isinstance(expr, Power):
+        base, form = compile_affine(expr.base), expr.exponent
+        exponent = compile_affine(form)
+
+        def power_value(env):
+            b = base(env)
+            e = _as_integer(exponent(env), "exponent", form)
+            if e < 0:
+                raise PreconditionError(f"negative power {e} in term")
+            return b**e
+
+        return power_value
+    if isinstance(expr, Binom):
+        upper, form = compile_affine(expr.upper), expr.lower
+        lower = compile_affine(form)
+        if not expr.inverted:
+            return lambda env: _binom_value(
+                upper(env), _as_integer(lower(env), "lower index", form)
+            )
+
+        def inverse_binom(env):
+            u = upper(env)
+            j = _as_integer(lower(env), "lower index", form)
+            value = _binom_value(u, j)
+            if value == 0:
+                raise PoleError(f"binom({u}, {j}) = 0 has no reciprocal")
+            return Fraction(1, value) if type(value) is int else 1 / value
+
+        return inverse_binom
+    if isinstance(expr, Quot):
+        numer, denom, form = compile_affine(expr.numer), compile_affine(expr.denom), expr.denom
+
+        def quotient(env):
+            den = denom(env)
+            if den == 0:
+                raise PoleError(f"denominator {form} vanishes")
+            return Fraction(numer(env), den)
+
+        return quotient
+    if isinstance(expr, AltPowerSum):
+        count, shift, power_ = (compile_affine(a) for a in (expr.count, expr.shift, expr.power))
+
+        def alt_power_sum(env):
+            n = _as_integer(count(env), "count", expr.count)
+            if n < 0:
+                raise PreconditionError(f"negative count {n} in alternating power sum")
+            s = shift(env)
+            p = _as_integer(power_(env), "power", expr.power)
+            if p < 0:
+                raise PreconditionError(f"negative power {p} in alternating power sum")
+            return alternating_power_sum(n, s, p)
+
+        return alt_power_sum
+    if isinstance(expr, Product):
+        factors = tuple(compile_term(f) for f in expr.factors)
+
+        def product(env):
+            value = 1
+            for factor in factors:
+                value *= factor(env)
+            return value
+
+        return product
+    if isinstance(expr, TermSum):
+        terms = tuple(compile_term(t) for t in expr.terms)
+        return lambda env: sum(term(env) for term in terms)
+    raise TypeError(f"unknown term node {expr!r}")
+
+
 def evaluate(expr: TermExpr, env: Env) -> Fraction:
     """Exact value of a term at a full binding (the index k included in env)."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, AffineFactor):
-        return Fraction(expr.value.evaluate(env))
-    if isinstance(expr, SignPow):
-        e = _as_integer(expr.exponent.evaluate(env), "sign exponent", expr.exponent)
-        return Fraction(-1 if e % 2 else 1)
-    if isinstance(expr, Power):
-        base = Fraction(expr.base.evaluate(env))
-        e = _as_integer(expr.exponent.evaluate(env), "exponent", expr.exponent)
-        if e < 0:
-            raise PreconditionError(f"negative power {e} in term")
-        return base**e
-    if isinstance(expr, Binom):
-        upper = Fraction(expr.upper.evaluate(env))
-        lower = _as_integer(expr.lower.evaluate(env), "lower index", expr.lower)
-        value = _binom_value(upper, lower)
-        if not expr.inverted:
-            return value
-        if value == 0:
-            raise PoleError(f"binom({upper}, {lower}) = 0 has no reciprocal")
-        return 1 / value
-    if isinstance(expr, Quot):
-        den = Fraction(expr.denom.evaluate(env))
-        if den == 0:
-            raise PoleError(f"denominator {expr.denom} vanishes")
-        return Fraction(expr.numer.evaluate(env)) / den
-    if isinstance(expr, AltPowerSum):
-        count = _as_integer(expr.count.evaluate(env), "count", expr.count)
-        if count < 0:
-            raise PreconditionError(f"negative count {count} in alternating power sum")
-        shift = Fraction(expr.shift.evaluate(env))
-        p = _as_integer(expr.power.evaluate(env), "power", expr.power)
-        if p < 0:
-            raise PreconditionError(f"negative power {p} in alternating power sum")
-        return alternating_power_sum(count, shift, p)
-    if isinstance(expr, Product):
-        value = Fraction(1)
-        for factor in expr.factors:
-            value *= evaluate(factor, env)
-        return value
-    if isinstance(expr, TermSum):
-        return sum((evaluate(t, env) for t in expr.terms), Fraction(0))
-    raise TypeError(f"unknown term node {expr!r}")
+    return Fraction(compile_term(expr)(exact_env(env)))
 
 
 # -- symbolic evaluation ----------------------------------------------------
@@ -269,7 +364,7 @@ def evaluate_symbolic(expr: TermExpr, env: Env, symbolic: frozenset[str]) -> Rat
             if expr.inverted:
                 if value == 0:
                     raise PoleError(f"binom({expr.upper}, {lower}) = 0 has no reciprocal")
-                return RationalFunction.constant(1 / value)
+                return RationalFunction.constant(Fraction(1) / value)
             return RationalFunction.constant(value)
         if lower < 0:
             raise PreconditionError("negative lower index with symbolic upper index")
@@ -331,12 +426,13 @@ class SumSpec:
 
 
 def evaluate_sum(spec: SumSpec, binding: Env) -> Fraction:
-    total = Fraction(0)
+    term = compile_term(spec.term)
+    env = exact_env(binding)
+    total = 0
     for k in spec.range(binding):
-        env = dict(binding)
-        env["k"] = Fraction(k)
-        total += evaluate(spec.term, env)
-    return total
+        env["k"] = k
+        total += term(env)
+    return Fraction(total)
 
 
 def evaluate_blocks(specs: tuple[SumSpec, ...], binding: Env) -> Fraction:

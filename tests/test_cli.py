@@ -43,6 +43,12 @@ class TestVerify:
         # an axis that some selected entry has is still accepted
         assert run_cli("verify", "--id", "C03,C20", "--m", "0..1", "--n", "0..2").returncode == 0
 
+    def test_entry_with_no_verified_binding_exits_one(self):
+        # s = 0 puts every C03 binding outside its validity region
+        result = run_cli("verify", "--id", "C03", "--s", "0")
+        assert result.returncode == 1
+        assert "unexercised verified=0" in result.stdout
+
     def test_report_is_deterministic(self, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -128,6 +134,14 @@ class TestDerive:
         )
         assert result.returncode == 2
         assert "polynomial identity" in result.stderr
+
+    def test_override_of_an_absent_axis_exits_two(self, exported):
+        result = run_cli(
+            "derive", "--scheme", "frisch", "--input", str(exported / "F03.dsl"),
+            "--grid-m", "0..2",
+        )
+        assert result.returncode == 2
+        assert "no selected entry has the axis m; drop the override" in result.stderr
 
     def test_parse_error_exits_two(self, tmp_path):
         bad = tmp_path / "bad.dsl"

@@ -2,19 +2,26 @@
 
 from fractions import Fraction
 
-from combident.affine import Affine
+import pytest
+
+from combident.affine import Affine, Bound
 from combident.catalog import FIXTURES, GEOM_SUM, SIMONS, get_entry
 from combident.descriptors import (
     SKIPPED_POLE,
     SKIPPED_PRECONDITION,
     VERIFIED,
+    IdentityDescriptor,
+    KernelBlock,
+    Side,
     check_two_sided,
     eval_side,
     eval_side_at,
     side_degree_bound,
     transpose_descriptor,
 )
+from combident.errors import UnboundParameterError
 from combident.poly import Polynomial
+from combident.terms import af, binom, const, prod
 
 X = Polynomial.variable("x")
 
@@ -69,7 +76,46 @@ class TestEvalSide:
                 assert p.evaluate({"x": x0}) == eval_side_at(desc, side, b, x0)
 
 
+    def test_dense_kernel_expansion_matches_polynomial_product(self):
+        # the right side's x kernel keeps the descriptor polynomial at a = b = c = 0
+        right = Side((KernelBlock(Bound.of(0), Bound.of(0), const(1), Affine.of(1)),))
+        for a in range(5):
+            for b in range(6):
+                for c in range(6):
+                    block = KernelBlock(
+                        Bound.of(0), Bound.of(0), const(3, 2),
+                        Affine.of(a), Affine.of(b), Affine.of(c),
+                    )
+                    desc = IdentityDescriptor((), Side((block,)), right)
+                    expected = Fraction(3, 2) * X**a * (1 - X) ** b * (1 + X) ** c
+                    assert eval_side(desc, "left", {}) == expected, (a, b, c)
+
+
+def _one_sided(params, coef) -> IdentityDescriptor:
+    """``sum[k=0..n] coef == 0`` without kernels."""
+    block = KernelBlock(Bound.of(0), Bound(Affine.var("n")), coef)
+    zero = KernelBlock(Bound.of(0), Bound.of(0), const(0))
+    return IdentityDescriptor(params, Side((block,)), Side((zero,)))
+
+
 class TestCheckTwoSided:
+    def test_undeclared_parameter_skips(self):
+        coef = prod(binom(Affine.var("n"), Affine.var("k")), af(Affine.var("q")))
+        desc = _one_sided((("n", "nat"),), coef)
+        with pytest.raises(UnboundParameterError):
+            eval_side(desc, "left", binding(n=2))
+        result = check_two_sided(desc, binding(n=2))
+        assert result.status == SKIPPED_PRECONDITION
+        assert result.witness == "'q'"
+
+    def test_rational_r_at_a_lower_index_skips(self):
+        k, r = Affine.var("k"), Affine.var("r")
+        desc = _one_sided((("n", "nat"), ("r", "rat")), binom(Affine.var("n") + r, k + r))
+        result = check_two_sided(desc, binding(n=2, r=Fraction(7, 2)))
+        assert result.status == SKIPPED_PRECONDITION
+        assert result.witness == "lower index k + r must be an integer, got 7/2"
+
+
     def test_fixtures_verify(self):
         for name, desc in FIXTURES.items():
             for n in range(0 if name != "F04" else 1, 9):

@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from combident.affine import Affine, Bound
+from combident.catalog import FIXTURES, entry_ids, get_entry
 from combident.errors import PoleError, PreconditionError, UnboundParameterError
-from combident.exact import binom_int
+from combident.exact import binom_int, binom_rational
 from combident.poly import Polynomial, RationalFunction, rf_equal
 from combident.terms import (
     SumSpec,
@@ -14,11 +16,13 @@ from combident.terms import (
     altpowsum,
     binom,
     collect_names,
+    compile_term,
     const,
     evaluate,
     evaluate_sum,
     evaluate_sum_symbolic,
     evaluate_symbolic,
+    exact_env,
     ibinom,
     power,
     prod,
@@ -67,6 +71,16 @@ class TestEvaluate:
         with pytest.raises(PreconditionError):
             evaluate(binom(R, K - 2), env(k=0, r=Fraction(1, 2)))
 
+    def test_rational_r_at_a_lower_index_keeps_its_message(self):
+        message = r"^lower index k \+ r must be an integer, got 7/2$"
+        with pytest.raises(PreconditionError, match=message):
+            evaluate(binom(N, K + R), env(k=0, n=4, r=Fraction(7, 2)))
+
+    def test_negative_integer_upper_index_matches_product_formula(self):
+        for u in range(-6, 0):
+            for j in range(7):
+                assert evaluate(binom(Affine.of(u), Affine.of(j)), env()) == binom_rational(u, j)
+
     def test_unbound_parameter(self):
         with pytest.raises(UnboundParameterError):
             evaluate(af(R), env(k=0))
@@ -83,6 +97,44 @@ class TestEvaluate:
         for u in range(1, 6):
             for m in range(u):
                 assert evaluate(altpowsum(Affine.of(u), 0, m), env(k=0)) == 0
+
+
+SUMMANDS = [
+    block.coef
+    for desc in [get_entry(i).descriptor for i in entry_ids()] + list(FIXTURES.values())
+    for side in (desc.left, desc.right)
+    for block in side.blocks
+]
+
+values = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(7, 2), Fraction(5, 3)]),
+)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (PoleError, PreconditionError) as exc:
+        return type(exc)
+
+
+class TestCompiledAgainstSymbolic:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SUMMANDS), st.data())
+    def test_catalog_summands_agree(self, term, data):
+        # the symbolic evaluator with no symbolic names is an independent reference
+        names = sorted(collect_names(term) - {"k"})
+        binding = {name: Fraction(data.draw(values, label=name)) for name in names}
+        binding["k"] = Fraction(data.draw(st.integers(0, 12), label="k"))
+        numeric = _outcome(lambda: evaluate(term, binding))
+        symbolic = _outcome(lambda: evaluate_symbolic(term, binding, frozenset()))
+        if isinstance(symbolic, RationalFunction):
+            symbolic = symbolic.numerator.constant_value() / symbolic.denominator.constant_value()
+        assert numeric == symbolic
+        # evaluate wraps the compiled value in a Fraction, which would accept a float
+        raw = _outcome(lambda: compile_term(term)(exact_env(binding)))
+        assert isinstance(raw, type) or type(raw) in (int, Fraction)
 
 
 class TestSums:
