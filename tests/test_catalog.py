@@ -6,7 +6,7 @@ import pytest
 
 from combident.catalog import entry_ids, get_entry, iter_grid, verify_entry, verify_grid
 from combident.descriptors import SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED, eval_side
-from combident.errors import EmptyGridError, UnknownEntryError
+from combident.errors import EmptyGridError, UnboundParameterError, UnknownEntryError
 
 
 def binding(**values):
@@ -61,6 +61,10 @@ class TestGrids:
     def test_unknown_entry(self):
         with pytest.raises(UnknownEntryError):
             verify_entry("NOPE", binding(n=0))
+
+    def test_missing_parameter_names_the_entry(self):
+        with pytest.raises(UnboundParameterError, match="entry C03 needs parameter s"):
+            verify_entry("C03", binding(n=1, r=2))
 
     def test_empty_grid(self):
         with pytest.raises(EmptyGridError):

@@ -75,7 +75,6 @@ class TestEvalSide:
             for x0 in probe:
                 assert p.evaluate({"x": x0}) == eval_side_at(desc, side, b, x0)
 
-
     def test_dense_kernel_expansion_matches_polynomial_product(self):
         # the right side's x kernel keeps the descriptor polynomial at a = b = c = 0
         right = Side((KernelBlock(Bound.of(0), Bound.of(0), const(1), Affine.of(1)),))
@@ -114,7 +113,6 @@ class TestCheckTwoSided:
         result = check_two_sided(desc, binding(n=2, r=Fraction(7, 2)))
         assert result.status == SKIPPED_PRECONDITION
         assert result.witness == "lower index k + r must be an integer, got 7/2"
-
 
     def test_fixtures_verify(self):
         for name, desc in FIXTURES.items():
