@@ -9,9 +9,10 @@ Commands:
 - ``export-catalog``: write every entry as an identity source file.
 
 Exit codes: 0 all verified (skips permitted), 1 at least one failure or
-mismatch, or (``verify``) an entry with no verified binding, 2 usage or parse
-errors.  Structured reports are deterministic: the same configuration
-(including the seed) produces byte-identical output.
+mismatch, or a run that checked nothing (a ``verify`` entry or a ``derive``
+with no verified binding, an ``integrals`` run with no exponent pair
+checked), 2 usage or parse errors.  Structured reports are deterministic: the
+same configuration (including the seed) produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .catalog import (
 from .descriptors import FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED, binding_key
 from .dsl import parse_identity, print_identity
 from .errors import DslSyntaxError, EmptyGridError, ShapeError, UnknownEntryError
-from .integrals import BetaArgs, beta_integral_exact, beta_integral_quadrature
+from .integrals import _DPS, BetaArgs, beta_integral_exact, beta_integral_quadrature
 from .terms import collect_names
 from .transforms import (
     check_derived,
@@ -227,9 +228,11 @@ def cmd_derive(args) -> int:
     bindings = sorted(iter_grid(grid), key=binding_key)
     tallied = GridReport.tally(derived.provenance, (check_derived(derived, b) for b in bindings))
     counts = tallied.counts
+    unexercised = not counts[VERIFIED] and not counts[FAILED]
     print(
         f"# verification: verified={counts[VERIFIED]} pole={counts[SKIPPED_POLE]}"
         f" pre={counts[SKIPPED_PRECONDITION]} failed={counts[FAILED]}"
+        + (" unexercised (every binding was skipped)" if unexercised else "")
     )
 
     match_ok = True
@@ -270,12 +273,16 @@ def cmd_derive(args) -> int:
                 },
             },
         )
-    return 1 if (counts[FAILED] or not match_ok) else 0
+    return 1 if (counts[FAILED] or unexercised or not match_ok) else 0
 
 
 # -- integrals ------------------------------------------------------------------
 
 def cmd_integrals(args) -> int:
+    if args.max_exp < 0:
+        raise ValueError(f"--max-exp must be at least 0, got {args.max_exp}")
+    if args.nodes < 1:
+        raise ValueError(f"--nodes must be at least 1, got {args.nodes}")
     pairs = []
     if args.pair:
         a_text, b_text = args.pair
@@ -296,7 +303,8 @@ def cmd_integrals(args) -> int:
         args_pair = BetaArgs(a, b)
         exact = beta_integral_exact(args_pair)
         estimate = beta_integral_quadrature(args_pair, nodes=args.nodes)
-        error = abs(estimate - mp.mpf(exact.numerator) / exact.denominator)
+        with mp.workdps(_DPS):
+            error = abs(estimate - mp.mpf(exact.numerator) / exact.denominator)
         worst = max(worst, error)
         rows.append((a, b, exact, estimate, error))
     if args.pair:
@@ -305,10 +313,14 @@ def cmd_integrals(args) -> int:
                 f"a={_fraction_str(a)} b={_fraction_str(b)} exact={exact}"
                 f" estimate={mp.nstr(estimate, 20)} error={mp.nstr(error, 3)}"
             )
+    within_tolerance = worst <= mp.mpf("1e-10")
+    status = "FAIL" if not within_tolerance else "ok" if rows else "unexercised"
     print(
         f"checked {len(rows)} exponent pairs (nodes={args.nodes});"
         f" max |quadrature - exact| = {mp.nstr(worst, 3)}; skipped {skipped}"
     )
+    if status == "unexercised":
+        print("unexercised: every exponent pair was skipped, so the run is no evidence")
     if args.out:
         _write_report(
             args.out,
@@ -324,10 +336,11 @@ def cmd_integrals(args) -> int:
                 "max_error": mp.nstr(worst, 12),
                 "skipped": skipped,
                 "tolerance": "1e-10",
-                "within_tolerance": bool(worst <= mp.mpf("1e-10")),
+                "within_tolerance": within_tolerance,
+                "status": status,
             },
         )
-    return 0 if worst <= mp.mpf("1e-10") else 1
+    return 0 if status == "ok" else 1
 
 
 def cmd_export(args) -> int:

@@ -47,34 +47,59 @@ def beta_integral_exact(args: BetaArgs) -> Fraction:
     return Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 1))
 
 
+#: Newton steps in floats from the Chebyshev guess; the float root only seeds
+#: the 40-digit polish, so this cap needs no convergence test of its own.
+_SEED_STEPS = 8
+#: Newton steps at _DPS digits.  A float seed is good to about 1e-16 and each
+#: step squares the error, so two or three steps suffice.
+_POLISH_STEPS = 4
+
+
+def _legendre(n: int, x):
+    """``P_n(x)`` and ``P_n'(x)`` by the three-term recurrence, in the type of ``x``."""
+    p_prev, p = 1, x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (x * p - p_prev) / (x * x - 1)
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre_rule(nodes: int) -> tuple[tuple, tuple]:
-    """Nodes and weights on [0, 1], computed by Newton iteration at 40 digits."""
+    """Nodes and weights on [0, 1] at 40 digits, nodes in decreasing order.
+
+    Each non-negative root x of ``P_n`` on [-1, 1] is found by Newton in
+    floats from a Chebyshev guess, then polished by Newton at 40 digits until
+    a step falls below ``10^-(dps/2 + 2)``: convergence is quadratic, so the
+    error after that step is below the working precision.  A root that does
+    not get there in ``_POLISH_STEPS`` steps raises ``ArithmeticError``.  The
+    roots are symmetric about 0 with equal weights, so the negative half is
+    the mirror image of the positive one.
+    """
     if nodes < 1:
         raise ValueError("need at least one node")
     with mp.workdps(_DPS):
-        xs = []
-        ws = []
-        for i in range(1, nodes + 1):
-            # Chebyshev-based initial guess, then Newton on P_n
-            x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (nodes + mp.mpf(1) / 2))
-            for _ in range(60):
-                p_prev, p = mp.mpf(1), x
-                for j in range(2, nodes + 1):
-                    p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-                dp = nodes * (x * p - p_prev) / (x * x - 1)
+        tolerance = mp.mpf(10) ** (-(_DPS // 2) - 2)
+        roots = []
+        for i in range(1, (nodes + 1) // 2 + 1):
+            x = math.cos(math.pi * (i - 0.25) / (nodes + 0.5))
+            for _ in range(_SEED_STEPS):
+                p, dp = _legendre(nodes, x)
+                x -= p / dp
+            x = mp.mpf(x)
+            for _ in range(_POLISH_STEPS):
+                p, dp = _legendre(nodes, x)
                 step = p / dp
                 x -= step
-                if abs(step) < mp.mpf(10) ** (-_DPS - 2):
+                if abs(step) < tolerance:
                     break
-            p_prev, p = mp.mpf(1), x
-            for j in range(2, nodes + 1):
-                p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-            dp = nodes * (x * p - p_prev) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
-            # map [-1, 1] -> [0, 1]
-            xs.append((x + 1) / 2)
-            ws.append(w / 2)
+            else:
+                raise ArithmeticError(f"Gauss-Legendre root {i} of P_{nodes} did not converge")
+            _, dp = _legendre(nodes, x)
+            # the [-1, 1] weight 2 / ((1 - x^2) P_n'(x)^2), halved for [0, 1]
+            roots.append((x, 1 / ((1 - x * x) * dp * dp)))
+        mirror = roots[: nodes // 2][::-1]  # an odd rule's middle root 0 is its own mirror
+        xs = [(1 + x) / 2 for x, _ in roots] + [(1 - x) / 2 for x, _ in mirror]
+        ws = [w for _, w in roots] + [w for _, w in mirror]
         return tuple(xs), tuple(ws)
 
 

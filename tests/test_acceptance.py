@@ -32,7 +32,13 @@ from combident.descriptors import (
 from combident.dsl import parse_identity, print_identity
 from combident.errors import PoleError
 from combident.exact import binom_int, r_stirling2, stirling2
-from combident.integrals import PACKAGED_FORMS, BetaArgs, beta_integral_exact, beta_integral_quadrature
+from combident.integrals import (
+    _DPS,
+    PACKAGED_FORMS,
+    BetaArgs,
+    beta_integral_exact,
+    beta_integral_quadrature,
+)
 from combident.poly import Polynomial
 from combident.terms import SumSpec, evaluate_blocks
 from combident.transforms import (
@@ -215,7 +221,8 @@ def test_criterion_6_beta_oracle():
         for b in range(21):
             exact = beta_integral_exact(BetaArgs.of(a, b))
             estimate = beta_integral_quadrature(BetaArgs.of(a, b))
-            worst = max(worst, abs(estimate - mp.mpf(exact.numerator) / exact.denominator))
+            with mp.workdps(_DPS):
+                worst = max(worst, abs(estimate - mp.mpf(exact.numerator) / exact.denominator))
     print(f"  packaged-form instantiations: {checked}; worst quadrature error: {mp.nstr(worst, 3)}")
     report(6, "Beta-integral oracle", ok and checked > 1000 and worst <= mp.mpf("1e-10"))
 

@@ -143,6 +143,17 @@ class TestDerive:
         assert result.returncode == 2
         assert "no selected entry has the axis m; drop the override" in result.stderr
 
+    def test_derivation_with_no_verified_binding_exits_one(self, exported):
+        # s = 0 puts every binding of the derived identity outside its validity region
+        result = run_cli(
+            "derive", "--scheme", "frisch", "--input", str(exported / "F03.dsl"),
+            "--grid-s", "0",
+        )
+        assert result.returncode == 1
+        assert (
+            "# verification: verified=0 pole=0 pre=81 failed=0 unexercised" in result.stdout
+        )
+
     def test_parse_error_exits_two(self, tmp_path):
         bad = tmp_path / "bad.dsl"
         bad.write_text("params ;\nsum[k=0..n] *\n", encoding="utf-8")
@@ -164,6 +175,18 @@ class TestIntegrals:
         result = run_cli("integrals", "--pair", "1", "1")
         assert result.returncode == 0
         assert "exact=1/6" in result.stdout
+
+    def test_run_with_no_pair_checked_exits_one(self):
+        result = run_cli("integrals", "--pair", "-1", "0")
+        assert result.returncode == 1
+        assert "checked 0 exponent pairs" in result.stdout
+        assert "unexercised" in result.stdout
+
+    @pytest.mark.parametrize("flag, value", [("--max-exp", "-1"), ("--nodes", "0")])
+    def test_out_of_range_size_exits_two(self, flag, value):
+        result = run_cli("integrals", flag, value)
+        assert result.returncode == 2
+        assert f"{flag} must be at least" in result.stderr
 
 
 class TestExport:

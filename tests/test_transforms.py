@@ -22,11 +22,13 @@ from combident.descriptors import (
     rename_descriptor_parameters,
 )
 from combident.errors import NonIntegerExponentError, ShapeError, SingularExponentError
+from combident import integrals
 from combident.integrals import (
     PACKAGED_FORMS,
     BetaArgs,
     beta_integral_exact,
     beta_integral_quadrature,
+    gauss_legendre_rule,
 )
 from combident.terms import SumSpec, const, evaluate_blocks
 from combident.transforms import (
@@ -91,6 +93,64 @@ class TestBetaIntegrals:
     def test_quadrature_unit_case(self):
         estimate = beta_integral_quadrature(BetaArgs.of(0, 0))
         assert abs(estimate - 1) < mp.mpf("1e-30")
+
+
+RULE_TOLERANCE = mp.mpf("1e-38")
+
+
+def assert_rule_close(rule, nodes, weights):
+    xs, ws = rule
+    assert len(xs) == len(nodes) and len(ws) == len(weights)
+    with mp.workdps(60):
+        for got, want in zip(xs + ws, nodes + weights):
+            assert abs(got - want) <= RULE_TOLERANCE, (got, want)
+
+
+class TestGaussLegendreRule:
+    def test_two_nodes_closed_form(self):
+        with mp.workdps(60):
+            offset = 1 / mp.sqrt(3) / 2
+            nodes = (mp.mpf(1) / 2 + offset, mp.mpf(1) / 2 - offset)
+            weights = (mp.mpf(1) / 2,) * 2
+        assert_rule_close(gauss_legendre_rule(2), nodes, weights)
+
+    def test_three_nodes_closed_form(self):
+        with mp.workdps(60):
+            offset = mp.sqrt(mp.mpf(3) / 5) / 2
+            nodes = (mp.mpf(1) / 2 + offset, mp.mpf(1) / 2, mp.mpf(1) / 2 - offset)
+            weights = (mp.mpf(5) / 18, mp.mpf(4) / 9, mp.mpf(5) / 18)
+        assert_rule_close(gauss_legendre_rule(3), nodes, weights)
+
+    @pytest.mark.parametrize("n", [*range(1, 12), 64])
+    def test_symmetric_roots_of_legendre_with_unit_mass(self, n):
+        xs, ws = gauss_legendre_rule(n)
+        assert len(xs) == len(ws) == n
+        assert list(xs) == sorted(xs, reverse=True) and 0 < xs[-1] and xs[0] < 1
+        with mp.workdps(60):
+            for i in range(n):
+                assert abs(xs[i] + xs[n - 1 - i] - 1) <= RULE_TOLERANCE
+                assert ws[i] == ws[n - 1 - i]
+                # an independent evaluation of P_n, not the recurrence of the rule
+                assert abs(mp.legendre(n, 2 * xs[i] - 1)) <= mp.mpf("1e-36")
+            assert abs(mp.fsum(ws) - 1) <= RULE_TOLERANCE
+
+    @pytest.mark.parametrize("n", [*range(1, 12), 64])
+    def test_exact_on_monomials_up_to_degree_2n_minus_1(self, n):
+        xs, ws = gauss_legendre_rule(n)
+        with mp.workdps(60):
+            for d in range(2 * n):
+                total = mp.fsum(w * x**d for x, w in zip(xs, ws))
+                assert abs(total - mp.mpf(1) / (d + 1)) <= RULE_TOLERANCE, d
+
+    def test_unpolished_root_raises(self, monkeypatch):
+        # one 40-digit step cannot take a float seed to the stopping criterion
+        monkeypatch.setattr(integrals, "_POLISH_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            gauss_legendre_rule.__wrapped__(5)
+
+    def test_needs_a_node(self):
+        with pytest.raises(ValueError):
+            gauss_legendre_rule(0)
 
 
 class TestWeightTransform:
