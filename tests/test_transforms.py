@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from combident import integrals
 from combident.affine import Affine, Bound
 from combident.catalog import (
     FIXTURES,
@@ -22,7 +23,6 @@ from combident.descriptors import (
     rename_descriptor_parameters,
 )
 from combident.errors import NonIntegerExponentError, ShapeError, SingularExponentError
-from combident import integrals
 from combident.integrals import (
     PACKAGED_FORMS,
     BetaArgs,
