@@ -79,10 +79,13 @@ class Affine:
     def evaluate(self, env: Mapping[str, Scalar]):
         """Evaluate against an environment.
 
-        Values may be Fractions or ring elements (polynomials); the result has
-        whatever type the values combine to.
+        Values may be ints, Fractions or ring elements (polynomials); the
+        result has whatever type the values combine to, so it is an int when
+        the constant and every value are integral.
         """
         total = self.const
+        if total.denominator == 1:
+            total = total.numerator
         for name, c in self.coeffs:
             try:
                 value = env[name]
@@ -156,17 +159,17 @@ class Bound:
         return Bound(value)
 
     def evaluate(self, env: Mapping[str, Scalar]) -> int:
-        raw = Fraction(self.base.evaluate(env))
+        raw = self.base.evaluate(env)
         if raw.denominator != 1:
             raise ValueError(f"bound {self.base} is not an integer at this binding")
-        value = int(raw)
+        value = raw.numerator
         if self.half:
             value //= 2
         if self.cap is not None:
-            capped = Fraction(self.cap.evaluate(env))
+            capped = self.cap.evaluate(env)
             if capped.denominator != 1:
                 raise ValueError(f"bound cap {self.cap} is not an integer at this binding")
-            value = min(value, int(capped))
+            value = min(value, capped.numerator)
         return value
 
     def names(self) -> set[str]:

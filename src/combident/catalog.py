@@ -31,7 +31,6 @@ from .descriptors import (
     RangeConstraint,
     Side,
     ValidityPredicate,
-    binding_key,
     check_two_sided,
 )
 from .errors import EmptyGridError, UnboundParameterError, UnknownEntryError
@@ -162,12 +161,21 @@ class GridReport:
 
 
 def iter_grid(grid: GridSpec) -> Iterable[dict[str, Fraction]]:
+    """Every binding of ``grid``: the product of its axes, names in sorted order."""
     names = sorted(grid)
-    values = [grid[name] for name in names]
+    values = [tuple(Fraction(v) for v in grid[name]) for name in names]
     if not names or any(len(v) == 0 for v in values):
         raise EmptyGridError(f"grid over {names} has no bindings")
     for combo in iter_product(*values):
-        yield {name: Fraction(v) for name, v in zip(names, combo)}
+        yield dict(zip(names, combo))
+
+
+def sorted_bindings(grid: GridSpec) -> Iterable[dict[str, Fraction]]:
+    """The bindings of ``grid`` ordered by value, axis by axis in name order.
+
+    That order is the product of the sorted axes, so no binding is compared.
+    """
+    return iter_grid({name: sorted(Fraction(v) for v in values) for name, values in grid.items()})
 
 
 def verify_grid(
@@ -177,7 +185,7 @@ def verify_grid(
 ) -> GridReport:
     """Exhaustive deterministic sweep of one entry over a binding grid."""
     entry = get_entry(entry_id)
-    bindings = sorted(iter_grid(grid or entry.default_grid), key=binding_key)
+    bindings = sorted_bindings(grid or entry.default_grid)
     results = (verify_entry(entry_id, b) for b in bindings)
     return GridReport.tally(entry.id, results, max_witnesses)
 

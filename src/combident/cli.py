@@ -32,11 +32,11 @@ from .catalog import (
     entry_ids,
     export_catalog,
     get_entry,
-    iter_grid,
+    sorted_bindings,
     verify_entry,
     verify_grid,
 )
-from .descriptors import FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED, binding_key
+from .descriptors import FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED
 from .dsl import parse_identity, print_identity
 from .errors import DslSyntaxError, EmptyGridError, ShapeError, UnknownEntryError
 from .integrals import _DPS, BetaArgs, beta_integral_exact, beta_integral_quadrature
@@ -87,7 +87,7 @@ def _grid_overrides(args, axes, prefix: str = "") -> dict[str, tuple[Fraction, .
 
 
 def _sample_grid(grid, count: int, seed: int):
-    bindings = sorted(iter_grid(grid), key=binding_key)
+    bindings = list(sorted_bindings(grid))
     if count >= len(bindings):
         return bindings
     rng = random.Random(seed)
@@ -225,7 +225,7 @@ def cmd_derive(args) -> int:
         grid[name] = overrides.get(name) or _DERIVED_GRID_DEFAULTS.get(name)
         if grid[name] is None:
             grid[name] = (Fraction(1), Fraction(2))
-    bindings = sorted(iter_grid(grid), key=binding_key)
+    bindings = sorted_bindings(grid)
     tallied = GridReport.tally(derived.provenance, (check_derived(derived, b) for b in bindings))
     counts = tallied.counts
     unexercised = not counts[VERIFIED] and not counts[FAILED]

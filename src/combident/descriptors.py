@@ -22,6 +22,7 @@ from .errors import PoleError, PreconditionError, ShapeError, UnboundParameterEr
 from .poly import Polynomial
 from .terms import (
     TermExpr,
+    add_pairs,
     compile_affine,
     compile_term,
     exact_env,
@@ -97,15 +98,15 @@ class IdentityDescriptor:
 
 # -- bindings ---------------------------------------------------------------
 
-ParamBinding = dict[str, Fraction]
+ParamBinding = dict[str, Scalar]
 
 
-def check_sorts(desc_params, binding: Mapping[str, Fraction]) -> str | None:
+def check_sorts(desc_params, binding: Mapping[str, Scalar]) -> str | None:
     """Return a violation message, or None when the binding fits the sorts."""
     for name, sort in desc_params:
         if name not in binding:
             raise UnboundParameterError(name)
-        value = Fraction(binding[name])
+        value = binding[name]
         if sort in ("nat", "int") and value.denominator != 1:
             return f"{name} = {value} is not an integer"
         if sort == "nat" and value < 0:
@@ -121,8 +122,8 @@ class RangeConstraint:
     relation: str  # ">=", ">", "!="
     bound: int
 
-    def holds(self, binding: Mapping[str, Fraction]) -> bool:
-        value = Fraction(self.expr.evaluate(binding))
+    def holds(self, binding: Mapping[str, Scalar]) -> bool:
+        value = self.expr.evaluate(binding)
         if self.relation == ">=":
             return value >= self.bound
         if self.relation == ">":
@@ -139,8 +140,8 @@ class RangeConstraint:
 class IntegerValued:
     expr: Affine
 
-    def holds(self, binding: Mapping[str, Fraction]) -> bool:
-        return Fraction(self.expr.evaluate(binding)).denominator == 1
+    def holds(self, binding: Mapping[str, Scalar]) -> bool:
+        return self.expr.evaluate(binding).denominator == 1
 
     def describe(self) -> str:
         return f"{self.expr} integer"
@@ -153,7 +154,7 @@ Constraint = Union[RangeConstraint, IntegerValued]
 class ValidityPredicate:
     constraints: tuple[Constraint, ...] = ()
 
-    def violation(self, binding: Mapping[str, Fraction]) -> str | None:
+    def violation(self, binding: Mapping[str, Scalar]) -> str | None:
         for c in self.constraints:
             if not c.holds(binding):
                 return c.describe()
@@ -174,10 +175,6 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return self.status != FAILED
-
-
-def binding_key(binding: Mapping[str, Fraction]):
-    return tuple(sorted((name, Fraction(v)) for name, v in binding.items()))
 
 
 def format_binding(binding: Mapping[str, Fraction]) -> str:
@@ -212,14 +209,14 @@ def _compile_block(block: KernelBlock, kernels: bool):
     return block.lo, block.hi, coef, lambda env: (a(env), b(env), c(env))
 
 
-def _side_terms(desc: IdentityDescriptor, side: str, binding: Mapping[str, Fraction]):
-    """Yield ``(coef, a, b, c)`` for every index of every block of one side.
+def _side_terms(desc: IdentityDescriptor, side: str, binding: Mapping[str, Scalar]):
+    """Yield ``((num, den), a, b, c)`` for every index of every block of one side.
 
     A kernel-free descriptor skips the exponents, which are all 0.
     """
     env = exact_env(binding)
     for lo, hi, coef, kernel in desc.compiled[side]:
-        for k in range(max(0, lo.evaluate(binding)), hi.evaluate(binding) + 1):
+        for k in range(max(0, lo.evaluate(env)), hi.evaluate(env) + 1):
             env["k"] = k
             if kernel is None:
                 yield coef(env), 0, 0, 0
@@ -237,21 +234,24 @@ def _kernel_coefficients(b: int, c: int) -> tuple[int, ...]:
 
 
 def eval_side(
-    desc: IdentityDescriptor, side: str, binding: Mapping[str, Fraction]
+    desc: IdentityDescriptor, side: str, binding: Mapping[str, Scalar]
 ) -> Fraction | Polynomial:
     """Exact value of one side.
 
-    A kernel-free descriptor sums plain rationals; any other side is
-    accumulated as a dense coefficient list in x and converted once into its
-    canonical polynomial.
+    A kernel-free side adds its terms' ``(num, den)`` pairs over one running
+    denominator and builds one Fraction.  Any other side turns each nonzero
+    term into an int or one Fraction, accumulates a dense coefficient list
+    in x and converts it once into its canonical polynomial.
     """
     terms = _side_terms(desc, side, binding)
     if desc.kernel_free:
-        return Fraction(sum(coef for coef, _, _, _ in terms))
+        return Fraction(*add_pairs(pair for pair, _, _, _ in terms))
     dense: list = []
-    for coef, a, b, c in terms:
-        if not coef:
+    for (num, den), a, b, c in terms:
+        if not num:
             continue
+        whole, rest = divmod(num, den)
+        coef = Fraction(num, den) if rest else whole
         kernel = _kernel_coefficients(b, c)
         missing = a + len(kernel) - len(dense)
         if missing > 0:
@@ -262,14 +262,14 @@ def eval_side(
 
 
 def eval_side_at(
-    desc: IdentityDescriptor, side: str, binding: Mapping[str, Fraction], x0: Scalar
+    desc: IdentityDescriptor, side: str, binding: Mapping[str, Scalar], x0: Scalar
 ) -> Fraction:
     """Direct rational summation of a side at a concrete x value."""
     x0 = Fraction(x0)
     return sum(
         (
-            coef * x0**a * (1 - x0) ** b * (1 + x0) ** c
-            for coef, a, b, c in _side_terms(desc, side, binding)
+            Fraction(*pair) * x0**a * (1 - x0) ** b * (1 + x0) ** c
+            for pair, a, b, c in _side_terms(desc, side, binding)
         ),
         Fraction(0),
     )
@@ -306,8 +306,12 @@ def check_two_sided(
     binding: Mapping[str, Fraction],
     validity: ValidityPredicate | None = None,
 ) -> CheckResult:
-    """Verify one binding; evaluation errors become skip statuses."""
-    binding = {name: Fraction(v) for name, v in binding.items()}
+    """Verify one binding; evaluation errors become skip statuses.
+
+    The binding is converted once, by :func:`exact_env`: integral values
+    become ints, and the result keeps that copy.
+    """
+    binding = exact_env(binding)
     label = desc.name or "descriptor"
     sort_issue = check_sorts(desc.params, binding)
     if sort_issue is not None:

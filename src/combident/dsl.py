@@ -318,8 +318,7 @@ class _Parser:
             if self.at("/") and self.peek(1).kind == "int":
                 # rational constant inside an affine form
                 self.next()
-                den = int(self.next().text)
-                return Affine.of(Fraction(sign * value, den))
+                return Affine.of(Fraction(sign * value, self.denominator()))
             return Affine.of(sign * value)
         if tok.kind == "name":
             return Affine.var(tok.text, sign)
@@ -384,24 +383,33 @@ class _Parser:
     def number_or_quotient(self) -> TermExpr:
         first = int(self.next().text)
         if self.accept("/"):
-            den_tok = self.peek()
-            if den_tok.kind == "int":
-                self.next()
-                return Const(Fraction(first, int(den_tok.text)))
+            if self.peek().kind == "int":
+                return Const(Fraction(first, self.denominator()))
             return Quot(Affine.of(first), self.quotient_operand())
         return Const(Fraction(first))
 
+    def denominator(self) -> int:
+        """An integer literal after ``/``; zero is a syntax error at that literal."""
+        tok = self.next()
+        value = int(tok.text)
+        if value == 0:
+            self.fail("zero denominator", tok)
+        return value
+
     def quotient_operand(self) -> Affine:
+        tok = self.peek()
         if self.accept("("):
             a = self.affine()
             self.expect(")")
-            return a
-        tok = self.next()
-        if tok.kind == "name":
-            return Affine.var(tok.text)
-        if tok.kind == "int":
-            return Affine.of(int(tok.text))
-        self.fail("expected a quotient denominator", tok)
+        elif tok.kind == "name":
+            a = Affine.var(self.next().text)
+        elif tok.kind == "int":
+            a = Affine.of(self.denominator())
+        else:
+            self.fail("expected a quotient denominator", self.next())
+        if a.is_zero():
+            self.fail("zero denominator", tok)
+        return a
 
     def paren_factor(self) -> TermExpr:
         # "(" could open a parenthesized term, a term sum, or an affine factor

@@ -30,6 +30,7 @@ __all__ = [
     "Rational",
     "binom_int",
     "binom_rational",
+    "binom_rational_pair",
     "inv_binom",
     "stirling2",
     "r_stirling2",
@@ -59,14 +60,22 @@ def binom_rational(a: RationalLike, j: int) -> Fraction:
     >>> binom_rational(Fraction(5, 2), 2)
     Fraction(15, 8)
     """
+    return Fraction(*binom_rational_pair(Fraction(a), j))
+
+
+def binom_rational_pair(a: RationalLike, j: int) -> tuple[int, int]:
+    """:func:`binom_rational` as an unreduced integer pair ``(num, den)``, ``den > 0``.
+
+    The falling factorial of ``a = p/q`` is ``prod(p - i*q) / (q**j * j!)``,
+    so no Fraction is built.
+    """
     if j < 0:
         raise ValueError(f"binom_rational requires a non-negative lower index, got {j}")
-    a = Fraction(a)
     p, q = a.numerator, a.denominator
     num = 1
     for i in range(j):
         num *= p - i * q
-    return Fraction(num, q**j * math.factorial(j))
+    return num, q**j * math.factorial(j)
 
 
 def inv_binom(a: RationalLike, j: int) -> Fraction:

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .affine import Affine, Bound
 from .errors import PoleError, PreconditionError, UnboundParameterError
-from .exact import alternating_power_sum, binom_rational
+from .exact import alternating_power_sum, binom_rational_pair
 from .poly import Polynomial, RationalFunction
 
 Scalar = Union[int, Fraction]
@@ -155,20 +155,45 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 # -- exact evaluation -------------------------------------------------------
 #
 # A term compiles once into a closure.  The closures read an environment in
-# which integral values are ints (see :func:`exact_env`), and keep integer
-# factors as ints: a value becomes a Fraction only at a quotient, an inverse
-# binomial or a rational upper index.  No float ever appears.
+# which integral values are ints (see :func:`exact_env`) and return the
+# term's value as an unreduced integer pair ``(num, den)`` with ``den > 0``:
+# products multiply numerators and denominators, sums cross-multiply, and no
+# Fraction is built until a caller wants one.  No float ever appears.
 
-Compiled = Callable[[dict], Scalar]
+Pair = tuple[int, int]
+Compiled = Callable[[dict], Pair]
+
+_ONE: Pair = (1, 1)
+_MINUS_ONE: Pair = (-1, 1)
 
 
 def _scalar(value: Scalar) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
-def exact_env(binding: Mapping[str, Scalar]) -> dict[str, Scalar]:
-    """A copy of ``binding`` with every integral value as an int."""
-    return {name: _scalar(v) for name, v in binding.items()}
+def exact_env(binding: Mapping[str, object]) -> dict[str, Scalar]:
+    """A copy of ``binding`` with every integral value as an int.
+
+    Values that are neither ints nor Fractions (say, ``"7/2"``) go through
+    ``Fraction`` once here, so this is the binding's only conversion.
+    """
+    env = {}
+    for name, v in binding.items():
+        if type(v) is not int:
+            v = _scalar(v if type(v) is Fraction else Fraction(v))
+        env[name] = v
+    return env
+
+
+def add_pairs(pairs: Iterable[Pair]) -> Pair:
+    """The sum of ``(num, den)`` pairs over one running denominator."""
+    num, den = 0, 1
+    for n, d in pairs:
+        if d == den:
+            num += n
+        else:
+            num, den = num * d + n * den, den * d
+    return num, den
 
 
 def _as_integer(value: Scalar, what: str, form: Affine | None = None) -> int:
@@ -183,8 +208,8 @@ def _as_integer(value: Scalar, what: str, form: Affine | None = None) -> int:
     raise PreconditionError(f"{label} must be an integer, got {value}")
 
 
-def _binom_value(upper: Scalar, lower: int) -> Scalar:
-    """binom(upper, lower): an int for an integral upper index, else a Fraction.
+def _binom_pair(upper: Scalar, lower: int) -> Pair:
+    """binom(upper, lower) as a pair; the denominator is 1 for an integral upper index.
 
     A non-negative upper index counts (0 outside 0..upper); a negative integral
     one uses upper negation, binom(u, j) = (-1)^j binom(j - u - 1, j).
@@ -192,19 +217,19 @@ def _binom_value(upper: Scalar, lower: int) -> Scalar:
     if upper.denominator == 1:
         u = upper.numerator
         if u >= 0:
-            return math.comb(u, lower) if lower >= 0 else 0
+            return (math.comb(u, lower) if lower >= 0 else 0), 1
         if lower >= 0:
             value = math.comb(lower - u - 1, lower)
-            return -value if lower % 2 else value
+            return (-value if lower % 2 else value), 1
     if lower < 0:
         raise PreconditionError(
             f"binomial with upper index {upper} is undefined at negative lower index {lower}"
         )
-    return binom_rational(upper, lower)
+    return binom_rational_pair(upper, lower)
 
 
-def compile_affine(a: Affine) -> Compiled:
-    """A closure computing ``a`` in an :func:`exact_env` environment.
+def compile_affine(a: Affine) -> Callable[[dict], Scalar]:
+    """A closure computing ``a`` (an int or a Fraction) in an :func:`exact_env` environment.
 
     A name missing from the environment raises UnboundParameterError.
     """
@@ -236,16 +261,24 @@ def compile_affine(a: Affine) -> Compiled:
 
 
 def compile_term(expr: TermExpr) -> Compiled:
-    """A closure computing ``expr`` in an :func:`exact_env` environment (k included)."""
+    """A closure computing ``expr`` as a ``(num, den)`` pair in an :func:`exact_env` environment (k included)."""
     if isinstance(expr, Const):
-        value = _scalar(expr.value)
-        return lambda env: value
+        pair = (expr.value.numerator, expr.value.denominator)
+        return lambda env: pair
     if isinstance(expr, AffineFactor):
-        return compile_affine(expr.value)
+        value = compile_affine(expr.value)
+
+        def affine_factor(env):
+            v = value(env)
+            return (v, 1) if type(v) is int else (v.numerator, v.denominator)
+
+        return affine_factor
     if isinstance(expr, SignPow):
         form = expr.exponent
         exponent = compile_affine(form)
-        return lambda env: -1 if _as_integer(exponent(env), "sign exponent", form) % 2 else 1
+        return lambda env: (
+            _MINUS_ONE if _as_integer(exponent(env), "sign exponent", form) % 2 else _ONE
+        )
     if isinstance(expr, Power):
         base, form = compile_affine(expr.base), expr.exponent
         exponent = compile_affine(form)
@@ -255,34 +288,34 @@ def compile_term(expr: TermExpr) -> Compiled:
             e = _as_integer(exponent(env), "exponent", form)
             if e < 0:
                 raise PreconditionError(f"negative power {e} in term")
-            return b**e
+            return (b**e, 1) if type(b) is int else (b.numerator**e, b.denominator**e)
 
         return power_value
     if isinstance(expr, Binom):
         upper, form = compile_affine(expr.upper), expr.lower
         lower = compile_affine(form)
         if not expr.inverted:
-            return lambda env: _binom_value(
-                upper(env), _as_integer(lower(env), "lower index", form)
-            )
+            return lambda env: _binom_pair(upper(env), _as_integer(lower(env), "lower index", form))
 
         def inverse_binom(env):
             u = upper(env)
             j = _as_integer(lower(env), "lower index", form)
-            value = _binom_value(u, j)
-            if value == 0:
+            num, den = _binom_pair(u, j)
+            if num == 0:
                 raise PoleError(f"binom({u}, {j}) = 0 has no reciprocal")
-            return Fraction(1, value) if type(value) is int else 1 / value
+            return (den, num) if num > 0 else (-den, -num)
 
         return inverse_binom
     if isinstance(expr, Quot):
         numer, denom, form = compile_affine(expr.numer), compile_affine(expr.denom), expr.denom
 
         def quotient(env):
-            den = denom(env)
-            if den == 0:
+            d = denom(env)
+            if d == 0:
                 raise PoleError(f"denominator {form} vanishes")
-            return Fraction(numer(env), den)
+            n = numer(env)
+            num, den = n.numerator * d.denominator, n.denominator * d.numerator
+            return (num, den) if den > 0 else (-num, -den)
 
         return quotient
     if isinstance(expr, AltPowerSum):
@@ -296,28 +329,31 @@ def compile_term(expr: TermExpr) -> Compiled:
             p = _as_integer(power_(env), "power", expr.power)
             if p < 0:
                 raise PreconditionError(f"negative power {p} in alternating power sum")
-            return alternating_power_sum(n, s, p)
+            v = alternating_power_sum(n, s, p)
+            return (v, 1) if type(v) is int else (v.numerator, v.denominator)
 
         return alt_power_sum
     if isinstance(expr, Product):
         factors = tuple(compile_term(f) for f in expr.factors)
 
         def product(env):
-            value = 1
+            num = den = 1
             for factor in factors:
-                value *= factor(env)
-            return value
+                n, d = factor(env)
+                num *= n
+                den *= d
+            return num, den
 
         return product
     if isinstance(expr, TermSum):
         terms = tuple(compile_term(t) for t in expr.terms)
-        return lambda env: sum(term(env) for term in terms)
+        return lambda env: add_pairs(term(env) for term in terms)
     raise TypeError(f"unknown term node {expr!r}")
 
 
 def evaluate(expr: TermExpr, env: Env) -> Fraction:
     """Exact value of a term at a full binding (the index k included in env)."""
-    return Fraction(compile_term(expr)(exact_env(env)))
+    return Fraction(*compile_term(expr)(exact_env(env)))
 
 
 # -- symbolic evaluation ----------------------------------------------------
@@ -360,7 +396,7 @@ def evaluate_symbolic(expr: TermExpr, env: Env, symbolic: frozenset[str]) -> Rat
     if isinstance(expr, Binom):
         lower = numeric(expr.lower, "lower binomial index")
         if not (expr.upper.names() & symbolic):
-            value = _binom_value(Fraction(expr.upper.evaluate(env)), lower)
+            value = Fraction(*_binom_pair(Fraction(expr.upper.evaluate(env)), lower))
             if expr.inverted:
                 if value == 0:
                     raise PoleError(f"binom({expr.upper}, {lower}) = 0 has no reciprocal")
@@ -428,11 +464,13 @@ class SumSpec:
 def evaluate_sum(spec: SumSpec, binding: Env) -> Fraction:
     term = compile_term(spec.term)
     env = exact_env(binding)
-    total = 0
-    for k in spec.range(binding):
-        env["k"] = k
-        total += term(env)
-    return Fraction(total)
+
+    def values():
+        for k in spec.range(binding):
+            env["k"] = k
+            yield term(env)
+
+    return Fraction(*add_pairs(values()))
 
 
 def evaluate_blocks(specs: tuple[SumSpec, ...], binding: Env) -> Fraction:

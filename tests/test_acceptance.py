@@ -5,7 +5,6 @@ lines alongside pytest's own verdicts.  Every check is exact (rational
 arithmetic) except the quadrature comparison, whose stated tolerance is 1e-10.
 """
 
-import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -20,7 +19,6 @@ from combident.catalog import (
     iter_grid,
     macmahon_doubled,
     verify_entry,
-    verify_grid,
 )
 from combident.descriptors import (
     VERIFIED,
@@ -66,16 +64,16 @@ def entry_sides(entry_id, b):
     return eval_side(desc, "left", b), eval_side(desc, "right", b)
 
 
-def test_criterion_1_catalog_soundness():
+def test_criterion_1_catalog_soundness(catalog_sweep):
     """Every entry verifies with zero failures on its default grid."""
-    start = time.monotonic()
-    ok = True
-    for entry_id in entry_ids():
-        grid_report = verify_grid(entry_id)
-        if grid_report.failed or grid_report.verified == 0:
+    entries = catalog_sweep.report["entries"]
+    ok = [e["id"] for e in entries] == list(entry_ids())
+    for entry in entries:
+        failed, verified = entry["counts"]["failed"], entry["counts"]["verified"]
+        if failed or verified == 0:
             ok = False
-            print(f"  {entry_id}: failed={grid_report.failed} verified={grid_report.verified}")
-    elapsed = time.monotonic() - start
+            print(f"  {entry['id']}: failed={failed} verified={verified}")
+    elapsed = catalog_sweep.elapsed
     print(f"  swept {len(entry_ids())} entries in {elapsed:.1f}s")
     report(1, "catalog soundness", ok and elapsed < 120)
 

@@ -7,8 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from combident import cli
-
 GOLDEN_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all.json"
 
 
@@ -72,20 +70,17 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["entries"][0]["total"] == 20
 
-    def test_full_catalog(self, tmp_path):
-        out = tmp_path / "all.json"
-        result = run_cli("verify", "--id", "all", "--format", "quiet", "--out", str(out))
-        assert result.returncode == 0
-        report = json.loads(out.read_text())
+    def test_full_catalog(self, catalog_sweep):
+        assert catalog_sweep.returncode == 0
+        report = catalog_sweep.report
         assert len(report["entries"]) == 49
         assert all(e["counts"]["failed"] == 0 for e in report["entries"])
 
-    def test_full_catalog_matches_golden_report(self, tmp_path):
+    def test_full_catalog_matches_golden_report(self, catalog_sweep):
         # the per-entry part of the report is the regression oracle for refactors
-        out = tmp_path / "all.json"
-        assert cli.main(["verify", "--id", "all", "--format", "quiet", "--out", str(out)]) == 0
+        assert catalog_sweep.returncode == 0
         golden = json.loads(GOLDEN_VERIFY_ALL.read_text(encoding="utf-8"))
-        assert json.loads(out.read_text(encoding="utf-8"))["entries"] == golden["entries"]
+        assert catalog_sweep.report["entries"] == golden["entries"]
 
 
 class TestDerive:
@@ -159,6 +154,14 @@ class TestDerive:
         bad.write_text("params ;\nsum[k=0..n] *\n", encoding="utf-8")
         result = run_cli("derive", "--scheme", "frisch", "--input", str(bad))
         assert result.returncode == 2
+
+    def test_zero_denominator_exits_two(self, exported):
+        source = (exported / "F02.dsl").read_text(encoding="utf-8")
+        bad = exported / "F02-zero.dsl"
+        bad.write_text(source.replace("(-1)^k", "1/0", 1), encoding="utf-8")
+        result = run_cli("derive", "--scheme", "frisch", "--input", str(bad))
+        assert result.returncode == 2
+        assert result.stderr == "error: zero denominator (line 4, column 15)\n"
 
     def test_missing_moment_order_exits_two(self, exported):
         result = run_cli("derive", "--scheme", "moment", "--input", str(exported / "F02.dsl"))

@@ -19,9 +19,10 @@ from combident.descriptors import (
     side_degree_bound,
     transpose_descriptor,
 )
+from combident.catalog import verify_entry
 from combident.errors import UnboundParameterError
 from combident.poly import Polynomial
-from combident.terms import af, binom, const, prod
+from combident.terms import af, binom, const, evaluate_symbolic, ibinom, prod
 
 X = Polynomial.variable("x")
 
@@ -130,6 +131,40 @@ class TestCheckTwoSided:
         desc = get_entry("C01").descriptor
         result = check_two_sided(desc, binding(n=2, r=2, s=Fraction(1, 2)))
         assert result.status == SKIPPED_PRECONDITION
+
+    def test_zero_factor_before_a_pole_still_skips(self):
+        # binom(n, k+1) is 0 at k = n, and so is the inverse binomial after it:
+        # the product must not stop at the zero factor
+        n, k = Affine.var("n"), Affine.var("k")
+        desc = _one_sided((("n", "nat"),), prod(binom(n, k + 1), ibinom(n, k + 1)))
+        for value in range(4):
+            result = check_two_sided(desc, binding(n=value))
+            assert result.status == SKIPPED_POLE
+            assert result.witness == f"binom({value}, {value + 1}) = 0 has no reciprocal"
+
+    def test_side_with_many_denominators_is_exact(self):
+        # C03 at n = 60, r = 7/2: 61 terms with distinct inverse-binomial denominators
+        desc = get_entry("C03").descriptor
+        b = binding(n=60, r=Fraction(7, 2), s=3)
+        block = desc.left.blocks[0]
+        reference = Fraction(0)
+        for k in range(61):
+            value = evaluate_symbolic(block.coef, {**b, "k": Fraction(k)}, frozenset())
+            reference += value.numerator.constant_value() / value.denominator.constant_value()
+        left = eval_side(desc, "left", b)
+        assert type(left) is Fraction and left == reference
+        assert reference.denominator > 10**20
+        result = check_two_sided(desc, b, get_entry("C03").validity)
+        assert result.status == VERIFIED and result.lhs == result.rhs == reference
+
+    def test_bindings_of_ints_fractions_and_strings_agree(self):
+        as_fractions = verify_entry("C03", binding(n=4, r=Fraction(7, 2), s=2))
+        as_ints = verify_entry("C03", {"n": 4, "r": Fraction(7, 2), "s": 2})
+        as_strings = verify_entry("C03", {"n": "4", "r": "7/2", "s": "2"})
+        for result in (as_ints, as_strings):
+            assert result.status == as_fractions.status == VERIFIED
+            assert result.binding == as_fractions.binding
+            assert result.lhs == as_fractions.lhs and type(result.lhs) is Fraction
 
     def test_transposition_preserves_status(self):
         cases = [

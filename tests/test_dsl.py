@@ -1,5 +1,7 @@
 """Identity source format: parsing, printing, round trips."""
 
+import random
+
 import pytest
 
 from combident.affine import Affine, Bound
@@ -79,6 +81,44 @@ class TestParse:
         assert isinstance(right.coef.factors[0], Const)
         assert isinstance(right.coef.factors[1], AffineFactor)
         assert isinstance(right.coef.factors[2], Binom) and right.coef.factors[2].inverted
+
+
+ZERO_DENOMINATORS = (
+    ("sum[k=0..n] 1/0 * x^k", "line 2, column 15"),
+    ("sum[k=0..n] -3/0 * x^k", "line 2, column 16"),
+    ("sum[k=0..n] n/0 * x^k", "line 2, column 15"),
+    ("sum[k=0..n] n/(k - k) * x^k", "line 2, column 15"),
+    ("sum[k=0..n] binom(n, k + 1/0) * x^k", "line 2, column 28"),
+)
+
+
+class TestZeroDenominator:
+    @pytest.mark.parametrize("left, position", ZERO_DENOMINATORS)
+    def test_is_a_syntax_error_at_the_literal(self, left, position):
+        with pytest.raises(DslSyntaxError) as info:
+            parse_identity(f"params n:nat;\n{left} == sum[k=0..0] 1 * x^0\n")
+        assert str(info.value) == f"zero denominator ({position})"
+
+    def test_mutated_catalog_files_raise_only_syntax_errors(self):
+        # a fixed, seeded list of random edits of every exported catalog file;
+        # the pool leans on denominators, which once escaped as ZeroDivisionError
+        texts = [entry_to_dsl(get_entry(entry_id)) for entry_id in entry_ids()]
+        pool = ("0", "1", "/", "/0", "1/0", "0n", "(", ")", "+", "-", "*", "^", "^-1",
+                "k", "n", "x", ",", ";", "..", "==", "binom", "floor", "min")
+        rng = random.Random(20261018)
+        zero_denominators = 0
+        for _ in range(1000):
+            text = rng.choice(texts)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(text) + 1)
+                cut = rng.choice((0, 0, rng.randint(1, 4)))
+                insert = rng.choice(pool) if cut == 0 or rng.random() < 0.5 else ""
+                text = text[:at] + insert + text[at + cut:]
+            try:
+                parse_identity(text)
+            except DslSyntaxError as exc:
+                zero_denominators += str(exc).startswith("zero denominator")
+        assert zero_denominators >= 5
 
 
 class TestRoundTrip:

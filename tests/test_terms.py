@@ -132,9 +132,16 @@ class TestCompiledAgainstSymbolic:
         if isinstance(symbolic, RationalFunction):
             symbolic = symbolic.numerator.constant_value() / symbolic.denominator.constant_value()
         assert numeric == symbolic
-        # evaluate wraps the compiled value in a Fraction, which would accept a float
+        # the closure itself yields an (int, int) pair with den > 0: evaluate
+        # wraps it in a Fraction, which would accept a float or a stray sign
         raw = _outcome(lambda: compile_term(term)(exact_env(binding)))
-        assert isinstance(raw, type) or type(raw) in (int, Fraction)
+        if isinstance(symbolic, type):
+            assert raw is symbolic
+        else:
+            assert type(raw) is tuple and len(raw) == 2
+            num, den = raw
+            assert type(num) is int and type(den) is int and den > 0
+            assert Fraction(num, den) == symbolic
 
 
 class TestSums:
