@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from combident.affine import Affine, Bound
-from combident.catalog import FIXTURES, GEOM_SUM, SIMONS, get_entry
+from combident.catalog import FIXTURES, GEOM_SUM, SIMONS, get_entry, verify_entry
 from combident.descriptors import (
     SKIPPED_POLE,
     SKIPPED_PRECONDITION,
@@ -19,7 +19,6 @@ from combident.descriptors import (
     side_degree_bound,
     transpose_descriptor,
 )
-from combident.catalog import verify_entry
 from combident.errors import UnboundParameterError
 from combident.poly import Polynomial
 from combident.terms import af, binom, const, evaluate_symbolic, ibinom, prod
