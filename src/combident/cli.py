@@ -294,6 +294,7 @@ def cmd_integrals(args) -> int:
             for b in range(args.max_exp + 1)
         ]
     worst = mp.mpf(0)
+    worst_pair = None
     skipped = 0
     rows = []
     for a, b in pairs:
@@ -305,7 +306,8 @@ def cmd_integrals(args) -> int:
         estimate = beta_integral_quadrature(args_pair, nodes=args.nodes)
         with mp.workdps(_DPS):
             error = abs(estimate - mp.mpf(exact.numerator) / exact.denominator)
-        worst = max(worst, error)
+        if worst_pair is None or error > worst:
+            worst, worst_pair = error, (int(a), int(b))
         rows.append((a, b, exact, estimate, error))
     if args.pair:
         for a, b, exact, estimate, error in rows:
@@ -315,10 +317,13 @@ def cmd_integrals(args) -> int:
             )
     within_tolerance = worst <= mp.mpf("1e-10")
     status = "FAIL" if not within_tolerance else "ok" if rows else "unexercised"
+    where = f" at {worst_pair}" if worst_pair else ""
     print(
         f"checked {len(rows)} exponent pairs (nodes={args.nodes});"
-        f" max |quadrature - exact| = {mp.nstr(worst, 3)}; skipped {skipped}"
+        f" max |quadrature - exact| = {mp.nstr(worst, 3)}{where}; skipped {skipped}"
     )
+    if status == "FAIL":
+        print("FAIL: above the 1e-10 tolerance")
     if status == "unexercised":
         print("unexercised: every exponent pair was skipped, so the run is no evidence")
     if args.out:
@@ -334,6 +339,7 @@ def cmd_integrals(args) -> int:
                 },
                 "checked": len(rows),
                 "max_error": mp.nstr(worst, 12),
+                "worst_pair": list(worst_pair) if worst_pair else None,
                 "skipped": skipped,
                 "tolerance": "1e-10",
                 "within_tolerance": within_tolerance,

@@ -3,7 +3,8 @@
 ``beta_integral_exact`` evaluates ``int_0^1 y^a (1-y)^b dy`` as
 ``a! b! / (a+b+1)!`` for non-negative integer exponents.  The quadrature
 oracle integrates the same integrand with fixed-node Gauss-Legendre rules
-computed at 40 significant digits, so the two routes share no code.
+computed with Python ints in fixed point (absolute precision 2^-160) and
+returned as 40-digit ``mpf`` values, so the two routes share no code.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import lru_cache
 from typing import Union
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import NonIntegerExponentError, SingularExponentError
 from .exact import inv_binom
@@ -47,20 +49,47 @@ def beta_integral_exact(args: BetaArgs) -> Fraction:
     return Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 1))
 
 
+#: The oracle computes with ints scaled by 2^_PREC.  40 digits need 133 bits;
+#: the rest are guard bits for the recurrence and the weights near the ends.
+_PREC = 160
+_ONE = 1 << _PREC
 #: Newton steps in floats from the Chebyshev guess; the float root only seeds
-#: the 40-digit polish, so this cap needs no convergence test of its own.
+#: the fixed-point polish, so this cap needs no convergence test of its own.
 _SEED_STEPS = 8
-#: Newton steps at _DPS digits.  A float seed is good to about 1e-16 and each
+#: Newton steps in fixed point.  A float seed is good to about 1e-16 and each
 #: step squares the error, so two or three steps suffice.
 _POLISH_STEPS = 4
+#: The polish stops after a step below 2^-73, about 10^-(_DPS/2 + 2).
+_STOP = 1 << (_PREC - 73)
 
 
-def _legendre(n: int, x):
-    """``P_n(x)`` and ``P_n'(x)`` by the three-term recurrence, in the type of ``x``."""
-    p_prev, p = 1, x
+def _cos(t: float) -> float:
+    """``cos t`` for 0 <= t <= pi/2 by its Taylor series, to about 1e-17.
+
+    ``math.cos`` would do, but its first call faults in about 0.14 MB of
+    libm pages, which is most of what the rule adds to peak RSS.
+    """
+    term = total = 1.0
+    for k in range(1, 12):
+        term *= -t * t / ((2 * k - 1) * (2 * k))
+        total += term
+    return total
+
+
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """``P_n(x)`` and ``P_n'(x)`` by the three-term recurrence, in floats."""
+    p_prev, p = 1.0, x
     for j in range(2, n + 1):
         p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
     return p, n * (x * p - p_prev) / (x * x - 1)
+
+
+def _legendre_fixed(n: int, x: int) -> tuple[int, int]:
+    """``P_n`` and ``P_n'`` at the fixed-point ``x``, by the same recurrence."""
+    p_prev, p = _ONE, x
+    for j in range(2, n + 1):
+        p_prev, p = p, (((2 * j - 1) * x * p >> _PREC) - (j - 1) * p_prev) // j
+    return p, (n * ((x * p >> _PREC) - p_prev) << _PREC) // ((x * x >> _PREC) - _ONE)
 
 
 @lru_cache(maxsize=None)
@@ -68,59 +97,77 @@ def gauss_legendre_rule(nodes: int) -> tuple[tuple, tuple]:
     """Nodes and weights on [0, 1] at 40 digits, nodes in decreasing order.
 
     Each non-negative root x of ``P_n`` on [-1, 1] is found by Newton in
-    floats from a Chebyshev guess, then polished by Newton at 40 digits until
-    a step falls below ``10^-(dps/2 + 2)``: convergence is quadratic, so the
-    error after that step is below the working precision.  A root that does
-    not get there in ``_POLISH_STEPS`` steps raises ``ArithmeticError``.  The
-    roots are symmetric about 0 with equal weights, so the negative half is
-    the mirror image of the positive one.
+    floats from a Chebyshev guess, then polished by Newton in fixed point
+    (ints scaled by 2^160) until a step falls below 2^-73, about 1e-22:
+    convergence is quadratic, so the error after that step is below the
+    working precision.  A root that does not get there in ``_POLISH_STEPS``
+    steps raises ``ArithmeticError``.  The roots are symmetric about 0 with
+    equal weights, so the negative half is the mirror image of the positive
+    one.
     """
     if nodes < 1:
         raise ValueError("need at least one node")
+    roots = []
+    for i in range(1, (nodes + 1) // 2 + 1):
+        seed = _cos(math.pi * (i - 0.25) / (nodes + 0.5))
+        for _ in range(_SEED_STEPS):
+            p, dp = _legendre(nodes, seed)
+            seed -= p / dp
+        x = int(math.ldexp(seed, _PREC))
+        for _ in range(_POLISH_STEPS):
+            p, dp = _legendre_fixed(nodes, x)
+            step = (p << _PREC) // dp
+            x -= step
+            if abs(step) < _STOP:
+                break
+        else:
+            raise ArithmeticError(f"Gauss-Legendre root {i} of P_{nodes} did not converge")
+        _, dp = _legendre_fixed(nodes, x)
+        # the [-1, 1] weight 2 / ((1 - x^2) P_n'(x)^2), halved for [0, 1]
+        roots.append((x, (1 << 4 * _PREC) // ((_ONE - (x * x >> _PREC)) * dp * dp)))
+    mirror = roots[: nodes // 2][::-1]  # an odd rule's middle root 0 is its own mirror
     with mp.workdps(_DPS):
-        tolerance = mp.mpf(10) ** (-(_DPS // 2) - 2)
-        roots = []
-        for i in range(1, (nodes + 1) // 2 + 1):
-            x = math.cos(math.pi * (i - 0.25) / (nodes + 0.5))
-            for _ in range(_SEED_STEPS):
-                p, dp = _legendre(nodes, x)
-                x -= p / dp
-            x = mp.mpf(x)
-            for _ in range(_POLISH_STEPS):
-                p, dp = _legendre(nodes, x)
-                step = p / dp
-                x -= step
-                if abs(step) < tolerance:
-                    break
-            else:
-                raise ArithmeticError(f"Gauss-Legendre root {i} of P_{nodes} did not converge")
-            _, dp = _legendre(nodes, x)
-            # the [-1, 1] weight 2 / ((1 - x^2) P_n'(x)^2), halved for [0, 1]
-            roots.append((x, 1 / ((1 - x * x) * dp * dp)))
-        mirror = roots[: nodes // 2][::-1]  # an odd rule's middle root 0 is its own mirror
-        xs = [(1 + x) / 2 for x, _ in roots] + [(1 - x) / 2 for x, _ in mirror]
-        ws = [w for _, w in roots] + [w for _, w in mirror]
-        return tuple(xs), tuple(ws)
+        # (1 +- x) / 2 is exact at scale 2^(_PREC + 1); mpf rounds it to 40 digits
+        xs = [mp.mpf((_ONE + x, -_PREC - 1)) for x, _ in roots]
+        xs += [mp.mpf((_ONE - x, -_PREC - 1)) for x, _ in mirror]
+        ws = [mp.mpf((w, -_PREC)) for _, w in roots + mirror]
+    return tuple(xs), tuple(ws)
 
 
 def beta_integral_quadrature(args: BetaArgs, nodes: int = 64) -> mp.mpf:
-    """Gauss-Legendre estimate of the Beta integrand at high precision.
+    """Gauss-Legendre estimate of the Beta integral for integer exponents.
 
     For integer exponents a, b <= 20 a 64-node rule is exact up to roundoff
     (the integrand is a polynomial of degree a + b < 2 * nodes), so the
-    estimate agrees with :func:`beta_integral_exact` well inside 1e-10.
+    estimate agrees with :func:`beta_integral_exact` well inside 1e-10.  A
+    negative exponent raises ``SingularExponentError``; a non-integer one
+    raises ``NonIntegerExponentError``, since no fixed rule integrates it
+    exactly and the exact side cannot check it.
+
+    The sum runs in fixed point (ints scaled by 2^160) over the mirrored node
+    pairs x and y = 1 - x, which share a weight w: each pair adds
+    ``w (xy)^min(a,b) (x^|a-b| + y^|a-b|)`` with one floor shift, and an odd
+    rule's middle node 1/2 adds ``w 2^-(a+b)``.
     """
     a, b = args.a, args.b
     if a < 0 or b < 0:
         raise SingularExponentError(f"quadrature needs non-negative exponents, got ({a}, {b})")
+    if a.denominator != 1 or b.denominator != 1:
+        raise NonIntegerExponentError(f"quadrature needs integer exponents, got ({a}, {b})")
+    low, gap, degree = int(min(a, b)), int(abs(a - b)), int(a + b)
     xs, ws = gauss_legendre_rule(nodes)
+    half = nodes // 2
+    total = 0
+    for x, w in zip(xs[:half], ws[:half]):
+        x = to_fixed(x._mpf_, _PREC)
+        y = _ONE - x
+        # scaled by 2^_PREC once for w and once per factor of the degree
+        term = to_fixed(w._mpf_, _PREC) * (x * y) ** low * (x**gap + y**gap)
+        total += term >> (_PREC * degree)
+    if nodes % 2:
+        total += to_fixed(ws[half]._mpf_, _PREC) >> degree
     with mp.workdps(_DPS):
-        ea = mp.mpf(a.numerator) / a.denominator
-        eb = mp.mpf(b.numerator) / b.denominator
-        total = mp.mpf(0)
-        for x, w in zip(xs, ws):
-            total += w * (x**ea) * ((1 - x) ** eb)
-        return total
+        return mp.mpf((total, -_PREC))
 
 
 def _form_upper_weight(r: int, k: int, s: int, n: int):

@@ -185,6 +185,17 @@ class TestIntegrals:
         assert "checked 0 exponent pairs" in result.stdout
         assert "unexercised" in result.stdout
 
+    def test_failed_run_names_its_worst_pair(self, tmp_path):
+        # a 3-node rule is exact up to degree 5, so only (3, 3) misses
+        out = tmp_path / "integrals.json"
+        result = run_cli("integrals", "--nodes", "3", "--max-exp", "3", "--out", str(out))
+        assert result.returncode == 1
+        assert "max |quadrature - exact| = 0.000357 at (3, 3)" in result.stdout
+        assert "FAIL: above the 1e-10 tolerance" in result.stdout
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["worst_pair"] == [3, 3]
+        assert report["status"] == "FAIL" and report["within_tolerance"] is False
+
     @pytest.mark.parametrize("flag, value", [("--max-exp", "-1"), ("--nodes", "0")])
     def test_out_of_range_size_exits_two(self, flag, value):
         result = run_cli("integrals", flag, value)

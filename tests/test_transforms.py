@@ -46,6 +46,10 @@ def binding(**values):
     return {name: Fraction(v) for name, v in values.items()}
 
 
+RULE_SIZES = [*range(1, 12), 31, 64]
+RULE_TOLERANCE = mp.mpf("1e-38")
+
+
 class TestBetaIntegrals:
     def test_unit_interval(self):
         assert beta_integral_exact(BetaArgs.of(0, 0)) == 1
@@ -94,8 +98,30 @@ class TestBetaIntegrals:
         estimate = beta_integral_quadrature(BetaArgs.of(0, 0))
         assert abs(estimate - 1) < mp.mpf("1e-30")
 
+    def test_quadrature_rejects_non_integer(self):
+        with pytest.raises(NonIntegerExponentError):
+            beta_integral_quadrature(BetaArgs.of(Fraction(1, 2), 0))
 
-RULE_TOLERANCE = mp.mpf("1e-38")
+    # odd n exercises the middle node, a = b the pair term with no gap
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_quadrature_exact_up_to_degree_2n_minus_1(self, n):
+        for a in range(21):
+            for b in range(min(20, 2 * n - 1 - a) + 1):
+                exact = beta_integral_exact(BetaArgs.of(a, b))
+                estimate = beta_integral_quadrature(BetaArgs.of(a, b), nodes=n)
+                with mp.workdps(60):
+                    error = abs(estimate - mp.mpf(exact.numerator) / exact.denominator)
+                assert error <= RULE_TOLERANCE, (a, b)
+
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_quadrature_matches_plain_sum_over_the_rule(self, n):
+        xs, ws = gauss_legendre_rule(n)
+        for a in range(21):
+            for b in range(21):
+                estimate = beta_integral_quadrature(BetaArgs.of(a, b), nodes=n)
+                with mp.workdps(60):
+                    reference = mp.fsum(w * x**a * (1 - x) ** b for x, w in zip(xs, ws))
+                    assert abs(estimate - reference) <= RULE_TOLERANCE, (a, b)
 
 
 def assert_rule_close(rule, nodes, weights):
@@ -121,7 +147,7 @@ class TestGaussLegendreRule:
             weights = (mp.mpf(5) / 18, mp.mpf(4) / 9, mp.mpf(5) / 18)
         assert_rule_close(gauss_legendre_rule(3), nodes, weights)
 
-    @pytest.mark.parametrize("n", [*range(1, 12), 64])
+    @pytest.mark.parametrize("n", RULE_SIZES)
     def test_symmetric_roots_of_legendre_with_unit_mass(self, n):
         xs, ws = gauss_legendre_rule(n)
         assert len(xs) == len(ws) == n
@@ -134,7 +160,7 @@ class TestGaussLegendreRule:
                 assert abs(mp.legendre(n, 2 * xs[i] - 1)) <= mp.mpf("1e-36")
             assert abs(mp.fsum(ws) - 1) <= RULE_TOLERANCE
 
-    @pytest.mark.parametrize("n", [*range(1, 12), 64])
+    @pytest.mark.parametrize("n", RULE_SIZES)
     def test_exact_on_monomials_up_to_degree_2n_minus_1(self, n):
         xs, ws = gauss_legendre_rule(n)
         with mp.workdps(60):
@@ -143,7 +169,7 @@ class TestGaussLegendreRule:
                 assert abs(total - mp.mpf(1) / (d + 1)) <= RULE_TOLERANCE, d
 
     def test_unpolished_root_raises(self, monkeypatch):
-        # one 40-digit step cannot take a float seed to the stopping criterion
+        # one fixed-point step cannot take a float seed to the stopping criterion
         monkeypatch.setattr(integrals, "_POLISH_STEPS", 1)
         with pytest.raises(ArithmeticError, match="did not converge"):
             gauss_legendre_rule.__wrapped__(5)
