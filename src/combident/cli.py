@@ -24,8 +24,6 @@ import random
 import sys
 from fractions import Fraction
 
-import mpmath as mp
-
 from . import __version__
 from .catalog import (
     GridReport,
@@ -279,6 +277,8 @@ def cmd_derive(args) -> int:
 # -- integrals ------------------------------------------------------------------
 
 def cmd_integrals(args) -> int:
+    import mpmath as mp  # imported here so that the other commands never load it
+
     if args.max_exp < 0:
         raise ValueError(f"--max-exp must be at least 0, got {args.max_exp}")
     if args.nodes < 1:

@@ -22,9 +22,8 @@ from .errors import PoleError, PreconditionError, ShapeError, UnboundParameterEr
 from .poly import Polynomial
 from .terms import (
     TermExpr,
-    add_pairs,
-    compile_affine,
-    compile_term,
+    add_terms,
+    compile_side,
     exact_env,
     rename_parameters as rename_term,
 )
@@ -76,24 +75,26 @@ class IdentityDescriptor:
         )
 
     @cached_property
-    def compiled(self) -> dict[str, tuple]:
-        """Each side's blocks as ``(lo, hi, coef, kernel)``, compiled on first use.
+    def compiled(self) -> dict[str, object]:
+        """Each side as one generated function (:func:`terms.compile_side`), compiled on first use.
 
-        ``coef`` and ``kernel`` are closures over an ``exact_env`` environment
-        with k set; ``kernel`` returns the exponents ``(a, b, c)`` of
-        ``x^a (1-x)^b (1+x)^c`` and is None for a kernel-free descriptor.
+        Called with an ``exact_env`` environment, a side's function yields
+        ``((num, den), a, b, c)`` for every term of every block, where
+        ``x^a (1-x)^b (1+x)^c`` is the term's kernel (all 0 for a
+        kernel-free descriptor).
         """
         kernels = not self.kernel_free
+        label = self.name or "descriptor"
         return {
-            name: tuple(_compile_block(b, kernels) for b in side.blocks)
+            name: compile_side(
+                tuple(
+                    (b.lo, b.hi, b.coef, (b.x_exp, b.one_minus_exp, b.one_plus_exp) if kernels else None)
+                    for b in side.blocks
+                ),
+                f"<combident {label} {name}>",
+            )
             for name, side in (("left", self.left), ("right", self.right))
         }
-
-    def sort_of(self, name: str) -> str | None:
-        for n, s in self.params:
-            if n == name:
-                return s
-        return None
 
 
 # -- bindings ---------------------------------------------------------------
@@ -183,47 +184,6 @@ def format_binding(binding: Mapping[str, Fraction]) -> str:
 
 # -- evaluation -------------------------------------------------------------
 
-def _compile_exponent(form: Affine, what: str):
-    value = compile_affine(form)
-
-    def exponent(env) -> int:
-        e = value(env)
-        if e.denominator != 1:
-            raise PreconditionError(f"{what} exponent {form} is not an integer")
-        e = e.numerator
-        if e < 0:
-            raise PreconditionError(f"{what} exponent {form} is negative ({e})")
-        return e
-
-    return exponent
-
-
-def _compile_block(block: KernelBlock, kernels: bool):
-    """``(lo, hi, coef, kernel)``: ``kernel`` returns ``(a, b, c)``, or is None."""
-    coef = compile_term(block.coef)
-    if not kernels:
-        return block.lo, block.hi, coef, None
-    a = _compile_exponent(block.x_exp, "x")
-    b = _compile_exponent(block.one_minus_exp, "(1-x)")
-    c = _compile_exponent(block.one_plus_exp, "(1+x)")
-    return block.lo, block.hi, coef, lambda env: (a(env), b(env), c(env))
-
-
-def _side_terms(desc: IdentityDescriptor, side: str, binding: Mapping[str, Scalar]):
-    """Yield ``((num, den), a, b, c)`` for every index of every block of one side.
-
-    A kernel-free descriptor skips the exponents, which are all 0.
-    """
-    env = exact_env(binding)
-    for lo, hi, coef, kernel in desc.compiled[side]:
-        for k in range(max(0, lo.evaluate(env)), hi.evaluate(env) + 1):
-            env["k"] = k
-            if kernel is None:
-                yield coef(env), 0, 0, 0
-            else:
-                yield (coef(env), *kernel(env))
-
-
 @lru_cache(maxsize=4096)
 def _kernel_coefficients(b: int, c: int) -> tuple[int, ...]:
     """Integer coefficients of ``(1-x)^b (1+x)^c``, lowest power first."""
@@ -239,25 +199,35 @@ def eval_side(
     """Exact value of one side.
 
     A kernel-free side adds its terms' ``(num, den)`` pairs over one running
-    denominator and builds one Fraction.  Any other side turns each nonzero
-    term into an int or one Fraction, accumulates a dense coefficient list
-    in x and converts it once into its canonical polynomial.
+    denominator and builds one Fraction.  Any other side accumulates a dense
+    list of integer x-coefficients over one common denominator (the lcm of
+    the reduced terms' denominators) and builds one Fraction per coefficient
+    at the end.
     """
-    terms = _side_terms(desc, side, binding)
+    terms = desc.compiled[side](exact_env(binding))
     if desc.kernel_free:
-        return Fraction(*add_pairs(pair for pair, _, _, _ in terms))
-    dense: list = []
+        return Fraction(*add_terms(terms))
+    dense: list[int] = []
+    common = 1
     for (num, den), a, b, c in terms:
         if not num:
             continue
-        whole, rest = divmod(num, den)
-        coef = Fraction(num, den) if rest else whole
+        if den != 1:
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            if common % den:
+                scale = den // math.gcd(common, den)
+                dense = [v * scale for v in dense]
+                common *= scale
+        num *= common // den
         kernel = _kernel_coefficients(b, c)
         missing = a + len(kernel) - len(dense)
         if missing > 0:
             dense.extend([0] * missing)
         for i, value in enumerate(kernel, a):
-            dense[i] += coef * value
+            dense[i] += num * value
+    if common != 1:
+        dense = [Fraction(v, common) if v else 0 for v in dense]
     return Polynomial.univariate("x", dense)
 
 
@@ -269,7 +239,7 @@ def eval_side_at(
     return sum(
         (
             Fraction(*pair) * x0**a * (1 - x0) ** b * (1 + x0) ** c
-            for pair, a, b, c in _side_terms(desc, side, binding)
+            for pair, a, b, c in desc.compiled[side](exact_env(binding))
         ),
         Fraction(0),
     )

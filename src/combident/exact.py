@@ -60,18 +60,18 @@ def binom_rational(a: RationalLike, j: int) -> Fraction:
     >>> binom_rational(Fraction(5, 2), 2)
     Fraction(15, 8)
     """
-    return Fraction(*binom_rational_pair(Fraction(a), j))
+    a = Fraction(a)
+    return Fraction(*binom_rational_pair(a.numerator, a.denominator, j))
 
 
-def binom_rational_pair(a: RationalLike, j: int) -> tuple[int, int]:
-    """:func:`binom_rational` as an unreduced integer pair ``(num, den)``, ``den > 0``.
+def binom_rational_pair(p: int, q: int, j: int) -> tuple[int, int]:
+    """``binom(p/q, j)`` as an unreduced integer pair ``(num, den)``, for ``q > 0``.
 
-    The falling factorial of ``a = p/q`` is ``prod(p - i*q) / (q**j * j!)``,
-    so no Fraction is built.
+    The falling factorial of ``p/q`` is ``prod(p - i*q) / (q**j * j!)``,
+    so no Fraction is built, and ``p/q`` need not be in lowest terms.
     """
     if j < 0:
         raise ValueError(f"binom_rational requires a non-negative lower index, got {j}")
-    p, q = a.numerator, a.denominator
     num = 1
     for i in range(j):
         num *= p - i * q
@@ -90,14 +90,16 @@ def inv_binom(a: RationalLike, j: int) -> Fraction:
     return 1 / value
 
 
-def alternating_power_sum(count: int, shift: RationalLike, power: int) -> RationalLike:
-    """``sum((-1)**p * C(count, p) * (shift + p)**power for p in 0..count)``.
+def alternating_power_sum(count: int, shift: RationalLike, power: int, step: int = 1) -> RationalLike:
+    """``sum((-1)**p * C(count, p) * (shift + p*step)**power for p in 0..count)``.
 
     This is the inner sum appearing in every moment-transformed identity; for
     ``shift = 0`` it equals ``(-1)**count * count! * stirling2(power, count)``
     and for integer ``shift = v >= 0`` it carries the r-Stirling analogue.
     The empty-power convention is ``x**0 == 1`` including ``0**0``.  The sum
-    is an int when ``shift`` is an int, and a Fraction otherwise.
+    is an int when ``shift`` is an int, and a Fraction otherwise.  With
+    ``step = d`` it is ``d**power`` times the sum at shift ``shift/d``, so a
+    rational shift ``a/d`` can be summed in ints.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -105,7 +107,7 @@ def alternating_power_sum(count: int, shift: RationalLike, power: int) -> Ration
         raise ValueError(f"power must be non-negative, got {power}")
     total = 0
     for p in range(count + 1):
-        term = math.comb(count, p) * (shift + p) ** power
+        term = math.comb(count, p) * (shift + p * step) ** power
         total += -term if p % 2 else term
     return total
 

@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
-
-import mpmath as mp
-from mpmath.libmp import to_fixed
+from typing import TYPE_CHECKING, Union
 
 from .errors import NonIntegerExponentError, SingularExponentError
 from .exact import inv_binom
+
+if TYPE_CHECKING:
+    import mpmath as mp
 
 Scalar = Union[int, Fraction]
 
@@ -126,6 +126,8 @@ def gauss_legendre_rule(nodes: int) -> tuple[tuple, tuple]:
         # the [-1, 1] weight 2 / ((1 - x^2) P_n'(x)^2), halved for [0, 1]
         roots.append((x, (1 << 4 * _PREC) // ((_ONE - (x * x >> _PREC)) * dp * dp)))
     mirror = roots[: nodes // 2][::-1]  # an odd rule's middle root 0 is its own mirror
+    import mpmath as mp  # imported on first use: most commands never need it
+
     with mp.workdps(_DPS):
         # (1 +- x) / 2 is exact at scale 2^(_PREC + 1); mpf rounds it to 40 digits
         xs = [mp.mpf((_ONE + x, -_PREC - 1)) for x, _ in roots]
@@ -156,6 +158,9 @@ def beta_integral_quadrature(args: BetaArgs, nodes: int = 64) -> mp.mpf:
         raise NonIntegerExponentError(f"quadrature needs integer exponents, got ({a}, {b})")
     low, gap, degree = int(min(a, b)), int(abs(a - b)), int(a + b)
     xs, ws = gauss_legendre_rule(nodes)
+    import mpmath as mp
+    from mpmath.libmp import to_fixed
+
     half = nodes // 2
     total = 0
     for x, w in zip(xs[:half], ws[:half]):

@@ -62,7 +62,7 @@ class Polynomial:
         """``sum(coeffs[i] * name^i)`` from a dense coefficient list."""
         return Polynomial(
             tuple(
-                ((((name, i),) if i else _ONE_MONOMIAL), Fraction(c))
+                ((((name, i),) if i else _ONE_MONOMIAL), c if type(c) is Fraction else Fraction(c))
                 for i, c in enumerate(coeffs)
                 if c
             )

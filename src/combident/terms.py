@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from functools import lru_cache
+from typing import Iterable, Mapping, Union
 
 from .affine import Affine, Bound
 from .errors import PoleError, PreconditionError, UnboundParameterError
@@ -154,41 +155,41 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 
 # -- exact evaluation -------------------------------------------------------
 #
-# A term compiles once into a closure.  The closures read an environment in
-# which integral values are ints (see :func:`exact_env`) and return the
-# term's value as an unreduced integer pair ``(num, den)`` with ``den > 0``:
-# products multiply numerators and denominators, sums cross-multiply, and no
-# Fraction is built until a caller wants one.  No float ever appears.
+# A side (or a single term) compiles once into the Python source of one
+# function, which ``compile()`` turns into code.  The function reads an
+# environment of ints and Fractions (see :func:`exact_env`), writes every
+# parameter as an integer numerator over one common denominator D (the lcm
+# of the parameters' denominators and of the affine constants'), and
+# computes each term as an unreduced integer pair ``(num, den)`` with
+# ``den > 0``.  No Fraction and no float appears inside a term.
+#
+# The source holds only ints, generated identifiers and ``repr()``'d
+# parameter names.  Error labels and forms reach it through the namespace
+# the code runs in.  The k-free part of every affine form is computed once
+# per call; integer uses of a form also take its ``divmod`` by D there, so
+# inside the k-loop an integer check is one test of a remainder.
 
 Pair = tuple[int, int]
-Compiled = Callable[[dict], Pair]
-
-_ONE: Pair = (1, 1)
-_MINUS_ONE: Pair = (-1, 1)
-
-
-def _scalar(value: Scalar) -> Scalar:
-    return value.numerator if value.denominator == 1 else value
 
 
 def exact_env(binding: Mapping[str, object]) -> dict[str, Scalar]:
     """A copy of ``binding`` with every integral value as an int.
 
     Values that are neither ints nor Fractions (say, ``"7/2"``) go through
-    ``Fraction`` once here, so this is the binding's only conversion.
+    ``Fraction`` once here; compiled functions read ints and Fractions only.
     """
-    env = {}
-    for name, v in binding.items():
+    env = dict(binding)
+    for name, v in env.items():
         if type(v) is not int:
-            v = _scalar(v if type(v) is Fraction else Fraction(v))
-        env[name] = v
+            v = v if type(v) is Fraction else Fraction(v)
+            env[name] = v.numerator if v.denominator == 1 else v
     return env
 
 
-def add_pairs(pairs: Iterable[Pair]) -> Pair:
-    """The sum of ``(num, den)`` pairs over one running denominator."""
+def add_terms(terms: Iterable[tuple[Pair, int, int, int]]) -> Pair:
+    """The sum of the ``(num, den)`` pairs of a side's terms over one running denominator."""
     num, den = 0, 1
-    for n, d in pairs:
+    for (n, d), _, _, _ in terms:
         if d == den:
             num += n
         else:
@@ -196,159 +197,405 @@ def add_pairs(pairs: Iterable[Pair]) -> Pair:
     return num, den
 
 
-def _as_integer(value: Scalar, what: str, form: Affine | None = None) -> int:
-    """``value`` as an int, or a PreconditionError naming ``what`` and its ``form``.
+# Exceptions raised by compiled code.  Labels and forms come from the
+# function's namespace; a value ``num / den`` is formatted only when raising.
 
-    The message is formatted only when raising, because this runs for every
-    factor of every summand.
+# A site is ``(what, form)``, as in ``("lower index", k + r)``.
+Site = tuple[str, Affine]
+
+
+def _not_integer(site: Site, num: int, den: int) -> PreconditionError:
+    return PreconditionError(f"{site[0]} {site[1]} must be an integer, got {Fraction(num, den)}")
+
+
+def _bound_not_integer(site: Site, num: int, den: int) -> ValueError:
+    return ValueError(f"{site[0]} {site[1]} is not an integer at this binding")
+
+
+def _exponent_not_integer(site: Site, num: int, den: int) -> PreconditionError:
+    return PreconditionError(f"{site[0]} {site[1]} is not an integer")
+
+
+def _negative_exponent(site: Site, e: int) -> PreconditionError:
+    return PreconditionError(f"{site[0]} {site[1]} is negative ({e})")
+
+
+def _negative_power(e: int) -> PreconditionError:
+    return PreconditionError(f"negative power {e} in term")
+
+
+def _negative_count(n: int) -> PreconditionError:
+    return PreconditionError(f"negative count {n} in alternating power sum")
+
+
+def _negative_sum_power(p: int) -> PreconditionError:
+    return PreconditionError(f"negative power {p} in alternating power sum")
+
+
+def _no_reciprocal(num: int, den: int, j: int) -> PoleError:
+    return PoleError(f"binom({Fraction(num, den)}, {j}) = 0 has no reciprocal")
+
+
+def _vanishes(form: Affine) -> PoleError:
+    return PoleError(f"denominator {form} vanishes")
+
+
+def _binom_int(u: int, j: int) -> int:
+    """binom(u, j) for an integral upper index.
+
+    A non-negative upper index counts (0 outside 0..u); a negative one uses
+    upper negation, binom(u, j) = (-1)^j binom(j - u - 1, j).
     """
-    if value.denominator == 1:
-        return value.numerator
-    label = what if form is None else f"{what} {form}"
-    raise PreconditionError(f"{label} must be an integer, got {value}")
+    if u >= 0:
+        return math.comb(u, j) if j >= 0 else 0
+    if j >= 0:
+        value = math.comb(j - u - 1, j)
+        return -value if j % 2 else value
+    raise PreconditionError(f"binomial with upper index {u} is undefined at negative lower index {j}")
 
 
-def _binom_pair(upper: Scalar, lower: int) -> Pair:
-    """binom(upper, lower) as a pair; the denominator is 1 for an integral upper index.
-
-    A non-negative upper index counts (0 outside 0..upper); a negative integral
-    one uses upper negation, binom(u, j) = (-1)^j binom(j - u - 1, j).
-    """
-    if upper.denominator == 1:
-        u = upper.numerator
-        if u >= 0:
-            return (math.comb(u, lower) if lower >= 0 else 0), 1
-        if lower >= 0:
-            value = math.comb(lower - u - 1, lower)
-            return (-value if lower % 2 else value), 1
-    if lower < 0:
+def _binom_pair(num: int, den: int, j: int) -> Pair:
+    """binom(num/den, j) as a pair; ``num/den`` need not be in lowest terms."""
+    if num % den == 0:
+        return _binom_int(num // den, j), 1
+    if j < 0:
         raise PreconditionError(
-            f"binomial with upper index {upper} is undefined at negative lower index {lower}"
+            f"binomial with upper index {Fraction(num, den)} is undefined at negative lower index {j}"
         )
-    return binom_rational_pair(upper, lower)
+    return binom_rational_pair(num, den, j)
 
 
-def compile_affine(a: Affine) -> Callable[[dict], Scalar]:
-    """A closure computing ``a`` (an int or a Fraction) in an :func:`exact_env` environment.
+_NAMESPACE = {
+    "comb": math.comb,
+    "lcm": math.lcm,
+    "UnboundParameterError": UnboundParameterError,
+    **{
+        f.__name__: f
+        for f in (
+            _not_integer, _bound_not_integer, _exponent_not_integer, _negative_exponent,
+            _negative_power, _negative_count, _negative_sum_power, _no_reciprocal, _vanishes,
+            _binom_int, _binom_pair,
+        )
+    },
+}
 
-    A name missing from the environment raises UnboundParameterError.
+# what the kernel exponents of a block raise to: x^a (1-x)^b (1+x)^c
+_KERNEL_LABELS = ("x", "(1-x)", "(1+x)")
+
+
+def _key(form: Affine) -> tuple:
+    """A dictionary key for ``form`` that does not hash a Fraction."""
+    return form.coeffs, form.const.numerator, form.const.denominator
+
+
+def _is_literal(source: str) -> bool:
+    return source.lstrip("-").isdigit()
+
+
+def _group(source: str) -> str:
+    """``source`` as an operand: parenthesized unless it is a name or a non-negative literal."""
+    return source if source.isidentifier() or source.isdigit() else f"({source})"
+
+
+def _linear(c: int, var: str, rest: str) -> str:
+    """Source of ``c * var + rest``."""
+    if not c:
+        return rest
+    term = var if c == 1 else f"-{var}" if c == -1 else f"{c} * {var}"
+    return term if rest == "0" else f"{rest} + {term}"
+
+
+class _Source:
+    """The source of one compiled function, and the namespace it will run in.
+
+    Forms whose names include ``index`` are split into ``c * index + rest``:
+    the index is the k of a block's loop, an int.  With ``index`` None, k
+    is an ordinary parameter read from the environment.
     """
-    const = _scalar(a.const)
-    coeffs = a.coeffs
-    if not coeffs:
-        return lambda env: const
-    if len(coeffs) == 1:
-        ((name, c),) = coeffs
 
-        def single(env):
-            try:
-                return c * env[name] + const
-            except KeyError:
-                raise UnboundParameterError(name) from None
+    def __init__(self, index: str | None):
+        self.index = index
+        self.params: dict[str, str] = {}  # name -> identifier of its numerator
+        # keyed by _key(k-free part): the identifier of its numerator over D,
+        # and the identifiers of the quotient and remainder of that by D
+        self.rests: dict[tuple, tuple[str, Affine]] = {}
+        self.quotients: dict[tuple, tuple[str, str, str]] = {}
+        self.den_lcm = 1
+        self.namespace: dict = {}
+        self.sites: dict[tuple, str] = {}
+        self.lines: list[str] = []
+        self.count = 0
 
-        return single
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
 
-    def value(env):
-        total = const
-        for name, c in coeffs:
-            try:
-                total += c * env[name]
-            except KeyError:
-                raise UnboundParameterError(name) from None
-        return total
+    def ref(self, value) -> str:
+        """An identifier bound to ``value`` in the namespace."""
+        name = self.fresh("g")
+        self.namespace[name] = value
+        return name
 
-    return value
+    def site(self, what: str, form: Affine) -> str:
+        """An identifier bound to the site ``(what, form)`` that error messages name."""
+        key = (what, _key(form))
+        if key not in self.sites:
+            self.sites[key] = self.ref((what, form))
+        return self.sites[key]
 
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
 
-def compile_term(expr: TermExpr) -> Compiled:
-    """A closure computing ``expr`` as a ``(num, den)`` pair in an :func:`exact_env` environment (k included)."""
-    if isinstance(expr, Const):
-        pair = (expr.value.numerator, expr.value.denominator)
-        return lambda env: pair
-    if isinstance(expr, AffineFactor):
-        value = compile_affine(expr.value)
+    def assign(self, depth: int, source: str, prefix: str = "t") -> str:
+        """``source`` as an identifier or a literal, assigning it if it is neither."""
+        if source.isidentifier() or _is_literal(source):
+            return source
+        name = self.fresh(prefix)
+        self.emit(depth, f"{name} = {source}")
+        return name
 
-        def affine_factor(env):
-            v = value(env)
-            return (v, 1) if type(v) is int else (v.numerator, v.denominator)
+    # -- affine forms
 
-        return affine_factor
-    if isinstance(expr, SignPow):
-        form = expr.exponent
-        exponent = compile_affine(form)
-        return lambda env: (
-            _MINUS_ONE if _as_integer(exponent(env), "sign exponent", form) % 2 else _ONE
-        )
-    if isinstance(expr, Power):
-        base, form = compile_affine(expr.base), expr.exponent
-        exponent = compile_affine(form)
+    def split(self, form: Affine, indexed: bool = True) -> tuple[int, Affine]:
+        """``(c, rest)`` with ``form == c * index + rest``; c is 0 without an index."""
+        c = form.coefficient(self.index) if indexed and self.index else 0
+        if not c:
+            return 0, form
+        return c, Affine(tuple((n, v) for n, v in form.coeffs if n != self.index), form.const)
 
-        def power_value(env):
-            b = base(env)
-            e = _as_integer(exponent(env), "exponent", form)
-            if e < 0:
-                raise PreconditionError(f"negative power {e} in term")
-            return (b**e, 1) if type(b) is int else (b.numerator**e, b.denominator**e)
+    def rest(self, rest: Affine) -> str:
+        """Identifier of the numerator over D of a k-free form, computed once per call."""
+        if rest.is_zero():
+            return "0"
+        key = _key(rest)
+        if key in self.rests:
+            return self.rests[key][0]
+        for param, _ in rest.coeffs:
+            if param not in self.params:
+                self.params[param] = f"p{len(self.params)}"
+        self.den_lcm = math.lcm(self.den_lcm, rest.const.denominator)
+        if rest.const == 0 and rest.coeffs == ((rest.coeffs[0][0], 1),):
+            name = self.params[rest.coeffs[0][0]]  # a parameter's own numerator
+        else:
+            name = self.fresh("r")
+        self.rests[key] = (name, rest)
+        return name
 
-        return power_value
-    if isinstance(expr, Binom):
-        upper, form = compile_affine(expr.upper), expr.lower
-        lower = compile_affine(form)
-        if not expr.inverted:
-            return lambda env: _binom_pair(upper(env), _as_integer(lower(env), "lower index", form))
+    def quotient(self, rest: Affine) -> tuple[str, str]:
+        """Identifiers of ``divmod(numerator, D)`` of a k-free form, computed once per call."""
+        key = _key(rest)
+        if key not in self.quotients:
+            self.quotients[key] = (self.fresh("q"), self.fresh("m"), self.rest(rest))
+        return self.quotients[key][:2]
 
-        def inverse_binom(env):
-            u = upper(env)
-            j = _as_integer(lower(env), "lower index", form)
-            num, den = _binom_pair(u, j)
-            if num == 0:
-                raise PoleError(f"binom({u}, {j}) = 0 has no reciprocal")
-            return (den, num) if num > 0 else (-den, -num)
+    def numerator(self, form: Affine, indexed: bool = True) -> str:
+        """Source of ``form``'s value times D, an int."""
+        c, rest = self.split(form, indexed)
+        return _linear(c, "k * D", self.rest(rest))
 
-        return inverse_binom
-    if isinstance(expr, Quot):
-        numer, denom, form = compile_affine(expr.numer), compile_affine(expr.denom), expr.denom
+    def integer(self, form: Affine, depth: int, error: str, what: str, indexed: bool = True) -> str:
+        """Emit the check that ``form`` is an integer; return the source of its value.
 
-        def quotient(env):
-            d = denom(env)
-            if d == 0:
-                raise PoleError(f"denominator {form} vanishes")
-            n = numer(env)
-            num, den = n.numerator * d.denominator, n.denominator * d.numerator
-            return (num, den) if den > 0 else (-num, -den)
+        ``error`` names the function that builds the exception from
+        ``((what, form), num, den)``.  A form is integral at every k or at none, so
+        the check tests the remainder of its k-free part.
+        """
+        c, rest = self.split(form, indexed)
+        if rest.is_constant() and rest.const.denominator == 1:
+            return _linear(c, self.index, str(rest.const.numerator))
+        quotient, remainder = self.quotient(rest)
+        numerator = self.numerator(form, indexed)
+        self.emit(depth, f"if {remainder}: raise {error}({self.site(what, form)}, {numerator}, D)")
+        return _linear(c, self.index, quotient)
 
-        return quotient
-    if isinstance(expr, AltPowerSum):
-        count, shift, power_ = (compile_affine(a) for a in (expr.count, expr.shift, expr.power))
+    def natural(self, value: str, depth: int, negative: str) -> str:
+        """``value`` as an operand, raising ``negative.format(value)`` below 0."""
+        if _is_literal(value) and int(value) >= 0:
+            return value
+        value = self.assign(depth, value, "e")
+        self.emit(depth, f"if {value} < 0: raise {negative.format(value)}")
+        return value
 
-        def alt_power_sum(env):
-            n = _as_integer(count(env), "count", expr.count)
-            if n < 0:
-                raise PreconditionError(f"negative count {n} in alternating power sum")
-            s = shift(env)
-            p = _as_integer(power_(env), "power", expr.power)
-            if p < 0:
-                raise PreconditionError(f"negative power {p} in alternating power sum")
-            v = alternating_power_sum(n, s, p)
-            return (v, 1) if type(v) is int else (v.numerator, v.denominator)
+    # -- terms
 
-        return alt_power_sum
-    if isinstance(expr, Product):
-        factors = tuple(compile_term(f) for f in expr.factors)
-
-        def product(env):
-            num = den = 1
-            for factor in factors:
-                n, d = factor(env)
-                num *= n
-                den *= d
+    def term(self, expr: TermExpr, depth: int) -> tuple[str, str]:
+        """Emit the statements of ``expr``; return the sources of its ``(num, den)``."""
+        if isinstance(expr, Const):
+            return str(expr.value.numerator), str(expr.value.denominator)
+        if isinstance(expr, AffineFactor):
+            if expr.value.is_constant() and expr.value.const.denominator == 1:
+                return str(expr.value.const.numerator), "1"
+            return self.numerator(expr.value), "D"
+        if isinstance(expr, SignPow):
+            form = expr.exponent
+            e = self.integer(form, depth, "_not_integer", "sign exponent")
+            return self.assign(depth, f"-1 if {_group(e)} % 2 else 1", "s"), "1"
+        if isinstance(expr, Power):
+            base = self.numerator(expr.base)
+            form = expr.exponent
+            e = self.integer(form, depth, "_not_integer", "exponent")
+            e = self.natural(e, depth, "_negative_power({})")
+            return f"{_group(base)} ** {e}", f"D ** {e}"
+        if isinstance(expr, Binom):
+            return self.binom(expr, depth)
+        if isinstance(expr, Quot):
+            num, den = self.fresh("n"), self.fresh("d")
+            self.emit(depth, f"if not ({den} := {self.numerator(expr.denom)}): raise _vanishes({self.ref(expr.denom)})")
+            numer = _group(self.numerator(expr.numer))
+            self.emit(depth, f"{num}, {den} = ({numer}, {den}) if {den} > 0 else (-{numer}, -{den})")
             return num, den
+        if isinstance(expr, AltPowerSum):
+            count = self.integer(expr.count, depth, "_not_integer", "count")
+            count = self.natural(count, depth, "_negative_count({})")
+            shift = self.numerator(expr.shift)
+            p = self.integer(expr.power, depth, "_not_integer", "power")
+            p = self.natural(p, depth, "_negative_sum_power({})")
+            value = self.assign(depth, f"alternating_power_sum({count}, {shift}, {p}, D)", "a")
+            return value, f"D ** {p}"
+        if isinstance(expr, Product):
+            pairs = [self.term(f, depth) for f in expr.factors]
+            nums = [_group(n) for n, _ in pairs if n != "1"]
+            dens = [_group(d) for _, d in pairs if d != "1"]
+            return " * ".join(nums) or "1", " * ".join(dens) or "1"
+        if isinstance(expr, TermSum):
+            num = den = None
+            for t in expr.terms:
+                n, d = self.term(t, depth)
+                n, d = self.assign(depth, n, "n"), self.assign(depth, d, "d")
+                if num is None:
+                    num, den = n, d
+                    continue
+                if d == "1" and den == "1":
+                    num = f"{num} + {n}"
+                else:
+                    num, den = f"{num} * {d} + {n} * {den}", f"{den} * {d}"
+                num, den = self.assign(depth, num, "n"), self.assign(depth, den, "d")
+            return num, den
+        raise TypeError(f"unknown term node {expr!r}")
 
-        return product
-    if isinstance(expr, TermSum):
-        terms = tuple(compile_term(t) for t in expr.terms)
-        return lambda env: add_pairs(term(env) for term in terms)
-    raise TypeError(f"unknown term node {expr!r}")
+    def binom(self, expr: Binom, depth: int) -> tuple[str, str]:
+        """Lower index first; then math.comb on an integral upper index, else ``_binom_pair``."""
+        lower = expr.lower
+        j = self.assign(depth, self.integer(lower, depth, "_not_integer", "lower index"), "j")
+        num, den = self.fresh("b"), self.fresh("d")
+        c, rest = self.split(expr.upper)
+        static = rest.is_constant() and rest.const.denominator == 1
+        if static:
+            u = _linear(c, self.index, str(rest.const.numerator))
+        else:
+            quotient, remainder = self.quotient(rest)
+            u = _linear(c, self.index, quotient)
+        test = u
+        if not (u.isidentifier() or _is_literal(u)):
+            u = self.fresh("u")
+            test = f"({u} := {test})"
+        counting = f"comb({u}, {j}) if {test} >= 0 <= {j} else _binom_int({u}, {j})"
+        if static:
+            self.emit(depth, f"{num} = {counting}")
+            den = "1"
+        else:
+            rational = f"_binom_pair({self.numerator(expr.upper)}, D, {j})"
+            self.emit(depth, f"{num}, {den} = {rational} if {remainder} else ({counting}, 1)")
+        if expr.inverted:
+            self.emit(depth, f"if not {num}: raise _no_reciprocal({self.numerator(expr.upper)}, D, {j})")
+            if den == "1":
+                den = self.fresh("d")
+                self.emit(depth, f"{num}, {den} = (1, {num}) if {num} > 0 else (-1, -{num})")
+            else:
+                self.emit(depth, f"{num}, {den} = ({den}, {num}) if {num} > 0 else (-{den}, -{num})")
+        return num, den
+
+    def bound(self, bound: Bound, depth: int) -> str:
+        """Source of a summation bound; ``k`` in a bound is a parameter, not the index."""
+        value = self.integer(bound.base, depth, "_bound_not_integer", "bound", False)
+        if bound.half:
+            value = f"{_group(value)} // 2"
+        if bound.cap is not None:
+            capped = self.fresh("h")
+            self.emit(depth, f"{capped} = {value}")
+            cap = self.integer(bound.cap, depth, "_bound_not_integer", "bound cap", False)
+            self.emit(depth, f"if {capped} > {_group(cap)}: {capped} = {cap}")
+            value = capped
+        return self.assign(depth, value, "h")
+
+    def kernel_exponent(self, form: Affine, what: str, depth: int) -> str:
+        if form.is_zero():
+            return "0"
+        what = f"{what} exponent"
+        value = self.integer(form, depth, "_exponent_not_integer", what)
+        return self.natural(value, depth, f"_negative_exponent({self.site(what, form)}, {{}})")
+
+    # -- the function
+
+    def compile(self, signature: str, filename: str):
+        """Compile ``def signature:`` with a prologue that reads the parameters."""
+        prologue = []
+        idents = list(self.params.values())
+        if idents:
+            prologue.append("try:")
+            prologue += [f"    v{p} = env[{name!r}]" for name, p in self.params.items()]
+            prologue.append("except KeyError as exc:")
+            prologue.append("    raise UnboundParameterError(exc.args[0]) from None")
+            dens = [f"v{p}.denominator" for p in idents]
+            if self.den_lcm != 1:
+                dens.append(str(self.den_lcm))
+            prologue.append(f"D = lcm({', '.join(dens)})")
+            prologue += [f"{p} = v{p}.numerator * (D // v{p}.denominator)" for p in idents]
+        else:
+            prologue.append(f"D = {self.den_lcm}")
+        for name, rest in self.rests.values():
+            if name in idents:
+                continue
+            parts = [_linear(c, self.params[n], "0") for n, c in rest.coeffs]
+            num, den = rest.const.numerator, rest.const.denominator
+            if num:
+                parts.append(f"{num} * D" if den == 1 else f"{num} * (D // {den})")
+            prologue.append(f"{name} = {' + '.join(parts)}")
+        for quotient, remainder, numerator in self.quotients.values():
+            prologue.append(f"{quotient}, {remainder} = divmod({numerator}, D)")
+        source = "\n".join([f"def {signature}:"] + ["    " + line for line in prologue] + self.lines)
+        # alternating_power_sum is looked up now, not at import, so that a
+        # wrapper on the module attribute (perfbench's tracer) sees the calls
+        namespace = {**_NAMESPACE, "alternating_power_sum": alternating_power_sum, **self.namespace}
+        exec(compile(source, filename, "exec"), namespace)
+        return namespace[signature.partition("(")[0]]
+
+
+def compile_side(blocks: tuple, filename: str = "<combident side>"):
+    """One generator function for a list of blocks ``(lo, hi, coef, kernel)``.
+
+    ``kernel`` is None or the exponent forms ``(a, b, c)`` of
+    ``x^a (1-x)^b (1+x)^c``.  Called with an :func:`exact_env`
+    environment, the function runs the k-loop of every block in order and
+    yields ``((num, den), a, b, c)`` for every term: exponents 0 for a
+    kernel-free block.  ``filename`` names the function in tracebacks and
+    profiles.
+    """
+    src = _Source("k")
+    for lo, hi, coef, kernel in blocks:
+        start, stop = src.bound(lo, 1), src.bound(hi, 1)
+        if not (_is_literal(start) and int(start) >= 0):
+            start = f"max(0, {start})"
+        src.emit(1, f"for k in range({start}, {_group(stop)} + 1):")
+        num, den = src.term(coef, 2)
+        exponents = ("0", "0", "0")
+        if kernel is not None:
+            exponents = tuple(
+                src.kernel_exponent(form, what, 2) for form, what in zip(kernel, _KERNEL_LABELS)
+            )
+        src.emit(2, f"yield ({num}, {den}), {', '.join(exponents)}")
+    if not blocks:
+        src.emit(1, "yield from ()")
+    return src.compile("side(env)", filename)
+
+
+@lru_cache(maxsize=1024)
+def compile_term(expr: TermExpr):
+    """A function computing ``expr`` as a ``(num, den)`` pair in an :func:`exact_env` environment (k included)."""
+    src = _Source(None)
+    num, den = src.term(expr, 1)
+    src.emit(1, f"return {num}, {den}")
+    return src.compile("term(env)", "<combident term>")
 
 
 def evaluate(expr: TermExpr, env: Env) -> Fraction:
@@ -373,7 +620,10 @@ def evaluate_symbolic(expr: TermExpr, env: Env, symbolic: frozenset[str]) -> Rat
     def numeric(a: Affine, what: str) -> int:
         if a.names() & symbolic:
             raise PreconditionError(f"{what} may not involve symbolic parameters")
-        return _as_integer(Fraction(a.evaluate(env)), what)
+        value = Fraction(a.evaluate(env))
+        if value.denominator != 1:
+            raise _not_integer(what, value.numerator, value.denominator)
+        return value.numerator
 
     def ring(a: Affine) -> Polynomial:
         value = a.evaluate(ring_env)
@@ -396,7 +646,8 @@ def evaluate_symbolic(expr: TermExpr, env: Env, symbolic: frozenset[str]) -> Rat
     if isinstance(expr, Binom):
         lower = numeric(expr.lower, "lower binomial index")
         if not (expr.upper.names() & symbolic):
-            value = Fraction(*_binom_pair(Fraction(expr.upper.evaluate(env)), lower))
+            upper = Fraction(expr.upper.evaluate(env))
+            value = Fraction(*_binom_pair(upper.numerator, upper.denominator, lower))
             if expr.inverted:
                 if value == 0:
                     raise PoleError(f"binom({expr.upper}, {lower}) = 0 has no reciprocal")
@@ -461,16 +712,14 @@ class SumSpec:
         return range(lo, hi + 1)
 
 
+@lru_cache(maxsize=256)
+def _compile_sum(spec: SumSpec):
+    return compile_side(((spec.lo, spec.hi, spec.term, None),), "<combident sum>")
+
+
 def evaluate_sum(spec: SumSpec, binding: Env) -> Fraction:
-    term = compile_term(spec.term)
-    env = exact_env(binding)
-
-    def values():
-        for k in spec.range(binding):
-            env["k"] = k
-            yield term(env)
-
-    return Fraction(*add_pairs(values()))
+    terms = _compile_sum(spec)(exact_env(binding))
+    return Fraction(*add_terms(terms))
 
 
 def evaluate_blocks(specs: tuple[SumSpec, ...], binding: Env) -> Fraction:

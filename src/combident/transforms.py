@@ -418,12 +418,13 @@ def match_against_entry(
 ) -> MatchReport:
     """Compare a derived identity against a catalog entry on a shared grid.
 
-    Both identities must verify and agree up to one common nonzero factor per
-    binding (a derivation may carry both sides by (-1)^n or a parameter
-    shift), so a binding where exactly one of them is 0 is a mismatch.
-    Returns the set of factors seen so callers can insist on exact
-    reproduction.  Only summation entries can be matched: an entry with x
-    kernels raises :class:`ShapeError`.
+    Both identities must verify and agree up to one nonzero factor per
+    binding, so a binding where exactly one of them is 0 is a mismatch.  The
+    match is ok only when the factors reproduce the entry: they are one
+    constant c, or ``c * (-1)^p`` for a parameter p that is an integer at
+    every compared binding (a derivation may carry both sides by (-1)^n).
+    Returns the set of factors seen.  Only summation entries can be matched:
+    an entry with x kernels raises :class:`ShapeError`.
     """
     from .catalog import get_entry, iter_grid
 
@@ -432,7 +433,7 @@ def match_against_entry(
     if not desc.kernel_free:
         raise ShapeError(f"entry {entry_id} is a polynomial identity in x, not a summation identity")
     bindings = list(iter_grid(grid or entry.default_grid))
-    factors: set[Fraction] = set()
+    samples: list[tuple[Mapping, Fraction]] = []
     checked = 0
     for binding in bindings:
         derived_result = check_derived(derived, binding)
@@ -453,8 +454,24 @@ def match_against_entry(
                 False, checked, (), f"sides disagree at {format_binding(binding)}"
             )
         if der_lhs != 0:
-            factors.add(cat_lhs / der_lhs)
+            samples.append((binding, cat_lhs / der_lhs))
         checked += 1
     if checked == 0:
         return MatchReport(False, 0, (), "no comparable bindings")
-    return MatchReport(True, checked, tuple(sorted(set(factors))))
+    factors = tuple(sorted({factor for _, factor in samples}))
+    if not _unit_form(samples):
+        return MatchReport(False, checked, factors, "factors are neither c nor c * (-1)^p")
+    return MatchReport(True, checked, factors)
+
+
+def _unit_form(samples: list[tuple[Mapping, Fraction]]) -> bool:
+    """True when the per-binding factors are one constant c, or ``c * (-1)^p`` for a parameter p."""
+    if len({factor for _, factor in samples}) <= 1:
+        return True
+    for name in sorted(samples[0][0]):
+        values = [Fraction(binding[name]) for binding, _ in samples]
+        if all(v.denominator == 1 for v in values):
+            signed = {factor if v.numerator % 2 == 0 else -factor for v, (_, factor) in zip(values, samples)}
+            if len(signed) == 1:
+                return True
+    return False

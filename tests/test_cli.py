@@ -122,6 +122,16 @@ class TestDerive:
         )
         assert result.returncode == 0
 
+    def test_unrelated_match_exits_one(self, exported):
+        # F01's Frisch identity agrees with C04 only up to a factor that is
+        # neither a constant nor a constant times (-1)^p: not a reproduction
+        result = run_cli(
+            "derive", "--scheme", "frisch", "--input", str(exported / "F01.dsl"),
+            "--match", "C04",
+        )
+        assert result.returncode == 1
+        assert "match C04: MISMATCH" in result.stdout
+
     def test_match_against_polynomial_entry_exits_two(self, exported):
         result = run_cli(
             "derive", "--scheme", "moment", "--m", "1", "--input", str(exported / "F02.dsl"),
@@ -166,6 +176,13 @@ class TestDerive:
     def test_missing_moment_order_exits_two(self, exported):
         result = run_cli("derive", "--scheme", "moment", "--input", str(exported / "F02.dsl"))
         assert result.returncode == 2
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # only the integrals command needs mpmath, and it imports it itself
+    code = "import sys, combident.cli; print('mpmath' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestIntegrals:

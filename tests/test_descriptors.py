@@ -22,6 +22,7 @@ from combident.descriptors import (
 from combident.errors import UnboundParameterError
 from combident.poly import Polynomial
 from combident.terms import af, binom, const, evaluate_symbolic, ibinom, prod
+from combident.transforms import check_derived, frisch_transform
 
 X = Polynomial.variable("x")
 
@@ -89,6 +90,48 @@ class TestEvalSide:
                     expected = Fraction(3, 2) * X**a * (1 - X) ** b * (1 + X) ** c
                     assert eval_side(desc, "left", {}) == expected, (a, b, c)
 
+    def test_kernel_sides_at_rational_bindings_match_direct_summation(self):
+        # the dense expansion in ints over one common denominator against the
+        # direct Fraction summation at x0, which shares no code with it
+        probe = [Fraction(0), Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
+        rationals = (Fraction(7, 2), Fraction(5, 3), Fraction(-7, 6))
+        cases = [
+            ("C01", [binding(n=n, r=r, s=s) for n in range(5) for r in rationals for s in (1, 2)]),
+            ("F03", [binding(n=n, u=u) for n in range(6) for u in rationals]),
+        ]
+        fractional = 0
+        for entry_id, bindings in cases:
+            desc = get_entry(entry_id).descriptor
+            for b in bindings:
+                for side in ("left", "right"):
+                    p = eval_side(desc, side, b)
+                    fractional += any(c.denominator > 1 for _, c in p.terms)
+                    for x0 in probe:
+                        assert p.evaluate({"x": x0}) == eval_side_at(desc, side, b, x0), (entry_id, b)
+        assert fractional > 50
+
+    def test_derived_side_with_a_rational_affine_constant(self):
+        # r pinned to 7/2 leaves the constant 7/2 in the derived forms; with
+        # u = 5/3 the common denominator is 6
+        derived = frisch_transform(FIXTURES["F03"], r=Fraction(7, 2))
+        desc = derived.to_descriptor()
+        for n in range(4):
+            for s in (1, 2, 3):
+                b = binding(n=n, s=s, u=Fraction(5, 3))
+                assert check_derived(derived, b).status == VERIFIED
+                for side in ("left", "right"):
+                    assert eval_side(desc, side, b) == _reference_sum(desc, side, b)
+
+
+def _reference_sum(desc: IdentityDescriptor, side: str, b) -> Fraction:
+    """A kernel-free side summed with the symbolic evaluator, term by term."""
+    total = Fraction(0)
+    for block in (desc.left if side == "left" else desc.right).blocks:
+        for k in range(max(0, block.lo.evaluate(b)), block.hi.evaluate(b) + 1):
+            value = evaluate_symbolic(block.coef, {**b, "k": Fraction(k)}, frozenset())
+            total += value.numerator.constant_value() / value.denominator.constant_value()
+    return total
+
 
 def _one_sided(params, coef) -> IdentityDescriptor:
     """``sum[k=0..n] coef == 0`` without kernels."""
@@ -113,6 +156,20 @@ class TestCheckTwoSided:
         result = check_two_sided(desc, binding(n=2, r=Fraction(7, 2)))
         assert result.status == SKIPPED_PRECONDITION
         assert result.witness == "lower index k + r must be an integer, got 7/2"
+
+    def test_non_integer_kernel_exponent_skips(self):
+        k, r = Affine.var("k"), Affine.var("r")
+        block = KernelBlock(Bound.of(0), Bound(Affine.var("n")), const(1), x_exp=k + r)
+        zero = KernelBlock(Bound.of(0), Bound.of(0), const(0))
+        desc = IdentityDescriptor((("n", "nat"), ("r", "rat")), Side((block,)), Side((zero,)))
+        result = check_two_sided(desc, binding(n=2, r=Fraction(1, 2)))
+        assert result.status == SKIPPED_PRECONDITION
+        assert result.witness == "x exponent k + r is not an integer"
+
+    def test_non_integral_bound_raises(self):
+        desc = get_entry("C03").descriptor
+        with pytest.raises(ValueError, match=r"^bound n is not an integer at this binding$"):
+            eval_side(desc, "left", binding(n=Fraction(7, 2), r=2, s=1))
 
     def test_fixtures_verify(self):
         for name, desc in FIXTURES.items():

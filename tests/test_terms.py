@@ -1,5 +1,6 @@
 """Summand expression evaluation."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,53 @@ class TestCompiledAgainstSymbolic:
             num, den = raw
             assert type(num) is int and type(den) is int and den > 0
             assert Fraction(num, den) == symbolic
+
+
+class TestIntegerNumerators:
+    """Parameters over different denominators are numerators over their lcm D."""
+
+    def test_catalog_summands_at_two_denominators(self):
+        # every pair of names gets denominators 2 and 3 somewhere (D = 6); the
+        # symbolic evaluator with no symbolic names is the reference
+        choices = (Fraction(7, 2), Fraction(5, 3), 3)
+        mixed = 0
+        for term in SUMMANDS:
+            names = sorted(collect_names(term) - {"k"})
+            for values in itertools.product(choices, repeat=len(names)):
+                for k in (0, 2):
+                    binding = {"k": k, **dict(zip(names, values))}
+                    numeric = _outcome(lambda: evaluate(term, binding))
+                    symbolic = _outcome(lambda: evaluate_symbolic(term, binding, frozenset()))
+                    if isinstance(symbolic, RationalFunction):
+                        symbolic = symbolic.numerator.constant_value() / symbolic.denominator.constant_value()
+                        dens = {Fraction(v).denominator for v in values}
+                        mixed += {2, 3} <= dens
+                    assert numeric == symbolic, (term, binding)
+        assert mixed > 100
+
+    def test_non_integer_lower_index_over_a_common_denominator(self):
+        message = r"^lower index k \+ s must be an integer, got 8/3$"
+        with pytest.raises(PreconditionError, match=message):
+            evaluate(binom(N + R, K + S), env(k=1, n=4, r=Fraction(7, 2), s=Fraction(5, 3)))
+
+    def test_vanishing_quotient_denominator(self):
+        with pytest.raises(PoleError, match=r"^denominator r - s vanishes$"):
+            evaluate(quot(S, R - S), env(k=0, r=Fraction(5, 3), s=Fraction(5, 3)))
+
+    def test_zero_inverse_binomial_with_a_rational_upper_index(self):
+        # r + s = 1/2 + 3/2 is the integer 2, and binom(2, 3) = 0
+        with pytest.raises(PoleError, match=r"^binom\(2, 3\) = 0 has no reciprocal$"):
+            evaluate(ibinom(R + S, Affine.of(3)), env(k=0, r=Fraction(1, 2), s=Fraction(3, 2)))
+
+    def test_negative_power(self):
+        with pytest.raises(PreconditionError, match=r"^negative power -2 in term$"):
+            evaluate(power(R, K - 2), env(k=0, r=Fraction(7, 2)))
+
+    def test_rational_affine_constant(self):
+        # (k + 7/2) * binom(r + 1/3, 2) at r = 5/2: D = 6 covers the constants too
+        term = prod(af(K + Affine.of(Fraction(7, 2))), binom(R + Affine.of(Fraction(1, 3)), Affine.of(2)))
+        expected = Fraction(9, 2) * binom_rational(Fraction(17, 6), 2)
+        assert evaluate(term, env(k=1, r=Fraction(5, 2))) == expected
 
 
 class TestSums:
