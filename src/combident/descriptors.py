@@ -22,7 +22,6 @@ from .errors import PoleError, PreconditionError, ShapeError, UnboundParameterEr
 from .poly import Polynomial
 from .terms import (
     TermExpr,
-    add_terms,
     compile_side,
     exact_env,
     rename_parameters as rename_term,
@@ -78,20 +77,17 @@ class IdentityDescriptor:
     def compiled(self) -> dict[str, object]:
         """Each side as one generated function (:func:`terms.compile_side`), compiled on first use.
 
-        Called with an ``exact_env`` environment, a side's function yields
-        ``((num, den), a, b, c)`` for every term of every block, where
-        ``x^a (1-x)^b (1+x)^c`` is the term's kernel (all 0 for a
-        kernel-free descriptor).
+        Called with an ``exact_env`` environment, a side's function of a
+        kernel-free descriptor returns the side's sum as one ``(num, den)``
+        pair.  Otherwise it yields ``((num, den), a, b, c)`` for every term
+        of every block, where ``x^a (1-x)^b (1+x)^c`` is the term's kernel.
         """
-        kernels = not self.kernel_free
         label = self.name or "descriptor"
         return {
             name: compile_side(
-                tuple(
-                    (b.lo, b.hi, b.coef, (b.x_exp, b.one_minus_exp, b.one_plus_exp) if kernels else None)
-                    for b in side.blocks
-                ),
+                tuple((b.lo, b.hi, b.coef, (b.x_exp, b.one_minus_exp, b.one_plus_exp)) for b in side.blocks),
                 f"<combident {label} {name}>",
+                self.kernel_free,
             )
             for name, side in (("left", self.left), ("right", self.right))
         }
@@ -196,20 +192,24 @@ def _kernel_coefficients(b: int, c: int) -> tuple[int, ...]:
 def eval_side(
     desc: IdentityDescriptor, side: str, binding: Mapping[str, Scalar]
 ) -> Fraction | Polynomial:
-    """Exact value of one side.
+    """Exact value of one side at ``binding``, converted by :func:`exact_env`."""
+    return side_value(desc, side, exact_env(binding))
 
-    A kernel-free side adds its terms' ``(num, den)`` pairs over one running
-    denominator and builds one Fraction.  Any other side accumulates a dense
+
+def side_value(desc: IdentityDescriptor, side: str, env: Mapping[str, Scalar]) -> Fraction | Polynomial:
+    """Exact value of one side in an :func:`exact_env` environment.
+
+    A kernel-free side's function returns its sum as one ``(num, den)``
+    pair, and this builds one Fraction.  Any other side accumulates a dense
     list of integer x-coefficients over one common denominator (the lcm of
     the reduced terms' denominators) and builds one Fraction per coefficient
     at the end.
     """
-    terms = desc.compiled[side](exact_env(binding))
     if desc.kernel_free:
-        return Fraction(*add_terms(terms))
+        return Fraction(*desc.compiled[side](env))
     dense: list[int] = []
     common = 1
-    for (num, den), a, b, c in terms:
+    for (num, den), a, b, c in desc.compiled[side](env):
         if not num:
             continue
         if den != 1:
@@ -235,12 +235,12 @@ def eval_side_at(
     desc: IdentityDescriptor, side: str, binding: Mapping[str, Scalar], x0: Scalar
 ) -> Fraction:
     """Direct rational summation of a side at a concrete x value."""
+    terms = desc.compiled[side](exact_env(binding))
+    if desc.kernel_free:
+        return Fraction(*terms)
     x0 = Fraction(x0)
     return sum(
-        (
-            Fraction(*pair) * x0**a * (1 - x0) ** b * (1 + x0) ** c
-            for pair, a, b, c in desc.compiled[side](exact_env(binding))
-        ),
+        (Fraction(*pair) * x0**a * (1 - x0) ** b * (1 + x0) ** c for pair, a, b, c in terms),
         Fraction(0),
     )
 
@@ -279,7 +279,8 @@ def check_two_sided(
     """Verify one binding; evaluation errors become skip statuses.
 
     The binding is converted once, by :func:`exact_env`: integral values
-    become ints, and the result keeps that copy.
+    become ints.  Both sides are evaluated on that copy, and the result
+    keeps it.
     """
     binding = exact_env(binding)
     label = desc.name or "descriptor"
@@ -291,8 +292,8 @@ def check_two_sided(
         if issue is not None:
             return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=issue)
     try:
-        lhs = eval_side(desc, "left", binding)
-        rhs = eval_side(desc, "right", binding)
+        lhs = side_value(desc, "left", binding)
+        rhs = side_value(desc, "right", binding)
     except PoleError as exc:
         return CheckResult(label, binding, SKIPPED_POLE, witness=str(exc))
     except (PreconditionError, UnboundParameterError) as exc:

@@ -92,6 +92,14 @@ def _legendre_fixed(n: int, x: int) -> tuple[int, int]:
     return p, (n * ((x * p >> _PREC) - p_prev) << _PREC) // ((x * x >> _PREC) - _ONE)
 
 
+#: ``nodes -> (pairs, middle)``, filled by ``gauss_legendre_rule``: ``(x, w)``
+#: for the node x > 1/2 of each mirrored pair and its weight, and the weight of
+#: an odd rule's middle node (0 for an even rule), as ints scaled by 2^_PREC.
+#: They are the 40-digit values the rule returns, so the quadrature sums over
+#: exactly the published rule.
+_FIXED_RULES: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre_rule(nodes: int) -> tuple[tuple, tuple]:
     """Nodes and weights on [0, 1] at 40 digits, nodes in decreasing order.
@@ -103,7 +111,8 @@ def gauss_legendre_rule(nodes: int) -> tuple[tuple, tuple]:
     working precision.  A root that does not get there in ``_POLISH_STEPS``
     steps raises ``ArithmeticError``.  The roots are symmetric about 0 with
     equal weights, so the negative half is the mirror image of the positive
-    one.
+    one.  The returned nodes and weights are also kept in fixed point in
+    ``_FIXED_RULES`` for the quadrature.
     """
     if nodes < 1:
         raise ValueError("need at least one node")
@@ -133,7 +142,29 @@ def gauss_legendre_rule(nodes: int) -> tuple[tuple, tuple]:
         xs = [mp.mpf((_ONE + x, -_PREC - 1)) for x, _ in roots]
         xs += [mp.mpf((_ONE - x, -_PREC - 1)) for x, _ in mirror]
         ws = [mp.mpf((w, -_PREC)) for _, w in roots + mirror]
+    from mpmath.libmp import to_fixed
+
+    def fixed(value) -> int:
+        return to_fixed(value._mpf_, _PREC)
+
+    half = nodes // 2
+    pairs = tuple((fixed(x), fixed(w)) for x, w in zip(xs[:half], ws))
+    _FIXED_RULES[nodes] = pairs, fixed(ws[half]) if nodes % 2 else 0
     return tuple(xs), tuple(ws)
+
+
+@lru_cache(maxsize=None)
+def _pair_powers(nodes: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(xy)^e`` and ``x^e + y^e`` for each mirrored pair x, y = 1 - x of the rule.
+
+    Both are ints scaled by 2^_PREC, each truncated once from its exact value.
+    """
+    products, sums = [], []
+    for x, _ in _FIXED_RULES[nodes][0]:
+        y = _ONE - x
+        products.append(((x * y) ** e << _PREC) >> 2 * e * _PREC)
+        sums.append(((x**e + y**e) << _PREC) >> e * _PREC)
+    return tuple(products), tuple(sums)
 
 
 def beta_integral_quadrature(args: BetaArgs, nodes: int = 64) -> mp.mpf:
@@ -147,9 +178,10 @@ def beta_integral_quadrature(args: BetaArgs, nodes: int = 64) -> mp.mpf:
     exactly and the exact side cannot check it.
 
     The sum runs in fixed point (ints scaled by 2^160) over the mirrored node
-    pairs x and y = 1 - x, which share a weight w: each pair adds
-    ``w (xy)^min(a,b) (x^|a-b| + y^|a-b|)`` with one floor shift, and an odd
-    rule's middle node 1/2 adds ``w 2^-(a+b)``.
+    pairs x and y = 1 - x of the cached rule, which share a weight w: each
+    pair adds ``w (xy)^min(a,b) (x^|a-b| + y^|a-b|)``, read from the cached
+    power tables of :func:`_pair_powers`, and one floor shift ends the sum;
+    an odd rule's middle node 1/2 adds ``w 2^-(a+b)``.
     """
     a, b = args.a, args.b
     if a < 0 or b < 0:
@@ -157,20 +189,17 @@ def beta_integral_quadrature(args: BetaArgs, nodes: int = 64) -> mp.mpf:
     if a.denominator != 1 or b.denominator != 1:
         raise NonIntegerExponentError(f"quadrature needs integer exponents, got ({a}, {b})")
     low, gap, degree = int(min(a, b)), int(abs(a - b)), int(a + b)
-    xs, ws = gauss_legendre_rule(nodes)
-    import mpmath as mp
-    from mpmath.libmp import to_fixed
-
-    half = nodes // 2
+    if nodes not in _FIXED_RULES:
+        gauss_legendre_rule(nodes)
+    pairs, middle = _FIXED_RULES[nodes]
+    products, _ = _pair_powers(nodes, low)
+    _, sums = _pair_powers(nodes, gap)
     total = 0
-    for x, w in zip(xs[:half], ws[:half]):
-        x = to_fixed(x._mpf_, _PREC)
-        y = _ONE - x
-        # scaled by 2^_PREC once for w and once per factor of the degree
-        term = to_fixed(w._mpf_, _PREC) * (x * y) ** low * (x**gap + y**gap)
-        total += term >> (_PREC * degree)
-    if nodes % 2:
-        total += to_fixed(ws[half]._mpf_, _PREC) >> degree
+    for (_, w), p, s in zip(pairs, products, sums):
+        total += w * p * s
+    total = (total >> 2 * _PREC) + (middle >> degree)
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         return mp.mpf((total, -_PREC))
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .affine import Affine, Bound
 from .errors import PoleError, PreconditionError, UnboundParameterError
@@ -184,17 +184,6 @@ def exact_env(binding: Mapping[str, object]) -> dict[str, Scalar]:
             v = v if type(v) is Fraction else Fraction(v)
             env[name] = v.numerator if v.denominator == 1 else v
     return env
-
-
-def add_terms(terms: Iterable[tuple[Pair, int, int, int]]) -> Pair:
-    """The sum of the ``(num, den)`` pairs of a side's terms over one running denominator."""
-    num, den = 0, 1
-    for (n, d), _, _, _ in terms:
-        if d == den:
-            num += n
-        else:
-            num, den = num * d + n * den, den * d
-    return num, den
 
 
 # Exceptions raised by compiled code.  Labels and forms come from the
@@ -561,30 +550,38 @@ class _Source:
         return namespace[signature.partition("(")[0]]
 
 
-def compile_side(blocks: tuple, filename: str = "<combident side>"):
-    """One generator function for a list of blocks ``(lo, hi, coef, kernel)``.
+def compile_side(blocks: tuple, filename: str = "<combident side>", kernel_free: bool = False):
+    """One generated function for a list of blocks ``(lo, hi, coef, kernel)``.
 
-    ``kernel`` is None or the exponent forms ``(a, b, c)`` of
-    ``x^a (1-x)^b (1+x)^c``.  Called with an :func:`exact_env`
-    environment, the function runs the k-loop of every block in order and
-    yields ``((num, den), a, b, c)`` for every term: exponents 0 for a
-    kernel-free block.  ``filename`` names the function in tracebacks and
-    profiles.
+    Called with an :func:`exact_env` environment, the function runs the
+    k-loop of every block in order.  A ``kernel_free`` side adds its terms'
+    ``(num, den)`` pairs over one running denominator and returns the sum as
+    one unreduced pair; ``kernel`` is not read.  Otherwise ``kernel`` is the
+    exponent forms ``(a, b, c)`` of ``x^a (1-x)^b (1+x)^c`` and the function
+    is a generator that yields ``((num, den), a, b, c)`` for every term.
+    ``filename`` names the function in tracebacks and profiles.
     """
     src = _Source("k")
+    if kernel_free:
+        src.emit(1, "total, common = 0, 1")
     for lo, hi, coef, kernel in blocks:
         start, stop = src.bound(lo, 1), src.bound(hi, 1)
         if not (_is_literal(start) and int(start) >= 0):
             start = f"max(0, {start})"
         src.emit(1, f"for k in range({start}, {_group(stop)} + 1):")
         num, den = src.term(coef, 2)
-        exponents = ("0", "0", "0")
-        if kernel is not None:
-            exponents = tuple(
-                src.kernel_exponent(form, what, 2) for form, what in zip(kernel, _KERNEL_LABELS)
-            )
-        src.emit(2, f"yield ({num}, {den}), {', '.join(exponents)}")
-    if not blocks:
+        if not kernel_free:
+            exponents = (src.kernel_exponent(f, what, 2) for f, what in zip(kernel, _KERNEL_LABELS))
+            src.emit(2, f"yield ({num}, {den}), {', '.join(exponents)}")
+        elif den == "1":
+            src.emit(2, f"total += {_group(num)} * common")
+        else:
+            num, den = src.assign(2, num, "n"), src.assign(2, den, "d")
+            src.emit(2, f"if {den} == common: total += {num}")
+            src.emit(2, f"else: total, common = total * {den} + {num} * common, common * {den}")
+    if kernel_free:
+        src.emit(1, "return total, common")
+    elif not blocks:
         src.emit(1, "yield from ()")
     return src.compile("side(env)", filename)
 
@@ -714,12 +711,11 @@ class SumSpec:
 
 @lru_cache(maxsize=256)
 def _compile_sum(spec: SumSpec):
-    return compile_side(((spec.lo, spec.hi, spec.term, None),), "<combident sum>")
+    return compile_side(((spec.lo, spec.hi, spec.term, None),), "<combident sum>", kernel_free=True)
 
 
 def evaluate_sum(spec: SumSpec, binding: Env) -> Fraction:
-    terms = _compile_sum(spec)(exact_env(binding))
-    return Fraction(*add_terms(terms))
+    return Fraction(*_compile_sum(spec)(exact_env(binding)))
 
 
 def evaluate_blocks(specs: tuple[SumSpec, ...], binding: Env) -> Fraction:

@@ -35,8 +35,8 @@ from .descriptors import (
     Side,
     ValidityPredicate,
     check_two_sided,
-    eval_side,
     format_binding,
+    side_value,
     transpose_descriptor,
 )
 from .errors import PoleError, PreconditionError, ShapeError
@@ -442,8 +442,8 @@ def match_against_entry(
         if derived_result.status == FAILED:
             return MatchReport(False, checked, (), f"derived identity fails at {format_binding(binding)}")
         try:
-            cat_lhs = eval_side(desc, "left", binding)
-            cat_rhs = eval_side(desc, "right", binding)
+            cat_lhs = side_value(desc, "left", derived_result.binding)
+            cat_rhs = side_value(desc, "right", derived_result.binding)
         except (PoleError, PreconditionError):
             continue
         if cat_lhs != cat_rhs:

@@ -191,6 +191,14 @@ class TestIntegrals:
         assert result.returncode == 0
         assert "max |quadrature - exact|" in result.stdout
 
+    def test_default_sweep_summary_line(self):
+        result = run_cli("integrals", "--max-exp", "20")
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[-1] == (
+            "checked 441 exponent pairs (nodes=64); "
+            "max |quadrature - exact| = 1.43e-42 at (0, 10); skipped 0"
+        )
+
     def test_single_pair_reports_exact_value(self):
         result = run_cli("integrals", "--pair", "1", "1")
         assert result.returncode == 0

@@ -123,6 +123,21 @@ class TestBetaIntegrals:
                     reference = mp.fsum(w * x**a * (1 - x) ** b for x, w in zip(xs, ws))
                     assert abs(estimate - reference) <= RULE_TOLERANCE, (a, b)
 
+    # exponents up to 40, beyond the 20 above; n = 11 up to its exactness degree
+    @pytest.mark.parametrize("n", [11, 31, 64])
+    def test_quadrature_matches_plain_sum_at_high_exponents(self, n):
+        top = 40 if n > 11 else 2 * n - 1
+        xs, ws = gauss_legendre_rule(n)
+        with mp.workdps(60):
+            x_powers = [[x**e for e in range(top + 1)] for x in xs]
+            y_powers = [[(1 - x) ** e for e in range(top + 1)] for x in xs]
+        for a in range(top + 1):
+            for b in range((top - a if n == 11 else top) + 1):
+                estimate = beta_integral_quadrature(BetaArgs.of(a, b), nodes=n)
+                with mp.workdps(60):
+                    reference = mp.fsum(w * xp[a] * yp[b] for w, xp, yp in zip(ws, x_powers, y_powers))
+                    assert abs(estimate - reference) <= RULE_TOLERANCE, (a, b)
+
 
 def assert_rule_close(rule, nodes, weights):
     xs, ws = rule
