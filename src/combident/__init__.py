@@ -57,7 +57,7 @@ from .integrals import (
     beta_integral_quadrature,
 )
 from .poly import Polynomial, RationalFunction, rf_equal
-from .terms import SumSpec, TermExpr, evaluate, evaluate_sum
+from .terms import TermExpr, evaluate, evaluate_sum
 from .transforms import (
     DerivedIdentity,
     check_derived,

@@ -184,7 +184,34 @@ _DERIVED_GRID_DEFAULTS = {
 }
 
 
+# flags that only some schemes read, and the value a run uses when one is not given
+_SCHEME_FLAGS = (
+    ("direction", ("frisch", "klamkin"), "the frisch and klamkin schemes", "forward"),
+    ("variant", ("moment",), "the moment scheme", "direct"),
+    ("m", ("moment",), "the moment scheme", None),
+)
+
+
+def _derive_grid(desc, args=None) -> dict[str, tuple[Fraction, ...]]:
+    """The grid of a derived identity: every name its blocks use, over its ``--grid-*`` override or default."""
+    names = set()
+    for block in desc.left.blocks + desc.right.blocks:
+        names |= collect_names(block.coef) | block.lo.names() | block.hi.names()
+    names.discard("k")
+    overrides = _grid_overrides(args, names, prefix="grid_")  # no args, no overrides
+    return {
+        name: overrides.get(name) or _DERIVED_GRID_DEFAULTS.get(name) or (Fraction(1), Fraction(2))
+        for name in sorted(names)
+    }
+
+
 def cmd_derive(args) -> int:
+    for flag, schemes, owners, default in _SCHEME_FLAGS:
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.scheme not in schemes:
+            print(f"error: --{flag} applies to {owners} only", file=sys.stderr)
+            return 2
     try:
         source = open(args.input, "r", encoding="utf-8").read()
     except OSError as exc:
@@ -202,13 +229,8 @@ def cmd_derive(args) -> int:
             return 2
         derived = moment_transform(desc, args.m, variant=args.variant)
 
-    names = set()
-    for spec in derived.lhs + derived.rhs:
-        names |= collect_names(spec.term) | spec.lo.names() | spec.hi.names()
-    names.discard("k")
-    overrides = _grid_overrides(args, names, prefix="grid_")
-
-    derived_desc = derived.to_descriptor()
+    derived_desc = derived.descriptor
+    grid = _derive_grid(derived_desc, args)
     text = print_identity(derived_desc)
     print(f"# derived: {derived.provenance}")
     print(text, end="")
@@ -218,11 +240,6 @@ def cmd_derive(args) -> int:
             handle.write(text)
 
     # grid-verify the derived identity over its free parameters
-    grid = {}
-    for name in sorted(names):
-        grid[name] = overrides.get(name) or _DERIVED_GRID_DEFAULTS.get(name)
-        if grid[name] is None:
-            grid[name] = (Fraction(1), Fraction(2))
     bindings = sorted_bindings(grid)
     tallied = GridReport.tally(derived.provenance, (check_derived(derived, b) for b in bindings))
     counts = tallied.counts
@@ -380,14 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
     derive = sub.add_parser("derive", help="derive an identity from a source file")
     derive.add_argument("--scheme", choices=("frisch", "klamkin", "moment"), required=True)
     derive.add_argument("--input", required=True, help="identity source file")
-    derive.add_argument("--direction", choices=("forward", "transposed"), default="forward")
+    derive.add_argument(
+        "--direction", choices=("forward", "transposed"), default=None,
+        help="frisch and klamkin schemes (default forward)",
+    )
     derive.add_argument(
         "--variant",
         choices=("direct", "swapped", "reflected", "swapped_reflected"),
-        default="direct",
-        help="moment scheme variant",
+        default=None,
+        help="moment scheme variant (default direct)",
     )
-    derive.add_argument("--m", type=int, default=None, help="moment order")
+    derive.add_argument("--m", type=int, default=None, help="moment order (moment scheme)")
     derive.add_argument("--match", default=None, help="catalog entry to compare against")
     derive.add_argument("--out", default=None, help="write a JSON report here")
     derive.add_argument("--out-dsl", default=None, help="write the derived identity here")

@@ -695,42 +695,14 @@ def evaluate_symbolic(expr: TermExpr, env: Env, symbolic: frozenset[str]) -> Rat
 
 # -- finite sums ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SumSpec:
-    """A finite sum over the index k of a term expression."""
-
-    lo: Bound
-    hi: Bound
-    term: TermExpr
-
-    def range(self, binding: Env) -> range:
-        lo = max(0, self.lo.evaluate(binding))
-        hi = self.hi.evaluate(binding)
-        return range(lo, hi + 1)
-
-
 @lru_cache(maxsize=256)
-def _compile_sum(spec: SumSpec):
-    return compile_side(((spec.lo, spec.hi, spec.term, None),), "<combident sum>", kernel_free=True)
+def _compile_sum(lo: Bound, hi: Bound, term: TermExpr):
+    return compile_side(((lo, hi, term, None),), "<combident sum>", kernel_free=True)
 
 
-def evaluate_sum(spec: SumSpec, binding: Env) -> Fraction:
-    return Fraction(*_compile_sum(spec)(exact_env(binding)))
-
-
-def evaluate_blocks(specs: tuple[SumSpec, ...], binding: Env) -> Fraction:
-    return sum((evaluate_sum(s, binding) for s in specs), Fraction(0))
-
-
-def evaluate_sum_symbolic(
-    spec: SumSpec, binding: Env, symbolic: frozenset[str]
-) -> RationalFunction:
-    total = RationalFunction.constant(0)
-    for k in spec.range(binding):
-        env = dict(binding)
-        env["k"] = Fraction(k)
-        total = total + evaluate_symbolic(spec.term, env, symbolic)
-    return total
+def evaluate_sum(lo: Bound, hi: Bound, term: TermExpr, binding: Env) -> Fraction:
+    """Exact value of ``sum[k=lo..hi] term`` at ``binding`` (k is the index, not a parameter)."""
+    return Fraction(*_compile_sum(lo, hi, term)(exact_env(binding)))
 
 
 # -- structural helpers -----------------------------------------------------

@@ -1,13 +1,14 @@
 """Derivation schemes: mint summation identities from two-sided x-identities.
 
-Three schemes, each a symbolic rewrite justified by term-wise integration or
-differentiation of the source identity:
+Each scheme is a term rule that maps every kernel block of both sides of the
+source, ``h(k) x^a (1-x)^b``, to a kernel-free block.  The rules are justified
+by term-wise integration or differentiation of the source identity:
 
 - weight transform (Frisch-type): multiply by ``x^(r-s) (1-x)^(s-1)`` and
   integrate each term over [0, 1];
 - reciprocal transform (Klamkin-type): substitute ``x -> 1/x``, weight, and
   integrate;
-- moment transform: substitute ``x -> exp(x)``, differentiate m times at 0,
+- moment transform: substitute ``x -> exp(t)``, differentiate m times at 0,
   which introduces alternating power sums (Stirling-type weights).
 
 A term ``h(k) x^a (1-x)^b`` integrates to ``h(k) B(a+1, b+1)``; the Beta value
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .affine import Affine, Bound
 from .descriptors import (
@@ -44,7 +44,7 @@ from .terms import (
     Const,
     Product,
     SignPow,
-    SumSpec,
+    TermExpr,
     af,
     altpowsum,
     ibinom,
@@ -62,30 +62,47 @@ ParamSpec = Union[str, int, Fraction]
 
 @dataclass(frozen=True)
 class DerivedIdentity:
-    """A derived equality of two finite sums over k."""
+    """A derived equality of two finite sums over k: a kernel-free descriptor named by its provenance."""
 
-    params: tuple[tuple[str, str], ...]
-    lhs: tuple[SumSpec, ...]
-    rhs: tuple[SumSpec, ...]
-    provenance: str
+    descriptor: IdentityDescriptor
     validity: ValidityPredicate = ValidityPredicate()
 
-    def to_descriptor(self) -> IdentityDescriptor:
-        """View the derived identity as a kernel-free two-sided descriptor."""
-        return self._descriptor
+    @property
+    def provenance(self) -> str:
+        return self.descriptor.name
 
-    @cached_property
-    def _descriptor(self) -> IdentityDescriptor:
-        return IdentityDescriptor(
-            params=self.params,
-            left=Side(tuple(KernelBlock(s.lo, s.hi, s.term) for s in self.lhs)),
-            right=Side(tuple(KernelBlock(s.lo, s.hi, s.term) for s in self.rhs)),
-            name=self.provenance,
-        )
+    def to_descriptor(self) -> IdentityDescriptor:
+        return self.descriptor
 
 
 def check_derived(derived: DerivedIdentity, binding: Mapping[str, Fraction]) -> CheckResult:
-    return check_two_sided(derived.to_descriptor(), binding, derived.validity)
+    return check_two_sided(derived.descriptor, binding, derived.validity)
+
+
+def _derive(
+    scheme: str,
+    desc: IdentityDescriptor,
+    src: IdentityDescriptor,
+    options: str,
+    rule: Callable[[KernelBlock], tuple[Bound, TermExpr]],
+    params: tuple[tuple[str, str], ...],
+    validity: ValidityPredicate = ValidityPredicate(),
+) -> DerivedIdentity:
+    """Map ``rule(block) -> (hi, term)`` over every block of both sides of ``src`` (``desc`` after a prelude)."""
+
+    def convert(side: Side) -> Side:
+        blocks = []
+        for block in side.blocks:
+            if not block.one_plus_exp.is_zero():
+                raise ShapeError(
+                    f"{scheme} transform needs (1+x)-free kernels; rewrite with negate_x first"
+                )
+            hi, term = rule(block)
+            blocks.append(KernelBlock(block.lo, hi, term))
+        return Side(tuple(blocks))
+
+    provenance = f"{scheme}({desc.name or 'identity'}, {options})"
+    return DerivedIdentity(IdentityDescriptor(params, convert(src.left), convert(src.right), provenance), validity)
 
 
 # -- parameter plumbing -------------------------------------------------------
@@ -103,21 +120,22 @@ def _resolve_param(
     return Affine.of(Fraction(value)), ()
 
 
+def _weight_params(src: IdentityDescriptor, r: ParamSpec, s: ParamSpec, s_min: int):
+    """r and s as affine forms, the derived parameter list, and the validity ``s >= s_min``."""
+    taken = {name for name, _ in src.params}
+    r_aff, r_decl = _resolve_param(r, "rat", taken)
+    s_aff, s_decl = _resolve_param(s, "int", taken | {d[0] for d in r_decl})
+    constraints = (IntegerValued(s_aff),) if isinstance(s, str) else ()
+    validity = ValidityPredicate(constraints + (RangeConstraint(s_aff, ">=", s_min),))
+    return r_aff, s_aff, src.params + r_decl + s_decl, validity
+
+
 def _source(desc: IdentityDescriptor, direction: str) -> IdentityDescriptor:
     if direction == "forward":
         return desc
     if direction == "transposed":
         return transpose_descriptor(desc)
     raise ValueError(f"unknown direction {direction!r}")
-
-
-def _no_one_plus(desc: IdentityDescriptor, scheme: str):
-    for side in (desc.left, desc.right):
-        for block in side.blocks:
-            if not block.one_plus_exp.is_zero():
-                raise ShapeError(
-                    f"{scheme} transform needs (1+x)-free kernels; rewrite with negate_x first"
-                )
 
 
 # -- Frisch-type (weight) transform -------------------------------------------
@@ -135,34 +153,13 @@ def frisch_transform(
     factor s so the plain-kernel side reads ``h(k) binom(a+r, s)^-1``).
     """
     src = _source(desc, direction)
-    _no_one_plus(src, "frisch")
-    taken = {name for name, _ in src.params}
-    r_aff, r_decl = _resolve_param(r, "rat", taken)
-    s_aff, s_decl = _resolve_param(s, "int", taken | {d[0] for d in r_decl})
+    r_aff, s_aff, params, validity = _weight_params(src, r, s, 1)
 
-    def convert(side: Side) -> tuple[SumSpec, ...]:
-        specs = []
-        for b in side.blocks:
-            a_exp, b_exp = b.x_exp, b.one_minus_exp
-            term = prod(
-                af(s_aff),
-                b.coef,
-                quot(1, b_exp + s_aff),
-                ibinom(a_exp + b_exp + r_aff, b_exp + s_aff),
-            )
-            specs.append(SumSpec(b.lo, b.hi, term))
-        return tuple(specs)
+    def rule(block: KernelBlock) -> tuple[Bound, TermExpr]:
+        a, b = block.x_exp, block.one_minus_exp
+        return block.hi, prod(af(s_aff), block.coef, quot(1, b + s_aff), ibinom(a + b + r_aff, b + s_aff))
 
-    constraints = [RangeConstraint(s_aff, ">=", 1)]
-    if isinstance(s, str):
-        constraints.insert(0, IntegerValued(s_aff))
-    return DerivedIdentity(
-        params=src.params + r_decl + s_decl,
-        lhs=convert(src.left),
-        rhs=convert(src.right),
-        provenance=f"frisch({desc.name or 'identity'}, r={r}, s={s}, {direction})",
-        validity=ValidityPredicate(tuple(constraints)),
-    )
+    return _derive("frisch", desc, src, f"r={r}, s={s}, {direction}", rule, params, validity)
 
 
 # -- Klamkin-type (reciprocal) transform ---------------------------------------
@@ -179,114 +176,62 @@ def klamkin_transform(
     ``(-1)^b h(k) (r+1) / (r-a+1) * binom(r-a, b+s)^-1``.
     """
     src = _source(desc, direction)
-    _no_one_plus(src, "klamkin")
-    taken = {name for name, _ in src.params}
-    r_aff, r_decl = _resolve_param(r, "rat", taken)
-    s_aff, s_decl = _resolve_param(s, "int", taken | {d[0] for d in r_decl})
+    r_aff, s_aff, params, validity = _weight_params(src, r, s, 0)
 
-    def convert(side: Side) -> tuple[SumSpec, ...]:
-        specs = []
-        for b in side.blocks:
-            a_exp, b_exp = b.x_exp, b.one_minus_exp
-            term = prod(
-                sign(b_exp),
-                b.coef,
-                af(r_aff + 1),
-                quot(1, r_aff - a_exp + 1),
-                ibinom(r_aff - a_exp, b_exp + s_aff),
-            )
-            specs.append(SumSpec(b.lo, b.hi, term))
-        return tuple(specs)
+    def rule(block: KernelBlock) -> tuple[Bound, TermExpr]:
+        a, b = block.x_exp, block.one_minus_exp
+        term = prod(sign(b), block.coef, af(r_aff + 1), quot(1, r_aff - a + 1), ibinom(r_aff - a, b + s_aff))
+        return block.hi, term
 
-    constraints = [RangeConstraint(s_aff, ">=", 0)]
-    if isinstance(s, str):
-        constraints.insert(0, IntegerValued(s_aff))
-    return DerivedIdentity(
-        params=src.params + r_decl + s_decl,
-        lhs=convert(src.left),
-        rhs=convert(src.right),
-        provenance=f"klamkin({desc.name or 'identity'}, r={r}, s={s}, {direction})",
-        validity=ValidityPredicate(tuple(constraints)),
-    )
+    return _derive("klamkin", desc, src, f"r={r}, s={s}, {direction}", rule, params, validity)
 
 
 # -- moment transform ----------------------------------------------------------
 
-def _plain_index_block(side: Side, what: str) -> KernelBlock:
-    if len(side.blocks) != 1:
-        raise ShapeError(f"moment transform needs a single-block {what} side")
-    block = side.blocks[0]
-    if block.x_exp != K or not block.one_minus_exp.is_zero() or not block.one_plus_exp.is_zero():
-        raise ShapeError(f"moment transform needs the {what} side in plain x^k form")
-    if not block.lo.base.is_zero() or block.lo.half or block.lo.cap is not None:
-        raise ShapeError(f"moment transform needs the {what} side to start at k = 0")
-    return block
-
-
-def _reflected_index_block(side: Side, what: str) -> KernelBlock:
-    if len(side.blocks) != 1:
-        raise ShapeError(f"moment transform needs a single-block {what} side")
-    block = side.blocks[0]
-    if block.one_minus_exp != K or not block.x_exp.is_zero() or not block.one_plus_exp.is_zero():
-        raise ShapeError(f"moment transform needs the {what} side in plain (1-x)^k form")
-    if not block.lo.base.is_zero() or block.lo.half or block.lo.cap is not None:
-        raise ShapeError(f"moment transform needs the {what} side to start at k = 0")
-    return block
+_MOMENT_PRELUDES = {
+    "direct": lambda desc: desc,
+    "swapped": transpose_descriptor,
+    "reflected": lambda desc: rewrite_descriptor(desc, "reciprocal_x"),
+    "swapped_reflected": lambda desc: rewrite_descriptor(transpose_descriptor(desc), "reciprocal_x"),
+}
 
 
 def moment_transform(
     desc: IdentityDescriptor, m: int, variant: str = "direct"
 ) -> DerivedIdentity:
-    """Substitute ``x -> exp(x)``, differentiate m times, evaluate at 0.
+    """Substitute ``x -> exp(t)``, differentiate m times, evaluate at t = 0.
 
-    ``direct`` needs the left side in plain ``x^k`` form and yields
-    ``sum k^m f(k) == sum g(k) * altpowsum(b(k), a(k), m)`` over the right
-    blocks; when the right side is the plain ``(1-x)^k`` shape its range is
-    capped at m (higher terms vanish).  ``reflected`` additionally homogenizes
-    through ``x -> 1/x`` and produces the r-Stirling-weighted form; the
-    ``swapped`` variants transpose the identity first.
+    Block by block, ``h(k) x^a (1-x)^b`` becomes ``h(k) * altpowsum(b, a, m)``,
+    written ``pow(a, m) * h(k)`` when b is 0.  A block whose (1-x) exponent
+    is k from k = 0 to a plain bound is capped at m: its higher terms vanish.
+    The variant picks a prelude: none (``direct``), ``transpose_descriptor``
+    (``swapped``), ``reciprocal_x`` (``reflected``), or both in that order.
+    After ``reciprocal_x`` a block ``x^(N-k)`` over ``0..N`` is reindexed
+    k -> N-k, and the sign that ``reciprocal_x`` put in front of a (1-x)
+    block's coefficient stays in front of its ``altpowsum``.
     """
     if m < 0:
         raise ValueError(f"moment order must be non-negative, got {m}")
-    if variant not in ("direct", "swapped", "reflected", "swapped_reflected"):
+    if variant not in _MOMENT_PRELUDES:
         raise ValueError(f"unknown variant {variant!r}")
-    src = desc
-    if variant in ("swapped", "swapped_reflected"):
-        src = transpose_descriptor(desc)
-    _no_one_plus(src, "moment")
-    base_variant = "reflected" if variant.endswith("reflected") else "direct"
+    src = _MOMENT_PRELUDES[variant](desc)
+    reflected = variant.endswith("reflected")
 
-    left = _plain_index_block(src.left, "left")
-    provenance = f"moment({desc.name or 'identity'}, m={m}, {variant})"
+    def rule(block: KernelBlock) -> tuple[Bound, TermExpr]:
+        a, b, coef, hi = block.x_exp, block.one_minus_exp, block.coef, block.hi
+        from_zero = block.lo == Bound.of(0) and not hi.half and hi.cap is None
+        if b.is_zero():
+            if reflected and from_zero and a == hi.base - K:
+                return hi, prod(power(K, m), substitute_index(coef, a))
+            return hi, prod(power(a, m), coef)
+        if from_zero and b == K:
+            hi = Bound(Affine.of(m), cap=hi.base)
+        if reflected:
+            signed, *rest = coef.factors
+            return hi, prod(signed, altpowsum(b, a, m), *rest)
+        return hi, prod(coef, altpowsum(b, a, m))
 
-    if base_variant == "direct":
-        lhs = (SumSpec(left.lo, left.hi, prod(power(K, m), left.coef)),)
-        rhs_specs = []
-        for b in src.right.blocks:
-            term = prod(b.coef, altpowsum(b.one_minus_exp, b.x_exp, m))
-            hi = b.hi
-            plain_shape = b.one_minus_exp == K and b.x_exp.is_zero() and b.lo.base.is_zero()
-            if plain_shape and not b.hi.half and b.hi.cap is None:
-                hi = Bound(Affine.of(m), cap=b.hi.base)
-            rhs_specs.append(SumSpec(b.lo, hi, term))
-        return DerivedIdentity(src.params, lhs, tuple(rhs_specs), provenance)
-
-    # reflected: both sides must have the plain index shape with a shared range
-    right = _reflected_index_block(src.right, "right")
-    if left.hi != right.hi:
-        raise ShapeError("moment transform needs matching summation ranges on both sides")
-    if left.hi.half or left.hi.cap is not None:
-        raise ShapeError("moment transform needs a plain affine upper bound")
-    top = left.hi.base
-    lhs = (SumSpec(left.lo, left.hi, prod(power(K, m), substitute_index(left.coef, top - K))),)
-    rhs = (
-        SumSpec(
-            right.lo,
-            Bound(Affine.of(m), cap=top),
-            prod(sign(K), altpowsum(K, top - K, m), right.coef),
-        ),
-    )
-    return DerivedIdentity(src.params, lhs, rhs, provenance)
+    return _derive("moment", desc, src, f"m={m}, {variant}", rule, src.params)
 
 
 # -- descriptor rewrites ---------------------------------------------------------
@@ -322,7 +267,8 @@ def rewrite_descriptor(desc: IdentityDescriptor, rule: str) -> IdentityDescripto
     - ``negate_x``: x -> -x; swaps the (1-x) and (1+x) kernels.
     - ``reflect_x``: x -> 1-x; swaps the x and (1-x) kernels (an involution).
     - ``reciprocal_x``: x -> 1/x followed by clearing with x^N where N is the
-      maximal total kernel degree.
+      maximal total kernel degree; a block with a (1-x)^b kernel gains the
+      leading factor (-1)^b.
     """
     if rule == "negate_x":
 
@@ -387,7 +333,7 @@ def rewrite_descriptor(desc: IdentityDescriptor, rule: str) -> IdentityDescripto
             return KernelBlock(
                 block.lo,
                 block.hi,
-                prod(sign(block.one_minus_exp), block.coef),
+                block.coef if block.one_minus_exp.is_zero() else prod(sign(block.one_minus_exp), block.coef),
                 x_exp=shifted,
                 one_minus_exp=block.one_minus_exp,
                 one_plus_exp=block.one_plus_exp,

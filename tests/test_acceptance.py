@@ -38,7 +38,7 @@ from combident.integrals import (
     beta_integral_quadrature,
 )
 from combident.poly import Polynomial
-from combident.terms import SumSpec, evaluate_blocks
+from combident.terms import evaluate_sum
 from combident.transforms import (
     check_derived,
     frisch_transform,
@@ -165,11 +165,11 @@ def test_criterion_4_scheme_round_trips():
         reflected = moment_transform(SIMONS, m_order, "reflected")
         for n in range(9):
             b = binding(n=n)
-            lhs = evaluate_blocks(direct.lhs, b)
-            rhs = evaluate_blocks(direct.rhs, b)
+            lhs = eval_side(direct.descriptor, "left", b)
+            rhs = eval_side(direct.descriptor, "right", b)
             ok = ok and lhs == rhs == plain_displays[m_order](n)
-            lhs = evaluate_blocks(reflected.lhs, b)
-            rhs = evaluate_blocks(reflected.rhs, b)
+            lhs = eval_side(reflected.descriptor, "left", b)
+            rhs = eval_side(reflected.descriptor, "right", b)
             ok = ok and lhs == rhs == (-1) ** n * reflected_displays[m_order](n)
     print("  six explicit moment displays reproduced for n <= 8")
     report(4, "scheme round trips", ok)
@@ -273,11 +273,11 @@ def test_criterion_8_property_suites():
     # truncation: extending a moment output's range beyond m changes nothing
     for m_order in range(5):
         derived = moment_transform(SIMONS, m_order, "direct")
-        capped = derived.rhs[0]
-        full = SumSpec(capped.lo, Bound(Affine.var("n")), capped.term)
+        capped = derived.descriptor.right.blocks[0]
         for n in range(9):
             b = binding(n=n)
-            if evaluate_blocks((capped,), b) != evaluate_blocks((full,), b):
+            full = evaluate_sum(capped.lo, Bound(Affine.var("n")), capped.coef, b)
+            if evaluate_sum(capped.lo, capped.hi, capped.coef, b) != full:
                 ok = False
 
     # transposition symmetry across the descriptor fixtures

@@ -173,6 +173,33 @@ class TestDerive:
         assert result.returncode == 2
         assert result.stderr == "error: zero denominator (line 4, column 15)\n"
 
+    def test_moment_scheme_derives_a_reversed_left_kernel(self, exported):
+        # F03's left kernel is x^(n-k): one moment rule per block takes it
+        result = run_cli("derive", "--scheme", "moment", "--m", "1", "--input", str(exported / "F03.dsl"))
+        assert result.returncode == 0
+        assert " failed=0" in result.stdout
+
+    @pytest.mark.parametrize(
+        "scheme, flags, message",
+        [
+            ("frisch", ("--variant", "reflected"), "--variant applies to the moment scheme only"),
+            ("klamkin", ("--m", "3"), "--m applies to the moment scheme only"),
+            ("moment", ("--m", "1", "--direction", "transposed"),
+             "--direction applies to the frisch and klamkin schemes only"),
+        ],
+    )
+    def test_flag_of_another_scheme_exits_two(self, exported, scheme, flags, message):
+        result = run_cli("derive", "--scheme", scheme, *flags, "--input", str(exported / "F03.dsl"))
+        assert result.returncode == 2
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""
+
+    def test_report_records_defaults_of_flags_not_given(self, exported, tmp_path):
+        out = tmp_path / "derived.json"
+        run_cli("derive", "--scheme", "frisch", "--input", str(exported / "F03.dsl"), "--out", str(out), check=True)
+        meta = json.loads(out.read_text())["run_meta"]
+        assert (meta["direction"], meta["variant"], meta["m"]) == ("forward", "direct", None)
+
     def test_missing_moment_order_exits_two(self, exported):
         result = run_cli("derive", "--scheme", "moment", "--input", str(exported / "F02.dsl"))
         assert result.returncode == 2

@@ -12,7 +12,6 @@ from combident.errors import PoleError, PreconditionError, UnboundParameterError
 from combident.exact import binom_int, binom_rational
 from combident.poly import Polynomial, RationalFunction, rf_equal
 from combident.terms import (
-    SumSpec,
     af,
     altpowsum,
     binom,
@@ -21,7 +20,6 @@ from combident.terms import (
     const,
     evaluate,
     evaluate_sum,
-    evaluate_sum_symbolic,
     evaluate_symbolic,
     exact_env,
     ibinom,
@@ -194,31 +192,29 @@ class TestIntegerNumerators:
 
 class TestSums:
     def test_geometric_left_side(self):
-        spec = SumSpec(Bound.of(0), Bound(N), af(K + 1))
-        assert evaluate_sum(spec, env(n=3)) == 1 + 2 + 3 + 4
+        assert evaluate_sum(Bound.of(0), Bound(N), af(K + 1), env(n=3)) == 1 + 2 + 3 + 4
 
     def test_negative_lower_bound_clamps(self):
-        spec = SumSpec(Bound(N - 2), Bound(N), const(1))
-        assert evaluate_sum(spec, env(n=0)) == 1
+        assert evaluate_sum(Bound(N - 2), Bound(N), const(1), env(n=0)) == 1
 
     def test_capped_bound(self):
-        spec = SumSpec(Bound.of(0), Bound(Affine.var("m"), cap=N), const(1))
-        assert evaluate_sum(spec, env(n=2, m=5)) == 3
+        assert evaluate_sum(Bound.of(0), Bound(Affine.var("m"), cap=N), const(1), env(n=2, m=5)) == 3
 
     def test_half_bound(self):
-        spec = SumSpec(Bound.of(0), Bound(N, half=True), const(1))
-        assert evaluate_sum(spec, env(n=5)) == 3
+        assert evaluate_sum(Bound.of(0), Bound(N, half=True), const(1), env(n=5)) == 3
 
 
 class TestSymbolic:
     def test_frisch_identity_symbolic_in_r(self):
         # Frisch with r symbolic: both sides equal as rational functions
-        lhs_spec = SumSpec(Bound.of(0), Bound(N), prod(sign(K), binom(N, K), ibinom(K + R, S)))
+        lhs_term = prod(sign(K), binom(N, K), ibinom(K + R, S))
         rhs_term = prod(quot(S, N + S), ibinom(N + R, N + S))
         for n in range(5):
             for s in (1, 2, 3):
                 binding = env(n=n, s=s)
-                lhs = evaluate_sum_symbolic(lhs_spec, binding, frozenset({"r"}))
+                lhs = RationalFunction.constant(0)
+                for k in range(n + 1):
+                    lhs = lhs + evaluate_symbolic(lhs_term, {**binding, "k": Fraction(k)}, frozenset({"r"}))
                 rhs = evaluate_symbolic(rhs_term, {**binding, "k": Fraction(0)}, frozenset({"r"}))
                 assert rf_equal(lhs, rhs), (n, s)
 

@@ -1,6 +1,9 @@
 """Derivation schemes: Beta integration forms, transforms, rewrites."""
 
+import json
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -13,15 +16,23 @@ from combident.catalog import (
     GOULD,
     MACMAHON,
     SIMONS,
+    entry_ids,
     get_entry,
     macmahon_doubled,
+    sorted_bindings,
 )
+from combident.cli import _derive_grid
 from combident.descriptors import (
+    FAILED,
     VERIFIED,
+    IdentityDescriptor,
+    KernelBlock,
+    Side,
     check_two_sided,
     eval_side,
     rename_descriptor_parameters,
 )
+from combident.dsl import print_identity
 from combident.errors import NonIntegerExponentError, ShapeError, SingularExponentError
 from combident.integrals import (
     PACKAGED_FORMS,
@@ -30,7 +41,7 @@ from combident.integrals import (
     beta_integral_quadrature,
     gauss_legendre_rule,
 )
-from combident.terms import SumSpec, const, evaluate_blocks
+from combident.terms import const, evaluate_sum
 from combident.transforms import (
     DerivedIdentity,
     check_derived,
@@ -42,8 +53,43 @@ from combident.transforms import (
 )
 
 
+GOLDEN_MOMENT = Path(__file__).parent / "data" / "moment_derivations.json"
+
+MOMENT_VARIANTS = ("direct", "swapped", "reflected", "swapped_reflected")
+
+# the variants the moment scheme accepts for each source, every one for m = 0..3;
+# C01 has (1+x) kernels, and reciprocal_x cannot homogenize F04's and F05's floored bounds
+MOMENT_ACCEPTED = {
+    "C01": (),
+    "C02": MOMENT_VARIANTS,
+    "F01": MOMENT_VARIANTS,
+    "F02": MOMENT_VARIANTS,
+    "F03": MOMENT_VARIANTS,
+    "F04": ("direct", "swapped"),
+    "F05": ("direct", "swapped"),
+    "doubled": MOMENT_VARIANTS,
+}
+
+
 def binding(**values):
     return {name: Fraction(v) for name, v in values.items()}
+
+
+def moment_sources():
+    """The two-sided catalog entries (C01, C02, F01-F05) and the doubled MacMahon identity."""
+    sources = {
+        entry_id: get_entry(entry_id).descriptor
+        for entry_id in entry_ids()
+        if not get_entry(entry_id).descriptor.kernel_free
+    }
+    sources["doubled"] = macmahon_doubled()
+    return sources
+
+
+def derive_grid_counts(derived) -> Counter:
+    """Status counts of a derived identity over the default grid of ``combident derive``."""
+    grid = _derive_grid(derived.descriptor)
+    return Counter(check_derived(derived, b).status for b in sorted_bindings(grid))
 
 
 RULE_SIZES = [*range(1, 12), 31, 64]
@@ -283,11 +329,11 @@ class TestMomentTransform:
         # summands beyond k = m vanish, so the capped and full ranges agree
         for m in range(5):
             derived = moment_transform(SIMONS, m, "direct")
-            capped = derived.rhs[0]
-            full = SumSpec(capped.lo, Bound(Affine.var("n")), capped.term)
+            capped = derived.descriptor.right.blocks[0]
             for n in range(9):
                 b = binding(n=n)
-                assert evaluate_blocks((capped,), b) == evaluate_blocks((full,), b)
+                full = evaluate_sum(capped.lo, Bound(Affine.var("n")), capped.coef, b)
+                assert evaluate_sum(capped.lo, capped.hi, capped.coef, b) == full
 
     def test_dixon_complements_from_doubled_macmahon(self):
         doubled = macmahon_doubled()
@@ -297,22 +343,90 @@ class TestMomentTransform:
             assert report.ok and report.factors == (Fraction(1),)
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(ShapeError):
-            moment_transform(GOULD, 1, "direct")  # left kernel is x^(n-k)
-        with pytest.raises(ShapeError):
-            moment_transform(macmahon_doubled(), 1, "reflected")  # mixed right side
+        with pytest.raises(ShapeError, match=r"needs \(1\+x\)-free kernels"):
+            moment_transform(get_entry("C01").descriptor, 1, "direct")
+        with pytest.raises(ShapeError, match="floored bound"):
+            moment_transform(get_entry("F04").descriptor, 1, "reflected")
+
+    def test_reversed_left_kernel_and_mixed_side_derive(self):
+        # an x^(n-k) left kernel and a mixed x^k (1-x)^(2n-2k) right side are
+        # ordinary blocks for the one moment rule
+        for source, variant in ((GOULD, "direct"), (macmahon_doubled(), "reflected")):
+            counts = derive_grid_counts(moment_transform(source, 1, variant))
+            assert counts[FAILED] == 0 and counts[VERIFIED] > 0, variant
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             moment_transform(SIMONS, -1, "direct")
 
 
+class TestMomentGolden:
+    def test_texts_match_golden_file(self):
+        # the printed text of 44 moment derivations of the two-sided sources (m = 0..3)
+        golden = json.loads(GOLDEN_MOMENT.read_text(encoding="utf-8"))
+        assert len(golden) == 44
+        sources = moment_sources()
+        for record in golden:
+            derived = moment_transform(sources[record["source"]], record["m"], record["variant"])
+            assert derived.provenance == record["provenance"]
+            assert print_identity(derived.to_descriptor()) == record["text"], record["provenance"]
+
+    def test_accepted_set_verifies_on_the_derive_grid(self):
+        accepted, rejected = [], {}
+        for source, desc in moment_sources().items():
+            for variant in MOMENT_VARIANTS:
+                for m in range(4):
+                    try:
+                        derived = moment_transform(desc, m, variant)
+                    except ShapeError as exc:
+                        rejected[source, variant] = str(exc)
+                        continue
+                    accepted.append((source, variant, m))
+                    counts = derive_grid_counts(derived)
+                    assert counts[FAILED] == 0 and counts[VERIFIED] > 0, derived.provenance
+        pinned = [(s, v, m) for s, variants in MOMENT_ACCEPTED.items() for v in variants for m in range(4)]
+        assert accepted == pinned and len(accepted) == 96
+        for (source, variant), reason in rejected.items():
+            expected = "(1+x)" if source == "C01" else "floored bound"
+            assert expected in reason, (source, variant, reason)
+
+
+class TestKlamkinIsFrischAfterReciprocal:
+    """``klamkin(d, r, s) == (r+1)/(s+1) * frisch(reciprocal_x(d), r+1-N, s+1)`` side by side.
+
+    N is the top kernel degree that ``reciprocal_x`` clears with x^N; it is n
+    for F01-F03, so the Frisch parameter r+1-N is numeric only at a fixed n.
+    """
+
+    @pytest.mark.parametrize("source", ["F01", "F02", "F03"])
+    def test_relation_on_both_sides(self, source):
+        desc = get_entry(source).descriptor
+        flipped = rewrite_descriptor(desc, "reciprocal_x")
+        n = Affine.var("n")
+        for side in ("left", "right"):
+            for block, original in zip(getattr(flipped, side).blocks, getattr(desc, side).blocks):
+                assert block.x_exp + original.x_exp + original.one_minus_exp == n
+        extra = {"u": Fraction(7, 3)} if source == "F03" else {}
+        checked = 0
+        for r in (Fraction(17, 2), Fraction(11), Fraction(40, 3)):
+            for s in (0, 1, 2):
+                klamkin = klamkin_transform(desc, r, s).to_descriptor()
+                for n_value in range(6):
+                    frisch = frisch_transform(flipped, r + 1 - n_value, s + 1).to_descriptor()
+                    b = binding(n=n_value, **extra)
+                    for side in ("left", "right"):
+                        expected = (r + 1) / (s + 1) * eval_side(frisch, side, b)
+                        assert eval_side(klamkin, side, b) == expected, (r, s, n_value, side)
+                    checked += 1
+        assert checked == 54
+
+
 class TestMatchAgainstEntry:
     @staticmethod
     def constant_identity(value):
         """The derived identity ``sum[k=0..0] value == sum[k=0..0] value``."""
-        side = (SumSpec(Bound.of(0), Bound.of(0), const(value)),)
-        return DerivedIdentity((("n", "nat"),), side, side, f"constant {value}")
+        side = Side((KernelBlock(Bound.of(0), Bound.of(0), const(value)),))
+        return DerivedIdentity(IdentityDescriptor((("n", "nat"),), side, side, f"constant {value}"))
 
     def test_zero_derived_side_against_nonzero_entry_is_a_mismatch(self):
         # C39a is (-1)^n n(n+1), nonzero from n = 1 on; 0 == 0 holds everywhere
@@ -350,6 +464,14 @@ class TestRewrites:
         for n in range(6):
             b = binding(n=n, r=3, s=2)
             assert check_two_sided(flipped, b).status == VERIFIED
+
+    def test_reciprocal_signs_only_one_minus_blocks(self):
+        # the sign (-1)^b comes from (1-x)^b -> (x-1)^b / x^b; a block with b = 0 gets none
+        text = print_identity(rewrite_descriptor(get_entry("F02").descriptor, "reciprocal_x"))
+        assert text.splitlines()[1:] == [
+            "sum[k=0..n] (-1)^k * binom(n, k) * binom(k + n, k) * x^(n - k)",
+            "  == sum[k=0..n] (-1)^k * (-1)^(n - k) * binom(n, k) * binom(k + n, k) * x^(n - k) * (1-x)^k",
+        ]
 
     def test_reflect_is_involution(self):
         for desc in FIXTURES.values():
