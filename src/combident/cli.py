@@ -240,14 +240,18 @@ def cmd_derive(args) -> int:
             handle.write(text)
 
     # grid-verify the derived identity over its free parameters
-    bindings = sorted_bindings(grid)
-    tallied = GridReport.tally(derived.provenance, (check_derived(derived, b) for b in bindings))
+    results = [check_derived(derived, b) for b in sorted_bindings(grid)]
+    tallied = GridReport.tally(derived.provenance, results)
     counts = tallied.counts
-    unexercised = not counts[VERIFIED] and not counts[FAILED]
+    if not counts[VERIFIED] and not counts[FAILED]:
+        unexercised = " unexercised (every binding was skipped)"
+    elif not counts[FAILED] and all(r.lhs == 0 for r in results if r.status == VERIFIED):
+        unexercised = " unexercised (every verified binding is 0 == 0)"
+    else:
+        unexercised = ""
     print(
         f"# verification: verified={counts[VERIFIED]} pole={counts[SKIPPED_POLE]}"
-        f" pre={counts[SKIPPED_PRECONDITION]} failed={counts[FAILED]}"
-        + (" unexercised (every binding was skipped)" if unexercised else "")
+        f" pre={counts[SKIPPED_PRECONDITION]} failed={counts[FAILED]}{unexercised}"
     )
 
     match_ok = True

@@ -81,13 +81,16 @@ class IdentityDescriptor:
         kernel-free descriptor returns the side's sum as one ``(num, den)``
         pair.  Otherwise it yields ``((num, den), a, b, c)`` for every term
         of every block, where ``x^a (1-x)^b (1+x)^c`` is the term's kernel.
+        Both are specialized on the ``nat`` and ``int`` names being ints.
         """
         label = self.name or "descriptor"
+        integral = frozenset(name for name, sort in self.params if sort in ("nat", "int"))
         return {
             name: compile_side(
                 tuple((b.lo, b.hi, b.coef, (b.x_exp, b.one_minus_exp, b.one_plus_exp)) for b in side.blocks),
                 f"<combident {label} {name}>",
                 self.kernel_free,
+                integral,
             )
             for name, side in (("left", self.left), ("right", self.right))
         }
@@ -280,7 +283,9 @@ def check_two_sided(
 
     The binding is converted once, by :func:`exact_env`: integral values
     become ints.  Both sides are evaluated on that copy, and the result
-    keeps it.
+    keeps it.  A kernel-free descriptor compares its two ``(num, den)``
+    pairs by cross-multiplication and builds one Fraction, which a verified
+    result holds as both ``lhs`` and ``rhs``.
     """
     binding = exact_env(binding)
     label = desc.name or "descriptor"
@@ -292,16 +297,23 @@ def check_two_sided(
         if issue is not None:
             return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=issue)
     try:
-        lhs = side_value(desc, "left", binding)
-        rhs = side_value(desc, "right", binding)
+        if desc.kernel_free:
+            lhs, rhs = desc.compiled["left"](binding), desc.compiled["right"](binding)
+        else:
+            lhs, rhs = side_value(desc, "left", binding), side_value(desc, "right", binding)
     except PoleError as exc:
         return CheckResult(label, binding, SKIPPED_POLE, witness=str(exc))
     except (PreconditionError, UnboundParameterError) as exc:
         return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=str(exc))
-    if lhs == rhs:
-        return CheckResult(label, binding, VERIFIED, lhs=lhs, rhs=rhs)
     if desc.kernel_free:
+        (lnum, lden), (rnum, rden) = lhs, rhs
+        if lnum * rden == rnum * lden:  # both denominators are > 0
+            value = Fraction(lnum, lden)
+            return CheckResult(label, binding, VERIFIED, lhs=value, rhs=value)
+        lhs, rhs = Fraction(lnum, lden), Fraction(rnum, rden)
         witness = f"lhs = {lhs}, rhs = {rhs} at {format_binding(binding)}"
+    elif lhs == rhs:
+        return CheckResult(label, binding, VERIFIED, lhs=lhs, rhs=rhs)
     else:
         witness = first_mismatch(lhs, rhs)
     return CheckResult(label, binding, FAILED, lhs=lhs, rhs=rhs, witness=witness)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Mapping, Union
 
 from .affine import Affine, Bound
@@ -168,6 +168,14 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 # the code runs in.  The k-free part of every affine form is computed once
 # per call; integer uses of a form also take its ``divmod`` by D there, so
 # inside the k-loop an integer check is one test of a remainder.
+#
+# A side may name parameters that are integral (sorts ``nat`` and ``int``).
+# A k-free form over only those names with an integer constant is static:
+# its int value is computed once per call, with no D, no remainder test and
+# no rational branch, and the pair of a static form is over 1.  The
+# function first tests that every integral name it reads is bound to an
+# int; if one is not, it hands the call to the general function of the same
+# blocks, compiled with no integral names on the first such call.
 
 Pair = tuple[int, int]
 
@@ -277,6 +285,13 @@ def _key(form: Affine) -> tuple:
     return form.coeffs, form.const.numerator, form.const.denominator
 
 
+def _lone_name(form: Affine) -> str | None:
+    """The name of a form that is one parameter with coefficient 1 and constant 0, else None."""
+    if form.const == 0 and len(form.coeffs) == 1 and form.coeffs[0][1] == 1:
+        return form.coeffs[0][0]
+    return None
+
+
 def _is_literal(source: str) -> bool:
     return source.lstrip("-").isdigit()
 
@@ -299,14 +314,18 @@ class _Source:
 
     Forms whose names include ``index`` are split into ``c * index + rest``:
     the index is the k of a block's loop, an int.  With ``index`` None, k
-    is an ordinary parameter read from the environment.
+    is an ordinary parameter read from the environment.  The names in
+    ``integral`` are read as ints (see the comment above).
     """
 
-    def __init__(self, index: str | None):
+    def __init__(self, index: str | None, integral: frozenset[str] = frozenset()):
         self.index = index
-        self.params: dict[str, str] = {}  # name -> identifier of its numerator
-        # keyed by _key(k-free part): the identifier of its numerator over D,
-        # and the identifiers of the quotient and remainder of that by D
+        self.integral = integral
+        self.params: dict[str, str] = {}  # name -> identifier of its numerator over D
+        # keyed by _key(k-free part): the identifier of a static form's int
+        # value, of any other form's numerator over D, and of the quotient and
+        # remainder of that by D
+        self.statics: dict[tuple, tuple[str, Affine]] = {}
         self.rests: dict[tuple, tuple[str, Affine]] = {}
         self.quotients: dict[tuple, tuple[str, str, str]] = {}
         self.den_lcm = 1
@@ -352,6 +371,26 @@ class _Source:
             return 0, form
         return c, Affine(tuple((n, v) for n, v in form.coeffs if n != self.index), form.const)
 
+    def read(self, rest: Affine) -> None:
+        """Read the names of a k-free form from the environment, in first-use order."""
+        for param, _ in rest.coeffs:
+            if param not in self.params:
+                self.params[param] = f"p{len(self.params)}"
+
+    def static(self, rest: Affine) -> str | None:
+        """Identifier or literal of a static k-free form's int value, computed once per call; else None."""
+        if rest.const.denominator != 1 or any(name not in self.integral for name, _ in rest.coeffs):
+            return None
+        if rest.is_constant():
+            return str(rest.const.numerator)
+        key = _key(rest)
+        if key not in self.statics:
+            self.read(rest)
+            lone = _lone_name(rest)
+            name = "v" + self.params[lone] if lone else self.fresh("r")  # a parameter's own value
+            self.statics[key] = (name, rest)
+        return self.statics[key][0]
+
     def rest(self, rest: Affine) -> str:
         """Identifier of the numerator over D of a k-free form, computed once per call."""
         if rest.is_zero():
@@ -359,14 +398,10 @@ class _Source:
         key = _key(rest)
         if key in self.rests:
             return self.rests[key][0]
-        for param, _ in rest.coeffs:
-            if param not in self.params:
-                self.params[param] = f"p{len(self.params)}"
+        self.read(rest)
         self.den_lcm = math.lcm(self.den_lcm, rest.const.denominator)
-        if rest.const == 0 and rest.coeffs == ((rest.coeffs[0][0], 1),):
-            name = self.params[rest.coeffs[0][0]]  # a parameter's own numerator
-        else:
-            name = self.fresh("r")
+        lone = _lone_name(rest)
+        name = self.params[lone] if lone else self.fresh("r")  # a parameter's own numerator
         self.rests[key] = (name, rest)
         return name
 
@@ -382,6 +417,14 @@ class _Source:
         c, rest = self.split(form, indexed)
         return _linear(c, "k * D", self.rest(rest))
 
+    def value(self, form: Affine) -> tuple[str, str]:
+        """Sources of ``form`` as a pair: over 1 when its k-free part is static, else over D."""
+        c, rest = self.split(form)
+        static = self.static(rest)
+        if static is not None:
+            return _linear(c, self.index, static), "1"
+        return _linear(c, "k * D", self.rest(rest)), "D"
+
     def integer(self, form: Affine, depth: int, error: str, what: str, indexed: bool = True) -> str:
         """Emit the check that ``form`` is an integer; return the source of its value.
 
@@ -390,8 +433,9 @@ class _Source:
         the check tests the remainder of its k-free part.
         """
         c, rest = self.split(form, indexed)
-        if rest.is_constant() and rest.const.denominator == 1:
-            return _linear(c, self.index, str(rest.const.numerator))
+        static = self.static(rest)
+        if static is not None:
+            return _linear(c, self.index, static)
         quotient, remainder = self.quotient(rest)
         numerator = self.numerator(form, indexed)
         self.emit(depth, f"if {remainder}: raise {error}({self.site(what, form)}, {numerator}, D)")
@@ -412,33 +456,36 @@ class _Source:
         if isinstance(expr, Const):
             return str(expr.value.numerator), str(expr.value.denominator)
         if isinstance(expr, AffineFactor):
-            if expr.value.is_constant() and expr.value.const.denominator == 1:
-                return str(expr.value.const.numerator), "1"
-            return self.numerator(expr.value), "D"
+            return self.value(expr.value)
         if isinstance(expr, SignPow):
             form = expr.exponent
             e = self.integer(form, depth, "_not_integer", "sign exponent")
             return self.assign(depth, f"-1 if {_group(e)} % 2 else 1", "s"), "1"
         if isinstance(expr, Power):
-            base = self.numerator(expr.base)
+            base, den = self.value(expr.base)
             form = expr.exponent
             e = self.integer(form, depth, "_not_integer", "exponent")
             e = self.natural(e, depth, "_negative_power({})")
-            return f"{_group(base)} ** {e}", f"D ** {e}"
+            return f"{_group(base)} ** {e}", "1" if den == "1" else f"D ** {e}"
         if isinstance(expr, Binom):
             return self.binom(expr, depth)
         if isinstance(expr, Quot):
             num, den = self.fresh("n"), self.fresh("d")
-            self.emit(depth, f"if not ({den} := {self.numerator(expr.denom)}): raise _vanishes({self.ref(expr.denom)})")
-            numer = _group(self.numerator(expr.numer))
+            denom, denom_over = self.value(expr.denom)
+            self.emit(depth, f"if not ({den} := {denom}): raise _vanishes({self.ref(expr.denom)})")
+            numer, numer_over = self.value(expr.numer)
+            # (numer / numer_over) / (denom / denom_over): D cancels unless one is over 1
+            numer = _group(numer if numer_over == denom_over else f"{numer} * {denom_over}")
             self.emit(depth, f"{num}, {den} = ({numer}, {den}) if {den} > 0 else (-{numer}, -{den})")
-            return num, den
+            return num, den if numer_over == denom_over else f"{den} * {numer_over}"
         if isinstance(expr, AltPowerSum):
             count = self.integer(expr.count, depth, "_not_integer", "count")
             count = self.natural(count, depth, "_negative_count({})")
-            shift = self.numerator(expr.shift)
+            shift, step = self.value(expr.shift)
             p = self.integer(expr.power, depth, "_not_integer", "power")
             p = self.natural(p, depth, "_negative_sum_power({})")
+            if step == "1":
+                return self.assign(depth, f"alternating_power_sum({count}, {shift}, {p})", "a"), "1"
             value = self.assign(depth, f"alternating_power_sum({count}, {shift}, {p}, D)", "a")
             return value, f"D ** {p}"
         if isinstance(expr, Product):
@@ -468,9 +515,9 @@ class _Source:
         j = self.assign(depth, self.integer(lower, depth, "_not_integer", "lower index"), "j")
         num, den = self.fresh("b"), self.fresh("d")
         c, rest = self.split(expr.upper)
-        static = rest.is_constant() and rest.const.denominator == 1
-        if static:
-            u = _linear(c, self.index, str(rest.const.numerator))
+        static = self.static(rest)
+        if static is not None:
+            u = _linear(c, self.index, static)
         else:
             quotient, remainder = self.quotient(rest)
             u = _linear(c, self.index, quotient)
@@ -479,14 +526,14 @@ class _Source:
             u = self.fresh("u")
             test = f"({u} := {test})"
         counting = f"comb({u}, {j}) if {test} >= 0 <= {j} else _binom_int({u}, {j})"
-        if static:
+        if static is not None:
             self.emit(depth, f"{num} = {counting}")
             den = "1"
         else:
             rational = f"_binom_pair({self.numerator(expr.upper)}, D, {j})"
             self.emit(depth, f"{num}, {den} = {rational} if {remainder} else ({counting}, 1)")
         if expr.inverted:
-            self.emit(depth, f"if not {num}: raise _no_reciprocal({self.numerator(expr.upper)}, D, {j})")
+            self.emit(depth, f"if not {num}: raise _no_reciprocal({', '.join(self.value(expr.upper))}, {j})")
             if den == "1":
                 den = self.fresh("d")
                 self.emit(depth, f"{num}, {den} = (1, {num}) if {num} > 0 else (-1, -{num})")
@@ -516,22 +563,40 @@ class _Source:
 
     # -- the function
 
-    def compile(self, signature: str, filename: str):
-        """Compile ``def signature:`` with a prologue that reads the parameters."""
+    def compile(self, signature: str, filename: str, general=None, generator: bool = False):
+        """Compile ``def signature:`` with a prologue that reads the parameters.
+
+        ``general`` is the function a call goes to when an integral name is
+        not bound to an int; ``generator`` says to yield from it.
+        """
         prologue = []
-        idents = list(self.params.values())
-        if idents:
+        if self.params:
             prologue.append("try:")
             prologue += [f"    v{p} = env[{name!r}]" for name, p in self.params.items()]
             prologue.append("except KeyError as exc:")
             prologue.append("    raise UnboundParameterError(exc.args[0]) from None")
-            dens = [f"v{p}.denominator" for p in idents]
+        guards = [f"type(v{p}) is not int" for name, p in self.params.items() if name in self.integral]
+        if guards:
+            self.namespace["general"] = general
+            prologue.append(f"if {' or '.join(guards)}:")
+            prologue += ["    yield from general()(env)", "    return"] if generator else ["    return general()(env)"]
+        values = {f"v{p}" for p in self.params.values()}
+        for name, rest in self.statics.values():
+            if name not in values:
+                parts = [_linear(c, "v" + self.params[n], "0") for n, c in rest.coeffs]
+                if rest.const:
+                    parts.append(str(rest.const.numerator))
+                prologue.append(f"{name} = {' + '.join(parts)}")
+        if self.rests:
+            scaled = {n for _, rest in self.rests.values() for n, _ in rest.coeffs}
+            dens = [f"v{p}.denominator" for n, p in self.params.items() if n in scaled and n not in self.integral]
             if self.den_lcm != 1:
                 dens.append(str(self.den_lcm))
-            prologue.append(f"D = lcm({', '.join(dens)})")
-            prologue += [f"{p} = v{p}.numerator * (D // v{p}.denominator)" for p in idents]
-        else:
-            prologue.append(f"D = {self.den_lcm}")
+            prologue.append(f"D = {dens[0]}" if len(dens) == 1 else f"D = lcm({', '.join(dens)})")
+            for n, p in self.params.items():
+                if n in scaled:
+                    prologue.append(f"{p} = v{p} * D" if n in self.integral else f"{p} = v{p}.numerator * (D // v{p}.denominator)")
+        idents = list(self.params.values())
         for name, rest in self.rests.values():
             if name in idents:
                 continue
@@ -550,7 +615,12 @@ class _Source:
         return namespace[signature.partition("(")[0]]
 
 
-def compile_side(blocks: tuple, filename: str = "<combident side>", kernel_free: bool = False):
+def compile_side(
+    blocks: tuple,
+    filename: str = "<combident side>",
+    kernel_free: bool = False,
+    integral: frozenset[str] = frozenset(),
+):
     """One generated function for a list of blocks ``(lo, hi, coef, kernel)``.
 
     Called with an :func:`exact_env` environment, the function runs the
@@ -559,9 +629,11 @@ def compile_side(blocks: tuple, filename: str = "<combident side>", kernel_free:
     one unreduced pair; ``kernel`` is not read.  Otherwise ``kernel`` is the
     exponent forms ``(a, b, c)`` of ``x^a (1-x)^b (1+x)^c`` and the function
     is a generator that yields ``((num, den), a, b, c)`` for every term.
-    ``filename`` names the function in tracebacks and profiles.
+    ``filename`` names the function in tracebacks and profiles.  The names
+    in ``integral`` are specialized on as ints; a call that binds one of them
+    to anything else runs the general function of the same blocks.
     """
-    src = _Source("k")
+    src = _Source("k", integral)
     if kernel_free:
         src.emit(1, "total, common = 0, 1")
     for lo, hi, coef, kernel in blocks:
@@ -583,7 +655,8 @@ def compile_side(blocks: tuple, filename: str = "<combident side>", kernel_free:
         src.emit(1, "return total, common")
     elif not blocks:
         src.emit(1, "yield from ()")
-    return src.compile("side(env)", filename)
+    general = cache(lambda: compile_side(blocks, filename, kernel_free))
+    return src.compile("side(env)", filename, general, not kernel_free)
 
 
 @lru_cache(maxsize=1024)

@@ -1,12 +1,24 @@
 """Catalog fixtures: spot values, grids, consistency chains."""
 
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from combident.catalog import entry_ids, get_entry, iter_grid, verify_entry, verify_grid
-from combident.descriptors import SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED, eval_side
+from combident.catalog import entry_ids, get_entry, iter_grid, sorted_bindings, verify_entry, verify_grid
+from combident.descriptors import (
+    FAILED,
+    SKIPPED_POLE,
+    SKIPPED_PRECONDITION,
+    VERIFIED,
+    IdentityDescriptor,
+    Side,
+    check_two_sided,
+    eval_side,
+)
 from combident.errors import EmptyGridError, UnboundParameterError, UnknownEntryError
+from combident.terms import _map_affines
 
 
 def binding(**values):
@@ -204,3 +216,52 @@ class TestConsistencyChains:
                 assert sides("C37", binding(n=n, m=m))[0] == sides(display, binding(n=n))[0]
             for m, display in ((1, "C40a"), (2, "C40b"), (3, "C40c")):
                 assert sides("C38", binding(n=n, m=m))[0] == sides(display, binding(n=n))[0]
+
+
+def _shift_form(expr, index):
+    """``expr`` with its ``index``-th affine form (in ``_map_affines`` order) shifted by +1."""
+    position = itertools.count()
+    return _map_affines(expr, lambda form: form + 1 if next(position) == index else form)
+
+
+def _form_count(expr) -> int:
+    forms = []
+    _map_affines(expr, lambda form: forms.append(form) or form)
+    return len(forms)
+
+
+class TestMutants:
+    """Each default grid must catch an off-by-one in any affine form of its left summands."""
+
+    # (entry, block, form index) of the mutants no default grid can fail: four
+    # make every binding a pole, and C33's three binom(2n+1, k) siblings verify
+    SURVIVORS = {
+        ("C13", 0, 4): {SKIPPED_POLE},
+        ("C13", 0, 6): {SKIPPED_POLE},
+        ("C23", 0, 5): {SKIPPED_POLE},
+        ("C24", 0, 6): {SKIPPED_POLE},
+        ("C33", 0, 2): {VERIFIED},
+        ("C33", 0, 4): {VERIFIED},
+        ("C33", 0, 6): {VERIFIED},
+    }
+
+    def test_every_other_left_form_shift_fails_on_the_default_grid(self):
+        survivors, total = {}, 0
+        for entry_id in entry_ids():
+            entry = get_entry(entry_id)
+            desc = entry.descriptor
+            for b, block in enumerate(desc.left.blocks):
+                for i in range(_form_count(block.coef)):
+                    total += 1
+                    blocks = list(desc.left.blocks)
+                    blocks[b] = replace(block, coef=_shift_form(block.coef, i))
+                    mutant = IdentityDescriptor(desc.params, Side(tuple(blocks)), desc.right, name=desc.name)
+                    statuses = set()
+                    for binding_ in sorted_bindings(entry.default_grid):
+                        statuses.add(check_two_sided(mutant, binding_, entry.validity).status)
+                        if FAILED in statuses:
+                            break
+                    if FAILED not in statuses:
+                        survivors[entry_id, b, i] = statuses
+        assert total == 308
+        assert survivors == self.SURVIVORS

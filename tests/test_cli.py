@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from combident.catalog import macmahon_doubled
+from combident.dsl import print_identity
+
 GOLDEN_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all.json"
 
 
@@ -157,6 +160,20 @@ class TestDerive:
         assert result.returncode == 1
         assert (
             "# verification: verified=0 pole=0 pre=81 failed=0 unexercised" in result.stdout
+        )
+
+    @pytest.mark.parametrize("variant", ["direct", "reflected"])
+    def test_derivation_with_only_vacuous_bindings_exits_one(self, tmp_path, variant):
+        # both sides of the doubled MacMahon moment identity at m = 3 vanish at every n
+        source = tmp_path / "doubled.dsl"
+        source.write_text(print_identity(macmahon_doubled()), encoding="utf-8")
+        result = run_cli(
+            "derive", "--scheme", "moment", "--m", "3", "--variant", variant, "--input", str(source),
+        )
+        assert result.returncode == 1
+        assert result.stdout.endswith(
+            "# verification: verified=9 pole=0 pre=0 failed=0"
+            " unexercised (every verified binding is 0 == 0)\n"
         )
 
     def test_parse_error_exits_two(self, tmp_path):

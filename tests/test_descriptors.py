@@ -4,8 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from combident import terms
 from combident.affine import Affine, Bound
-from combident.catalog import FIXTURES, GEOM_SUM, SIMONS, get_entry, verify_entry
+from combident.catalog import (
+    FIXTURES,
+    GEOM_SUM,
+    GOULD,
+    SIMONS,
+    entry_ids,
+    get_entry,
+    macmahon_doubled,
+    sorted_bindings,
+    verify_entry,
+)
 from combident.descriptors import (
     SKIPPED_POLE,
     SKIPPED_PRECONDITION,
@@ -21,8 +32,8 @@ from combident.descriptors import (
 )
 from combident.errors import UnboundParameterError
 from combident.poly import Polynomial
-from combident.terms import af, binom, const, evaluate_symbolic, ibinom, prod
-from combident.transforms import check_derived, frisch_transform
+from combident.terms import af, binom, compile_side, const, evaluate_symbolic, exact_env, ibinom, prod
+from combident.transforms import check_derived, frisch_transform, klamkin_transform, moment_transform
 
 X = Polynomial.variable("x")
 
@@ -238,3 +249,93 @@ class TestCheckTwoSided:
 
     def test_transposition_is_involution(self):
         assert transpose_descriptor(transpose_descriptor(SIMONS)) == SIMONS
+
+
+def _pinned_derivations():
+    """The 12 derivations pinned by their catalog matches: (descriptor, matched entry)."""
+    doubled = macmahon_doubled()
+    derived = [
+        (frisch_transform(GOULD), "C05"),
+        (frisch_transform(GOULD, direction="transposed"), "C06"),
+        (klamkin_transform(GOULD), "C18"),
+        (klamkin_transform(GOULD, direction="transposed"), "C19"),
+        (moment_transform(doubled, 1), "C33"),
+        (moment_transform(doubled, 2), "C34"),
+    ]
+    for m, suffix in ((1, "a"), (2, "b"), (3, "c")):
+        derived.append((moment_transform(SIMONS, m), f"C39{suffix}"))
+        derived.append((moment_transform(SIMONS, m, variant="reflected"), f"C40{suffix}"))
+    return [(d.descriptor, entry_id) for d, entry_id in derived]
+
+
+def _specialization_cases():
+    """(descriptor, default grid) of every catalog entry, fixture and pinned derivation."""
+    cases = [(get_entry(i).descriptor, get_entry(i).default_grid) for i in entry_ids()]
+    cases += [(desc, get_entry(name).default_grid) for name, desc in FIXTURES.items()]
+    cases += [(desc, get_entry(entry_id).default_grid) for desc, entry_id in _pinned_derivations()]
+    return cases
+
+
+# values no binding that passes check_sorts can give: n and s are nat or int wherever declared
+_SORT_VIOLATIONS = (("n", Fraction(7, 2)), ("n", Fraction(-1)), ("s", Fraction(1, 2)))
+
+
+def _general(desc: IdentityDescriptor, side: str):
+    blocks = (desc.left if side == "left" else desc.right).blocks
+    return compile_side(
+        tuple((b.lo, b.hi, b.coef, (b.x_exp, b.one_minus_exp, b.one_plus_exp)) for b in blocks),
+        kernel_free=desc.kernel_free,
+        integral=frozenset(),
+    )
+
+
+def _outcome(function, env, kernel_free: bool):
+    """A side's value (its pair, or its yielded terms, as Fractions) or its exception's type and message."""
+    try:
+        result = function(env)
+        terms_ = [(result,)] if kernel_free else list(result)
+    except (ArithmeticError, LookupError, ValueError) as exc:
+        return type(exc), str(exc)
+    for (num, den), *_ in terms_:
+        assert type(num) is int and type(den) is int and den > 0
+    return [(Fraction(num, den), *exponents) for (num, den), *exponents in terms_]
+
+
+class TestIntegralSpecialization:
+    """Side functions specialized on ``nat``/``int`` names agree with the general ones."""
+
+    def test_specialized_and_general_sides_agree(self):
+        compared = violations = 0
+        for desc, grid in _specialization_cases():
+            declared = {name for name, _ in desc.params}
+            bindings = [{}] + list(sorted_bindings(grid))  # {}: the first name read is unbound
+            for name, value in _SORT_VIOLATIONS:
+                if name in declared:
+                    bindings += sorted_bindings({**grid, name: (value,)})
+                    violations += 1
+            for side in ("left", "right"):
+                specialized, general = desc.compiled[side], _general(desc, side)
+                for b in bindings:
+                    env = exact_env(b)
+                    expected = _outcome(general, env, desc.kernel_free)
+                    assert _outcome(specialized, env, desc.kernel_free) == expected, (desc.name, side, b)
+                    compared += 1
+        assert violations > 150 and compared > 28000
+
+    def test_default_grids_never_compile_a_general_function(self, monkeypatch):
+        # a general function is compiled through the module's compile_side
+        # (descriptors call their own import of it), so this counts only those
+        compiled = []
+        real = terms.compile_side
+        monkeypatch.setattr(terms, "compile_side", lambda *args: compiled.append(args) or real(*args))
+        for desc, grid in _specialization_cases():
+            fresh = IdentityDescriptor(desc.params, desc.left, desc.right, name=desc.name)
+            for b in sorted_bindings(grid):
+                check_two_sided(fresh, b)
+        assert compiled == []
+        # the first sort-violating call compiles the general function, and later ones reuse it
+        fresh = IdentityDescriptor(GOULD.params, GOULD.left, GOULD.right, name=GOULD.name)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^bound n is not an integer at this binding$"):
+                list(fresh.compiled["left"](exact_env(binding(n=Fraction(7, 2), u=1))))
+        assert len(compiled) == 1
