@@ -56,7 +56,7 @@ from .integrals import (
     beta_integral_exact,
     beta_integral_quadrature,
 )
-from .poly import Polynomial, RationalFunction, rf_equal
+from .poly import Polynomial
 from .terms import TermExpr, evaluate, evaluate_sum
 from .transforms import (
     DerivedIdentity,

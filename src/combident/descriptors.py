@@ -248,21 +248,6 @@ def eval_side_at(
     )
 
 
-def side_degree_bound(desc: IdentityDescriptor, side: str, binding: Mapping[str, Fraction]) -> int:
-    """Largest total kernel exponent over the summation ranges."""
-    blocks = (desc.left if side == "left" else desc.right).blocks
-    best = 0
-    for block in blocks:
-        lo = max(0, block.lo.evaluate(binding))
-        hi = block.hi.evaluate(binding)
-        total = block.x_exp + block.one_minus_exp + block.one_plus_exp
-        for k in (lo, hi):
-            env = dict(binding)
-            env["k"] = Fraction(k)
-            best = max(best, int(Fraction(total.evaluate(env))))
-    return best
-
-
 def first_mismatch(lhs: Polynomial, rhs: Polynomial) -> str:
     diff = lhs - rhs
     if diff.is_zero():

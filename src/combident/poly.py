@@ -1,10 +1,8 @@
-"""Canonical sparse multivariate polynomials and rational functions.
+"""Canonical sparse multivariate polynomials.
 
 Coefficients are exact rationals.  A monomial is a tuple of (name, exponent)
 pairs sorted by name with no zero exponents; a polynomial stores its terms in
-graded-lexicographic order so equality is structural.  Rational functions are
-kept as numerator/denominator pairs normalized to a monic denominator;
-equality is decided by cross-multiplication, so no multivariate gcd is needed.
+graded-lexicographic order so equality is structural.
 """
 
 from __future__ import annotations
@@ -75,34 +73,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(m == _ONE_MONOMIAL for m, _ in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms[0][1]
-
     def coefficient(self, mono: Monomial) -> Fraction:
         for m, c in self.terms:
             if m == mono:
                 return c
         return Fraction(0)
-
-    def degree(self, name: str | None = None) -> int:
-        """Total degree, or degree in one indeterminate; zero poly has degree 0."""
-        if not self.terms:
-            return 0
-        if name is None:
-            return max(sum(e for _, e in m) for m, _ in self.terms)
-        return max((dict(m).get(name, 0) for m, _ in self.terms), default=0)
-
-    def leading_coefficient(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[-1][1]
 
     def __add__(self, other) -> "Polynomial":
         other = _coerce(other)
@@ -187,82 +162,3 @@ def _coerce(value) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     return Polynomial.constant(value)
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """Formal quotient of polynomials, denominator monic in graded-lex order."""
-
-    numerator: Polynomial
-    denominator: Polynomial
-
-    @staticmethod
-    def of(numerator, denominator=1) -> "RationalFunction":
-        num = _coerce(numerator)
-        den = _coerce(denominator)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        lead = den.leading_coefficient()
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        return RationalFunction(num, den)
-
-    @staticmethod
-    def constant(value: Scalar) -> "RationalFunction":
-        return RationalFunction.of(Polynomial.constant(value))
-
-    def __add__(self, other) -> "RationalFunction":
-        other = _coerce_rf(other)
-        return RationalFunction.of(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.numerator, self.denominator)
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-_coerce_rf(other))
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return _coerce_rf(other) + (-self)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = _coerce_rf(other)
-        return RationalFunction.of(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RationalFunction":
-        if self.numerator.is_zero():
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RationalFunction.of(self.denominator, self.numerator)
-
-    def __truediv__(self, other) -> "RationalFunction":
-        return self * _coerce_rf(other).inverse()
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def __str__(self) -> str:
-        return f"({self.numerator}) / ({self.denominator})"
-
-
-def _coerce_rf(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, Polynomial):
-        return RationalFunction.of(value)
-    return RationalFunction.constant(value)
-
-
-def rf_equal(a, b) -> bool:
-    """Formal equality by cross-multiplication."""
-    a = _coerce_rf(a)
-    b = _coerce_rf(b)
-    return a.numerator * b.denominator == b.numerator * a.denominator

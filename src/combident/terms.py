@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from typing import Mapping, Union
 
 from .affine import Affine, Bound
 from .errors import PoleError, PreconditionError, UnboundParameterError
-from .exact import alternating_power_sum, binom_rational_pair
-from .poly import Polynomial, RationalFunction
+from .exact import alternating_power_sum, binom_rational, binom_rational_pair
 
 Scalar = Union[int, Fraction]
 Env = Mapping[str, Scalar]
@@ -155,7 +154,7 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 
 # -- exact evaluation -------------------------------------------------------
 #
-# A side (or a single term) compiles once into the Python source of one
+# Every check runs a side compiled once into the Python source of one
 # function, which ``compile()`` turns into code.  The function reads an
 # environment of ints and Fractions (see :func:`exact_env`), writes every
 # parameter as an integer numerator over one common denominator D (the lcm
@@ -176,6 +175,10 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 # function first tests that every integral name it reads is bound to an
 # int; if one is not, it hands the call to the general function of the same
 # blocks, compiled with no integral names on the first such call.
+#
+# :func:`evaluate` is the reference the generated code is tested against: a
+# walk of one term's tree in Fractions that raises the same exceptions with
+# the same messages.
 
 Pair = tuple[int, int]
 
@@ -310,16 +313,14 @@ def _linear(c: int, var: str, rest: str) -> str:
 
 
 class _Source:
-    """The source of one compiled function, and the namespace it will run in.
+    """The source of one compiled side function, and the namespace it will run in.
 
-    Forms whose names include ``index`` are split into ``c * index + rest``:
-    the index is the k of a block's loop, an int.  With ``index`` None, k
-    is an ordinary parameter read from the environment.  The names in
-    ``integral`` are read as ints (see the comment above).
+    A form that names k is split into ``c * k + rest``: k is the index of a
+    block's loop, an int, and ``rest`` is computed once per call.  The names
+    in ``integral`` are read as ints (see the comment above).
     """
 
-    def __init__(self, index: str | None, integral: frozenset[str] = frozenset()):
-        self.index = index
+    def __init__(self, integral: frozenset[str]):
         self.integral = integral
         self.params: dict[str, str] = {}  # name -> identifier of its numerator over D
         # keyed by _key(k-free part): the identifier of a static form's int
@@ -365,11 +366,11 @@ class _Source:
     # -- affine forms
 
     def split(self, form: Affine, indexed: bool = True) -> tuple[int, Affine]:
-        """``(c, rest)`` with ``form == c * index + rest``; c is 0 without an index."""
-        c = form.coefficient(self.index) if indexed and self.index else 0
+        """``(c, rest)`` with ``form == c * k + rest``; c is 0 when not ``indexed``."""
+        c = form.coefficient("k") if indexed else 0
         if not c:
             return 0, form
-        return c, Affine(tuple((n, v) for n, v in form.coeffs if n != self.index), form.const)
+        return c, Affine(tuple((n, v) for n, v in form.coeffs if n != "k"), form.const)
 
     def read(self, rest: Affine) -> None:
         """Read the names of a k-free form from the environment, in first-use order."""
@@ -422,7 +423,7 @@ class _Source:
         c, rest = self.split(form)
         static = self.static(rest)
         if static is not None:
-            return _linear(c, self.index, static), "1"
+            return _linear(c, "k", static), "1"
         return _linear(c, "k * D", self.rest(rest)), "D"
 
     def integer(self, form: Affine, depth: int, error: str, what: str, indexed: bool = True) -> str:
@@ -435,11 +436,11 @@ class _Source:
         c, rest = self.split(form, indexed)
         static = self.static(rest)
         if static is not None:
-            return _linear(c, self.index, static)
+            return _linear(c, "k", static)
         quotient, remainder = self.quotient(rest)
         numerator = self.numerator(form, indexed)
         self.emit(depth, f"if {remainder}: raise {error}({self.site(what, form)}, {numerator}, D)")
-        return _linear(c, self.index, quotient)
+        return _linear(c, "k", quotient)
 
     def natural(self, value: str, depth: int, negative: str) -> str:
         """``value`` as an operand, raising ``negative.format(value)`` below 0."""
@@ -517,10 +518,10 @@ class _Source:
         c, rest = self.split(expr.upper)
         static = self.static(rest)
         if static is not None:
-            u = _linear(c, self.index, static)
+            u = _linear(c, "k", static)
         else:
             quotient, remainder = self.quotient(rest)
-            u = _linear(c, self.index, quotient)
+            u = _linear(c, "k", quotient)
         test = u
         if not (u.isidentifier() or _is_literal(u)):
             u = self.fresh("u")
@@ -594,8 +595,14 @@ class _Source:
                 dens.append(str(self.den_lcm))
             prologue.append(f"D = {dens[0]}" if len(dens) == 1 else f"D = lcm({', '.join(dens)})")
             for n, p in self.params.items():
-                if n in scaled:
-                    prologue.append(f"{p} = v{p} * D" if n in self.integral else f"{p} = v{p}.numerator * (D // v{p}.denominator)")
+                if n not in scaled:
+                    continue
+                if n in self.integral:
+                    prologue.append(f"{p} = v{p} * D")
+                elif len(dens) == 1:  # D is this name's own denominator
+                    prologue.append(f"{p} = v{p}.numerator")
+                else:
+                    prologue.append(f"{p} = v{p}.numerator * (D // v{p}.denominator)")
         idents = list(self.params.values())
         for name, rest in self.rests.values():
             if name in idents:
@@ -633,7 +640,7 @@ def compile_side(
     in ``integral`` are specialized on as ints; a call that binds one of them
     to anything else runs the general function of the same blocks.
     """
-    src = _Source("k", integral)
+    src = _Source(integral)
     if kernel_free:
         src.emit(1, "total, common = 0, 1")
     for lo, hi, coef, kernel in blocks:
@@ -659,123 +666,83 @@ def compile_side(
     return src.compile("side(env)", filename, general, not kernel_free)
 
 
-@lru_cache(maxsize=1024)
-def compile_term(expr: TermExpr):
-    """A function computing ``expr`` as a ``(num, den)`` pair in an :func:`exact_env` environment (k included)."""
-    src = _Source(None)
-    num, den = src.term(expr, 1)
-    src.emit(1, f"return {num}, {den}")
-    return src.compile("term(env)", "<combident term>")
+# -- the reference interpreter ----------------------------------------------
+
+def _integer(form: Affine, what: str, env: Env) -> int:
+    value = Fraction(form.evaluate(env))
+    if value.denominator != 1:
+        raise _not_integer((what, form), value.numerator, value.denominator)
+    return value.numerator
 
 
-def evaluate(expr: TermExpr, env: Env) -> Fraction:
-    """Exact value of a term at a full binding (the index k included in env)."""
-    return Fraction(*compile_term(expr)(exact_env(env)))
-
-
-# -- symbolic evaluation ----------------------------------------------------
-
-def evaluate_symbolic(expr: TermExpr, env: Env, symbolic: frozenset[str]) -> RationalFunction:
-    """Evaluate with some parameters left as indeterminates.
-
-    Names in ``symbolic`` become polynomial generators; every index that must
-    be an integer (signs, lower binomial indices, exponents) must stay
-    numeric.  Each inverse binomial contributes an explicit denominator
-    polynomial.
-    """
-    ring_env: dict[str, object] = dict(env)
-    for name in symbolic:
-        ring_env[name] = Polynomial.variable(name)
-
-    def numeric(a: Affine, what: str) -> int:
-        if a.names() & symbolic:
-            raise PreconditionError(f"{what} may not involve symbolic parameters")
-        value = Fraction(a.evaluate(env))
-        if value.denominator != 1:
-            raise _not_integer(what, value.numerator, value.denominator)
-        return value.numerator
-
-    def ring(a: Affine) -> Polynomial:
-        value = a.evaluate(ring_env)
-        if isinstance(value, Polynomial):
-            return value
-        return Polynomial.constant(value)
-
+def _value(expr: TermExpr, env: Env) -> Fraction:
     if isinstance(expr, Const):
-        return RationalFunction.constant(expr.value)
+        return expr.value
     if isinstance(expr, AffineFactor):
-        return RationalFunction.of(ring(expr.value))
+        return Fraction(expr.value.evaluate(env))
     if isinstance(expr, SignPow):
-        e = numeric(expr.exponent, "sign exponent")
-        return RationalFunction.constant(-1 if e % 2 else 1)
+        return Fraction(-1 if _integer(expr.exponent, "sign exponent", env) % 2 else 1)
     if isinstance(expr, Power):
-        e = numeric(expr.exponent, "exponent")
+        base = Fraction(expr.base.evaluate(env))
+        e = _integer(expr.exponent, "exponent", env)
         if e < 0:
-            raise PreconditionError(f"negative power {e} in term")
-        return RationalFunction.of(ring(expr.base) ** e)
+            raise _negative_power(e)
+        return base**e
     if isinstance(expr, Binom):
-        lower = numeric(expr.lower, "lower binomial index")
-        if not (expr.upper.names() & symbolic):
-            upper = Fraction(expr.upper.evaluate(env))
-            value = Fraction(*_binom_pair(upper.numerator, upper.denominator, lower))
-            if expr.inverted:
-                if value == 0:
-                    raise PoleError(f"binom({expr.upper}, {lower}) = 0 has no reciprocal")
-                return RationalFunction.constant(Fraction(1) / value)
-            return RationalFunction.constant(value)
-        if lower < 0:
-            raise PreconditionError("negative lower index with symbolic upper index")
-        upper = ring(expr.upper)
-        num = Polynomial.constant(1)
-        for i in range(lower):
-            num = num * (upper - i)
-        num = num * Fraction(1, math.factorial(lower))
-        if expr.inverted:
-            if num.is_zero():
-                raise PoleError("symbolic binomial vanishes identically")
-            return RationalFunction.of(Polynomial.constant(1), num)
-        return RationalFunction.of(num)
+        j = _integer(expr.lower, "lower index", env)
+        u = Fraction(expr.upper.evaluate(env))
+        if j >= 0:
+            value = binom_rational(u, j)  # the product formula, at every upper index
+        elif u.denominator == 1 and u >= 0:
+            value = Fraction(0)
+        else:
+            raise PreconditionError(f"binomial with upper index {u} is undefined at negative lower index {j}")
+        if not expr.inverted:
+            return value
+        if not value:
+            raise _no_reciprocal(u.numerator, u.denominator, j)
+        return 1 / value
     if isinstance(expr, Quot):
-        den = ring(expr.denom)
-        if den.is_zero():
-            raise PoleError(f"denominator {expr.denom} vanishes")
-        return RationalFunction.of(ring(expr.numer), den)
+        denom = Fraction(expr.denom.evaluate(env))
+        if not denom:
+            raise _vanishes(expr.denom)
+        return expr.numer.evaluate(env) / denom
     if isinstance(expr, AltPowerSum):
-        count = numeric(expr.count, "alternating power sum count")
+        count = _integer(expr.count, "count", env)
         if count < 0:
-            raise PreconditionError(f"negative count {count} in alternating power sum")
-        p = numeric(expr.power, "alternating power sum power")
+            raise _negative_count(count)
+        shift = Fraction(expr.shift.evaluate(env))
+        p = _integer(expr.power, "power", env)
         if p < 0:
-            raise PreconditionError(f"negative power {p} in alternating power sum")
-        shift = ring(expr.shift)
-        total = RationalFunction.constant(0)
-        for idx in range(count + 1):
-            piece = RationalFunction.of((shift + idx) ** p * math.comb(count, idx))
-            total = total - piece if idx % 2 else total + piece
-        return total
+            raise _negative_sum_power(p)
+        return sum(((-1) ** i * math.comb(count, i) * (shift + i) ** p for i in range(count + 1)), Fraction(0))
     if isinstance(expr, Product):
-        value = RationalFunction.constant(1)
-        for factor in expr.factors:
-            value = value * evaluate_symbolic(factor, env, symbolic)
-        return value
+        # every factor, so that a pole after a zero factor still raises
+        return math.prod([_value(f, env) for f in expr.factors], start=Fraction(1))
     if isinstance(expr, TermSum):
-        value = RationalFunction.constant(0)
-        for t in expr.terms:
-            value = value + evaluate_symbolic(t, env, symbolic)
-        return value
+        return sum((_value(t, env) for t in expr.terms), Fraction(0))
     raise TypeError(f"unknown term node {expr!r}")
 
 
-# -- finite sums ------------------------------------------------------------
+def evaluate(expr: TermExpr, env: Env) -> Fraction:
+    """Exact value of a term at a full binding (the index k included in env).
 
-@lru_cache(maxsize=256)
-def _compile_sum(lo: Bound, hi: Bound, term: TermExpr):
-    return compile_side(((lo, hi, term, None),), "<combident sum>", kernel_free=True)
+    The reference interpreter: a walk of the tree in Fractions.  It raises
+    what a compiled side raises at the same term and binding, with the same
+    message; a parameter missing from ``env`` raises
+    :class:`UnboundParameterError` when the walk first reads it.
+    """
+    return _value(expr, exact_env(env))
 
 
 def evaluate_sum(lo: Bound, hi: Bound, term: TermExpr, binding: Env) -> Fraction:
-    """Exact value of ``sum[k=lo..hi] term`` at ``binding`` (k is the index, not a parameter)."""
-    return Fraction(*_compile_sum(lo, hi, term)(exact_env(binding)))
+    """Exact value of ``sum[k=lo..hi] term`` at ``binding`` (k is the index, not a parameter).
+
+    The sum of :func:`evaluate` over ``max(0, lo)..hi``.
+    """
+    env = exact_env(binding)
+    start, stop = lo.evaluate(env), hi.evaluate(env)
+    return sum((evaluate(term, {**env, "k": k}) for k in range(max(0, start), stop + 1)), Fraction(0))
 
 
 # -- structural helpers -----------------------------------------------------

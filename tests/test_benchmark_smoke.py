@@ -1,13 +1,16 @@
 """The benchmark runs end to end and its last stdout line is its result.
 
-A traced ``sweep`` run that exits 0 but prints something else last cannot be
-measured, so this runs one pass and parses that line as strict JSON.
+A traced run that exits 0 but prints something else last cannot be
+measured, so this runs one pass of each workload and parses that line as
+strict JSON.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,9 +19,10 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in the result")
 
 
-def test_traced_sweep_prints_its_result_last():
+@pytest.mark.parametrize("workload", ["sweep", "expand", "rederive"])
+def test_traced_sweep_prints_its_result_last(workload):
     result = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "sweep", "--seconds", "0", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,

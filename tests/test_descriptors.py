@@ -27,12 +27,11 @@ from combident.descriptors import (
     check_two_sided,
     eval_side,
     eval_side_at,
-    side_degree_bound,
     transpose_descriptor,
 )
 from combident.errors import UnboundParameterError
 from combident.poly import Polynomial
-from combident.terms import af, binom, compile_side, const, evaluate_symbolic, exact_env, ibinom, prod
+from combident.terms import af, binom, compile_side, const, evaluate_sum, exact_env, ibinom, prod
 from combident.transforms import check_derived, frisch_transform, klamkin_transform, moment_transform
 
 X = Polynomial.variable("x")
@@ -58,14 +57,6 @@ class TestEvalSide:
         assert left == Polynomial.constant(Fraction(1, 2)) + Fraction(1, 3) * X
         right = eval_side(desc, "right", binding(n=1, r=2, s=1))
         assert right.substitute("x", 0) == Polynomial.constant(Fraction(1, 2))
-
-    def test_degree_bound(self):
-        for name, desc in FIXTURES.items():
-            for n in range(1, 7):
-                b = binding(n=n) if name != "F03" else binding(n=n, u=3)
-                for side in ("left", "right"):
-                    degree = eval_side(desc, side, b).degree("x")
-                    assert degree <= side_degree_bound(desc, side, b), (name, side, n)
 
     def test_kernel_free_side_is_a_rational(self):
         # a summation entry never builds a polynomial; its value is the
@@ -135,13 +126,9 @@ class TestEvalSide:
 
 
 def _reference_sum(desc: IdentityDescriptor, side: str, b) -> Fraction:
-    """A kernel-free side summed with the symbolic evaluator, term by term."""
-    total = Fraction(0)
-    for block in (desc.left if side == "left" else desc.right).blocks:
-        for k in range(max(0, block.lo.evaluate(b)), block.hi.evaluate(b) + 1):
-            value = evaluate_symbolic(block.coef, {**b, "k": Fraction(k)}, frozenset())
-            total += value.numerator.constant_value() / value.denominator.constant_value()
-    return total
+    """A kernel-free side summed by the reference interpreter, term by term."""
+    blocks = (desc.left if side == "left" else desc.right).blocks
+    return sum((evaluate_sum(block.lo, block.hi, block.coef, b) for block in blocks), Fraction(0))
 
 
 def _one_sided(params, coef) -> IdentityDescriptor:
@@ -214,10 +201,7 @@ class TestCheckTwoSided:
         desc = get_entry("C03").descriptor
         b = binding(n=60, r=Fraction(7, 2), s=3)
         block = desc.left.blocks[0]
-        reference = Fraction(0)
-        for k in range(61):
-            value = evaluate_symbolic(block.coef, {**b, "k": Fraction(k)}, frozenset())
-            reference += value.numerator.constant_value() / value.denominator.constant_value()
+        reference = evaluate_sum(block.lo, block.hi, block.coef, b)
         left = eval_side(desc, "left", b)
         assert type(left) is Fraction and left == reference
         assert reference.denominator > 10**20

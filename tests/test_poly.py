@@ -1,4 +1,4 @@
-"""Polynomial and rational-function layer."""
+"""Polynomial layer."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from combident.exact import binom_int
-from combident.poly import Polynomial, RationalFunction, rf_equal
+from combident.poly import Polynomial
 
 X = Polynomial.variable("x")
 ONE = Polynomial.constant(1)
@@ -85,34 +85,3 @@ class TestSubstitute:
     def test_evaluate(self):
         p = X**2 + 3 * X + Polynomial.constant(Fraction(1, 2))
         assert p.evaluate({"x": Fraction(1, 2)}) == Fraction(1, 4) + Fraction(3, 2) + Fraction(1, 2)
-
-
-class TestRationalFunction:
-    def test_scaled_equal(self):
-        assert rf_equal(RationalFunction.of(2 * X, 2), RationalFunction.of(X, 1))
-
-    def test_common_factor(self):
-        assert rf_equal(RationalFunction.of(X**2 - 1, X - 1), RationalFunction.of(X + 1))
-
-    def test_distinct(self):
-        assert not rf_equal(RationalFunction.of(1, X + 1), RationalFunction.of(1, X - 1))
-
-    def test_monic_denominator(self):
-        rf = RationalFunction.of(X, 3 * X + 3)
-        assert rf.denominator.leading_coefficient() == 1
-
-    def test_arithmetic(self):
-        a = RationalFunction.of(1, X)
-        b = RationalFunction.of(1, X + 1)
-        total = a + b
-        assert rf_equal(total, RationalFunction.of(2 * X + 1, X * (X + 1)))
-        assert rf_equal(a * b, RationalFunction.of(1, X * (X + 1)))
-        assert rf_equal(a - a, RationalFunction.constant(0))
-
-    def test_inverse_of_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction.constant(0).inverse()
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction.of(X, 0)

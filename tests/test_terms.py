@@ -1,6 +1,10 @@
-"""Summand expression evaluation."""
+"""Summand expression evaluation: the reference interpreter and compiled sides."""
 
+import dis
+import functools
 import itertools
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,17 +14,15 @@ from combident.affine import Affine, Bound
 from combident.catalog import FIXTURES, entry_ids, get_entry
 from combident.errors import PoleError, PreconditionError, UnboundParameterError
 from combident.exact import binom_int, binom_rational
-from combident.poly import Polynomial, RationalFunction, rf_equal
 from combident.terms import (
     af,
     altpowsum,
     binom,
     collect_names,
-    compile_term,
+    compile_side,
     const,
     evaluate,
     evaluate_sum,
-    evaluate_symbolic,
     exact_env,
     ibinom,
     power,
@@ -38,6 +40,25 @@ S = Affine.var("s")
 
 def env(**values):
     return {name: Fraction(v) for name, v in values.items()}
+
+
+@functools.cache
+def _one_term_side(term):
+    """``term`` as a kernel-free side of one block ``k..k``, its k read from the binding."""
+    k = Bound(K)
+    return compile_side(((k, k, term, None),), "<one-term side>", kernel_free=True)
+
+
+def compiled(term, binding) -> Fraction:
+    """``term`` at ``binding`` through the generated code that checks every identity."""
+    return Fraction(*_one_term_side(term)(exact_env(binding)))
+
+
+def raises_everywhere(exc, message, term, binding):
+    """The reference and a compiled side both raise ``exc`` with exactly ``message``."""
+    for value in (evaluate, compiled):
+        with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+            value(term, binding)
 
 
 class TestEvaluate:
@@ -71,9 +92,24 @@ class TestEvaluate:
             evaluate(binom(R, K - 2), env(k=0, r=Fraction(1, 2)))
 
     def test_rational_r_at_a_lower_index_keeps_its_message(self):
-        message = r"^lower index k \+ r must be an integer, got 7/2$"
-        with pytest.raises(PreconditionError, match=message):
-            evaluate(binom(N, K + R), env(k=0, n=4, r=Fraction(7, 2)))
+        message = "lower index k + r must be an integer, got 7/2"
+        raises_everywhere(PreconditionError, message, binom(N, K + R), env(k=0, n=4, r=Fraction(7, 2)))
+
+    def test_each_check_names_its_site(self):
+        # at k = 1, n = 3, s = 1/2 each term fails one check
+        cases = [
+            (binom(N, K + S), "lower index k + s must be an integer, got 3/2"),
+            (sign(K + S), "sign exponent k + s must be an integer, got 3/2"),
+            (power(N, K + S), "exponent k + s must be an integer, got 3/2"),
+            (altpowsum(K + S, 0, 1), "count k + s must be an integer, got 3/2"),
+            (altpowsum(N, 0, K + S), "power k + s must be an integer, got 3/2"),
+            (altpowsum(K - 2, 0, 1), "negative count -1 in alternating power sum"),
+            (altpowsum(N, 0, K - 2), "negative power -1 in alternating power sum"),
+            (binom(S, K - 2), "binomial with upper index 1/2 is undefined at negative lower index -1"),
+            (binom(N - 5, K - 2), "binomial with upper index -2 is undefined at negative lower index -1"),
+        ]
+        for term, message in cases:
+            raises_everywhere(PreconditionError, message, term, env(k=1, n=3, s=Fraction(1, 2)))
 
     def test_negative_integer_upper_index_matches_product_formula(self):
         for u in range(-6, 0):
@@ -112,43 +148,38 @@ values = st.one_of(
 
 
 def _outcome(compute):
+    """A value, or the type and message of the exception raised instead."""
     try:
         return compute()
     except (PoleError, PreconditionError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
-class TestCompiledAgainstSymbolic:
+class TestCompiledAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(SUMMANDS), st.data())
     def test_catalog_summands_agree(self, term, data):
-        # the symbolic evaluator with no symbolic names is an independent reference
         names = sorted(collect_names(term) - {"k"})
         binding = {name: Fraction(data.draw(values, label=name)) for name in names}
         binding["k"] = Fraction(data.draw(st.integers(0, 12), label="k"))
-        numeric = _outcome(lambda: evaluate(term, binding))
-        symbolic = _outcome(lambda: evaluate_symbolic(term, binding, frozenset()))
-        if isinstance(symbolic, RationalFunction):
-            symbolic = symbolic.numerator.constant_value() / symbolic.denominator.constant_value()
-        assert numeric == symbolic
-        # the closure itself yields an (int, int) pair with den > 0: evaluate
-        # wraps it in a Fraction, which would accept a float or a stray sign
-        raw = _outcome(lambda: compile_term(term)(exact_env(binding)))
-        if isinstance(symbolic, type):
-            assert raw is symbolic
+        reference = _outcome(lambda: evaluate(term, binding))
+        # the side itself returns an (int, int) pair with den > 0: Fraction
+        # would also accept a float or a stray sign
+        raw = _outcome(lambda: _one_term_side(term)(exact_env(binding)))
+        if isinstance(reference, tuple):
+            assert raw == reference
         else:
             assert type(raw) is tuple and len(raw) == 2
             num, den = raw
             assert type(num) is int and type(den) is int and den > 0
-            assert Fraction(num, den) == symbolic
+            assert Fraction(num, den) == reference
 
 
 class TestIntegerNumerators:
     """Parameters over different denominators are numerators over their lcm D."""
 
     def test_catalog_summands_at_two_denominators(self):
-        # every pair of names gets denominators 2 and 3 somewhere (D = 6); the
-        # symbolic evaluator with no symbolic names is the reference
+        # every pair of names gets denominators 2 and 3 somewhere (D = 6)
         choices = (Fraction(7, 2), Fraction(5, 3), 3)
         mixed = 0
         for term in SUMMANDS:
@@ -156,32 +187,40 @@ class TestIntegerNumerators:
             for values in itertools.product(choices, repeat=len(names)):
                 for k in (0, 2):
                     binding = {"k": k, **dict(zip(names, values))}
-                    numeric = _outcome(lambda: evaluate(term, binding))
-                    symbolic = _outcome(lambda: evaluate_symbolic(term, binding, frozenset()))
-                    if isinstance(symbolic, RationalFunction):
-                        symbolic = symbolic.numerator.constant_value() / symbolic.denominator.constant_value()
-                        dens = {Fraction(v).denominator for v in values}
-                        mixed += {2, 3} <= dens
-                    assert numeric == symbolic, (term, binding)
+                    reference = _outcome(lambda: evaluate(term, binding))
+                    assert _outcome(lambda: compiled(term, binding)) == reference, (term, binding)
+                    if not isinstance(reference, tuple):
+                        mixed += {2, 3} <= {Fraction(v).denominator for v in values}
         assert mixed > 100
 
+    def test_a_lone_rational_name_is_its_own_numerator(self):
+        # r is the only name of C03's left side over a denominator, so D is
+        # r's denominator and r over D is r's numerator: one read, no scaling
+        desc = get_entry("C03").descriptor
+        left = desc.compiled["left"]
+        assert [i.argval for i in dis.get_instructions(left)].count("denominator") == 1
+        block = desc.left.blocks[0]
+        for r in (Fraction(7, 2), Fraction(-5, 3), 3):
+            for n, s in ((4, 2), (6, 3)):
+                b = {"n": n, "r": r, "s": s}
+                assert Fraction(*left(exact_env(b))) == evaluate_sum(block.lo, block.hi, block.coef, b), b
+
     def test_non_integer_lower_index_over_a_common_denominator(self):
-        message = r"^lower index k \+ s must be an integer, got 8/3$"
-        with pytest.raises(PreconditionError, match=message):
-            evaluate(binom(N + R, K + S), env(k=1, n=4, r=Fraction(7, 2), s=Fraction(5, 3)))
+        message = "lower index k + s must be an integer, got 8/3"
+        term = binom(N + R, K + S)
+        raises_everywhere(PreconditionError, message, term, env(k=1, n=4, r=Fraction(7, 2), s=Fraction(5, 3)))
 
     def test_vanishing_quotient_denominator(self):
-        with pytest.raises(PoleError, match=r"^denominator r - s vanishes$"):
-            evaluate(quot(S, R - S), env(k=0, r=Fraction(5, 3), s=Fraction(5, 3)))
+        term = quot(S, R - S)
+        raises_everywhere(PoleError, "denominator r - s vanishes", term, env(k=0, r=Fraction(5, 3), s=Fraction(5, 3)))
 
     def test_zero_inverse_binomial_with_a_rational_upper_index(self):
         # r + s = 1/2 + 3/2 is the integer 2, and binom(2, 3) = 0
-        with pytest.raises(PoleError, match=r"^binom\(2, 3\) = 0 has no reciprocal$"):
-            evaluate(ibinom(R + S, Affine.of(3)), env(k=0, r=Fraction(1, 2), s=Fraction(3, 2)))
+        term = ibinom(R + S, Affine.of(3))
+        raises_everywhere(PoleError, "binom(2, 3) = 0 has no reciprocal", term, env(k=0, r=Fraction(1, 2), s=Fraction(3, 2)))
 
     def test_negative_power(self):
-        with pytest.raises(PreconditionError, match=r"^negative power -2 in term$"):
-            evaluate(power(R, K - 2), env(k=0, r=Fraction(7, 2)))
+        raises_everywhere(PreconditionError, "negative power -2 in term", power(R, K - 2), env(k=0, r=Fraction(7, 2)))
 
     def test_rational_affine_constant(self):
         # (k + 7/2) * binom(r + 1/3, 2) at r = 5/2: D = 6 covers the constants too
@@ -204,38 +243,23 @@ class TestSums:
         assert evaluate_sum(Bound.of(0), Bound(N, half=True), const(1), env(n=5)) == 3
 
 
-class TestSymbolic:
-    def test_frisch_identity_symbolic_in_r(self):
-        # Frisch with r symbolic: both sides equal as rational functions
+class TestFrischForEveryR:
+    def test_frisch_identity_for_every_r(self):
+        # sum[k=0..n] (-1)^k C(n,k) / C(k+r,s) == s/(n+s) / C(n+r,n+s).  With
+        # Q(r) = prod(r + i, i = 1-s..n), the denominator of each inverse
+        # binomial divides Q, so Q times either side is a polynomial in r of
+        # degree at most n+s.  Agreement at n+s+1 distinct r with Q(r) != 0
+        # makes the two polynomials equal: the identity holds at every r
+        # off the poles, for each n and s below.
         lhs_term = prod(sign(K), binom(N, K), ibinom(K + R, S))
         rhs_term = prod(quot(S, N + S), ibinom(N + R, N + S))
         for n in range(5):
             for s in (1, 2, 3):
-                binding = env(n=n, s=s)
-                lhs = RationalFunction.constant(0)
-                for k in range(n + 1):
-                    lhs = lhs + evaluate_symbolic(lhs_term, {**binding, "k": Fraction(k)}, frozenset({"r"}))
-                rhs = evaluate_symbolic(rhs_term, {**binding, "k": Fraction(0)}, frozenset({"r"}))
-                assert rf_equal(lhs, rhs), (n, s)
-
-    def test_inverse_binomial_denominator_degree(self):
-        # binom(k+r, s)^-1 contributes a denominator of degree s in r
-        value = evaluate_symbolic(ibinom(K + R, S), env(k=2, s=3), frozenset({"r"}))
-        assert value.denominator.degree("r") == 3
-
-    def test_symbolic_matches_numeric(self):
-        term = prod(sign(K), binom(N, K), ibinom(K + R, S), quot(S, K + S))
-        binding = env(k=1, n=3, s=2)
-        symbolic = evaluate_symbolic(term, binding, frozenset({"r"}))
-        for r in (Fraction(5), Fraction(7, 2)):
-            numeric = evaluate(term, {**binding, "r": r})
-            num = symbolic.numerator.evaluate({"r": r})
-            den = symbolic.denominator.evaluate({"r": r})
-            assert num / den == numeric
-
-    def test_symbolic_lower_index_rejected(self):
-        with pytest.raises(PreconditionError):
-            evaluate_symbolic(binom(N, K + S), env(k=0, n=3), frozenset({"s"}))
+                for r in (Fraction(2 * i + 1, 2) for i in range(n + s + 1)):
+                    assert math.prod(r + i for i in range(1 - s, n + 1)) != 0
+                    binding = env(n=n, r=r, s=s)
+                    lhs = evaluate_sum(Bound.of(0), Bound(N), lhs_term, binding)
+                    assert lhs == evaluate(rhs_term, {**binding, "k": 0}), (n, s, r)
 
 
 class TestStructure:
