@@ -724,23 +724,57 @@ def _value(expr: TermExpr, env: Env) -> Fraction:
     raise TypeError(f"unknown term node {expr!r}")
 
 
+def _forms(expr: TermExpr):
+    """The affine forms of a term in the order :func:`_value` reads them."""
+    if isinstance(expr, (Product, TermSum)):
+        for t in expr.factors if isinstance(expr, Product) else expr.terms:
+            yield from _forms(t)
+    elif isinstance(expr, AffineFactor):
+        yield expr.value
+    elif isinstance(expr, SignPow):
+        yield expr.exponent
+    elif isinstance(expr, Power):
+        yield from (expr.base, expr.exponent)
+    elif isinstance(expr, Binom):
+        yield from (expr.lower, expr.upper)
+    elif isinstance(expr, Quot):
+        yield from (expr.denom, expr.numer)
+    elif isinstance(expr, AltPowerSum):
+        yield from (expr.count, expr.shift, expr.power)
+
+
+def _require(forms, env: Env) -> None:
+    """Raise :class:`UnboundParameterError` for the first name of ``forms`` missing from ``env``."""
+    for form in forms:
+        for name, _ in form.coeffs:
+            if name not in env:
+                raise UnboundParameterError(name)
+
+
 def evaluate(expr: TermExpr, env: Env) -> Fraction:
     """Exact value of a term at a full binding (the index k included in env).
 
     The reference interpreter: a walk of the tree in Fractions.  It raises
     what a compiled side raises at the same term and binding, with the same
-    message; a parameter missing from ``env`` raises
-    :class:`UnboundParameterError` when the walk first reads it.
+    message.  Like a compiled side's prologue, it reports a parameter
+    missing from ``env`` before any other error, naming the first one in
+    reading order.
     """
-    return _value(expr, exact_env(env))
+    env = exact_env(env)
+    _require(_forms(expr), env)
+    return _value(expr, env)
 
 
 def evaluate_sum(lo: Bound, hi: Bound, term: TermExpr, binding: Env) -> Fraction:
     """Exact value of ``sum[k=lo..hi] term`` at ``binding`` (k is the index, not a parameter).
 
-    The sum of :func:`evaluate` over ``max(0, lo)..hi``.
+    The sum of :func:`evaluate` over ``max(0, lo)..hi``.  A parameter of the
+    bounds or of the summand missing from ``binding`` is reported first,
+    even when the range is empty.
     """
     env = exact_env(binding)
+    _require((f for b in (lo, hi) for f in (b.base, b.cap) if f is not None), env)
+    _require(_forms(term), {**env, "k": 0})
     start, stop = lo.evaluate(env), hi.evaluate(env)
     return sum((evaluate(term, {**env, "k": k}) for k in range(max(0, start), stop + 1)), Fraction(0))
 

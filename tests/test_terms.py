@@ -54,6 +54,11 @@ def compiled(term, binding) -> Fraction:
     return Fraction(*_one_term_side(term)(exact_env(binding)))
 
 
+def agrees_everywhere(expected, term, binding):
+    """The reference and a compiled side both give ``expected``."""
+    assert evaluate(term, binding) == compiled(term, binding) == expected
+
+
 def raises_everywhere(exc, message, term, binding):
     """The reference and a compiled side both raise ``exc`` with exactly ``message``."""
     for value in (evaluate, compiled):
@@ -61,35 +66,41 @@ def raises_everywhere(exc, message, term, binding):
             value(term, binding)
 
 
+def unbound_everywhere(name, compute, side, binding):
+    """``compute(binding)`` and ``side`` both report ``name`` as the unbound parameter."""
+    for run in (lambda: compute(binding), lambda: side(exact_env(binding))):
+        with pytest.raises(UnboundParameterError) as info:
+            run()
+        assert info.value.args == (name,)
+
+
 class TestEvaluate:
     def test_frisch_summand(self):
         # (-1)^k C(n,k) binom(k+r,s)^-1 at k=1, n=1, r=1, s=1
         term = prod(sign(K), binom(N, K), ibinom(K + R, S))
-        assert evaluate(term, env(k=1, n=1, r=1, s=1)) == Fraction(-1, 2)
+        agrees_everywhere(Fraction(-1, 2), term, env(k=1, n=1, r=1, s=1))
 
     def test_constant(self):
-        assert evaluate(const(1), env(k=17)) == 1
+        agrees_everywhere(1, const(1), env(k=17))
 
     def test_pole_propagates(self):
         term = prod(af(N), ibinom(Affine.of(1), Affine.of(2)))
-        with pytest.raises(PoleError):
-            evaluate(term, env(k=0, n=3))
+        raises_everywhere(PoleError, "binom(1, 2) = 0 has no reciprocal", term, env(k=0, n=3))
 
     def test_rational_upper_index(self):
         term = binom(K + R, S)
-        assert evaluate(term, env(k=1, r=Fraction(3, 2), s=2)) == Fraction(15, 8)
+        agrees_everywhere(Fraction(15, 8), term, env(k=1, r=Fraction(3, 2), s=2))
 
     def test_non_integer_lower_rejected(self):
-        term = binom(N, K + R)
-        with pytest.raises(PreconditionError):
-            evaluate(term, env(k=0, n=4, r=Fraction(1, 2)))
+        message = "lower index k + r must be an integer, got 1/2"
+        raises_everywhere(PreconditionError, message, binom(N, K + R), env(k=0, n=4, r=Fraction(1, 2)))
 
     def test_negative_lower_on_counting_upper_is_zero(self):
-        assert evaluate(binom(N, K - 2), env(k=0, n=3)) == 0
+        agrees_everywhere(0, binom(N, K - 2), env(k=0, n=3))
 
     def test_negative_lower_on_rational_upper_rejected(self):
-        with pytest.raises(PreconditionError):
-            evaluate(binom(R, K - 2), env(k=0, r=Fraction(1, 2)))
+        message = "binomial with upper index 1/2 is undefined at negative lower index -2"
+        raises_everywhere(PreconditionError, message, binom(R, K - 2), env(k=0, r=Fraction(1, 2)))
 
     def test_rational_r_at_a_lower_index_keeps_its_message(self):
         message = "lower index k + r must be an integer, got 7/2"
@@ -112,26 +123,36 @@ class TestEvaluate:
             raises_everywhere(PreconditionError, message, term, env(k=1, n=3, s=Fraction(1, 2)))
 
     def test_negative_integer_upper_index_matches_product_formula(self):
+        # the compiled side takes _binom_int's upper negation here, the
+        # reference the product formula
         for u in range(-6, 0):
             for j in range(7):
-                assert evaluate(binom(Affine.of(u), Affine.of(j)), env()) == binom_rational(u, j)
+                agrees_everywhere(binom_rational(u, j), binom(Affine.of(u), Affine.of(j)), env(k=0))
 
     def test_unbound_parameter(self):
-        with pytest.raises(UnboundParameterError):
-            evaluate(af(R), env(k=0))
+        term = af(R)
+        unbound_everywhere("r", functools.partial(evaluate, term), _one_term_side(term), env(k=0))
+
+    def test_unbound_parameter_is_reported_first(self):
+        # s = 1/2 fails the first factor's lower index, but the missing r
+        # comes first; of two missing names, the first one read (a quotient
+        # reads its denominator first) is named
+        term = prod(binom(N, K + S), af(R))
+        unbound_everywhere("r", functools.partial(evaluate, term), _one_term_side(term), env(k=0, n=4, s=Fraction(1, 2)))
+        term = prod(binom(N, K + S), quot(R, N - Affine.var("m")))
+        unbound_everywhere("m", functools.partial(evaluate, term), _one_term_side(term), env(k=0, n=4, s=Fraction(1, 2)))
 
     def test_quotient_pole(self):
-        with pytest.raises(PoleError):
-            evaluate(quot(S, S - 1), env(k=0, s=1))
+        raises_everywhere(PoleError, "denominator s - 1 vanishes", quot(S, S - 1), env(k=0, s=1))
 
     def test_power_zero_base(self):
-        assert evaluate(power(K, Affine.var("m")), env(k=0, m=0)) == 1
+        agrees_everywhere(1, power(K, Affine.var("m")), env(k=0, m=0))
 
     def test_altpowsum_truncates(self):
         # count > power makes the sum vanish
         for u in range(1, 6):
             for m in range(u):
-                assert evaluate(altpowsum(Affine.of(u), 0, m), env(k=0)) == 0
+                agrees_everywhere(0, altpowsum(Affine.of(u), 0, m), env(k=0))
 
 
 SUMMANDS = [
@@ -226,21 +247,37 @@ class TestIntegerNumerators:
         # (k + 7/2) * binom(r + 1/3, 2) at r = 5/2: D = 6 covers the constants too
         term = prod(af(K + Affine.of(Fraction(7, 2))), binom(R + Affine.of(Fraction(1, 3)), Affine.of(2)))
         expected = Fraction(9, 2) * binom_rational(Fraction(17, 6), 2)
-        assert evaluate(term, env(k=1, r=Fraction(5, 2))) == expected
+        agrees_everywhere(expected, term, env(k=1, r=Fraction(5, 2)))
+
+
+def _one_block_side(lo, hi, term):
+    return compile_side(((lo, hi, term, None),), kernel_free=True)
+
+
+def summed(lo, hi, term, binding):
+    """``sum[k=lo..hi] term`` at ``binding``, the reference checked against a compiled side."""
+    value = evaluate_sum(lo, hi, term, binding)
+    assert Fraction(*_one_block_side(lo, hi, term)(exact_env(binding))) == value
+    return value
 
 
 class TestSums:
     def test_geometric_left_side(self):
-        assert evaluate_sum(Bound.of(0), Bound(N), af(K + 1), env(n=3)) == 1 + 2 + 3 + 4
+        assert summed(Bound.of(0), Bound(N), af(K + 1), env(n=3)) == 1 + 2 + 3 + 4
 
     def test_negative_lower_bound_clamps(self):
-        assert evaluate_sum(Bound(N - 2), Bound(N), const(1), env(n=0)) == 1
+        assert summed(Bound(N - 2), Bound(N), const(1), env(n=0)) == 1
 
     def test_capped_bound(self):
-        assert evaluate_sum(Bound.of(0), Bound(Affine.var("m"), cap=N), const(1), env(n=2, m=5)) == 3
+        assert summed(Bound.of(0), Bound(Affine.var("m"), cap=N), const(1), env(n=2, m=5)) == 3
 
     def test_half_bound(self):
-        assert evaluate_sum(Bound.of(0), Bound(N, half=True), const(1), env(n=5)) == 3
+        assert summed(Bound.of(0), Bound(N, half=True), const(1), env(n=5)) == 3
+
+    def test_unbound_summand_parameter_over_an_empty_range(self):
+        lo, hi, term = Bound.of(0), Bound(N), af(R)
+        compute = functools.partial(evaluate_sum, lo, hi, term)
+        unbound_everywhere("r", compute, _one_block_side(lo, hi, term), env(n=-1))
 
 
 class TestFrischForEveryR:
