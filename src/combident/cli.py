@@ -30,6 +30,7 @@ from .catalog import (
     entry_ids,
     export_catalog,
     get_entry,
+    parse_values,
     sorted_bindings,
     verify_entry,
     verify_grid,
@@ -50,18 +51,6 @@ from .transforms import (
 GRID_PARAMS = ("n", "m", "r", "s", "t", "u")
 
 
-def _parse_values(spec: str) -> tuple[Fraction, ...]:
-    """Parse a grid axis: ``0..10`` or a comma list like ``1,2,7/2``."""
-    spec = spec.strip()
-    if ".." in spec:
-        lo_text, hi_text = spec.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty range {spec!r}")
-        return tuple(Fraction(v) for v in range(lo, hi + 1))
-    return tuple(Fraction(part.strip()) for part in spec.split(","))
-
-
 def _fraction_str(value: Fraction) -> str:
     value = Fraction(value)
     if value.denominator == 1:
@@ -75,7 +64,7 @@ def _grid_overrides(args, axes, prefix: str = "") -> dict[str, tuple[Fraction, .
     for name in GRID_PARAMS:
         spec = getattr(args, f"{prefix}{name}", None)
         if spec is not None:
-            overrides[name] = _parse_values(spec)
+            overrides[name] = parse_values(spec)
     unused = set(overrides) - set(axes)
     if unused:
         raise ValueError(
@@ -198,11 +187,14 @@ def _derive_grid(desc, args=None) -> dict[str, tuple[Fraction, ...]]:
     for block in desc.left.blocks + desc.right.blocks:
         names |= collect_names(block.coef) | block.lo.names() | block.hi.names()
     names.discard("k")
+    ungridded = sorted(names - set(_DERIVED_GRID_DEFAULTS))
+    if ungridded:
+        raise ValueError(
+            f"parameter {', '.join(ungridded)} has no verification grid;"
+            f" derive grids exist for {', '.join(GRID_PARAMS)} only"
+        )
     overrides = _grid_overrides(args, names, prefix="grid_")  # no args, no overrides
-    return {
-        name: overrides.get(name) or _DERIVED_GRID_DEFAULTS.get(name) or (Fraction(1), Fraction(2))
-        for name in sorted(names)
-    }
+    return {name: overrides.get(name) or _DERIVED_GRID_DEFAULTS[name] for name in sorted(names)}
 
 
 def cmd_derive(args) -> int:

@@ -118,41 +118,21 @@ def check_sorts(desc_params, binding: Mapping[str, Scalar]) -> str | None:
 
 @dataclass(frozen=True)
 class RangeConstraint:
+    """The validity condition ``expr >= bound``."""
+
     expr: Affine
-    relation: str  # ">=", ">", "!="
     bound: int
 
     def holds(self, binding: Mapping[str, Scalar]) -> bool:
-        value = self.expr.evaluate(binding)
-        if self.relation == ">=":
-            return value >= self.bound
-        if self.relation == ">":
-            return value > self.bound
-        if self.relation == "!=":
-            return value != self.bound
-        raise ValueError(f"unknown relation {self.relation!r}")
+        return self.expr.evaluate(binding) >= self.bound
 
     def describe(self) -> str:
-        return f"{self.expr} {self.relation} {self.bound}"
-
-
-@dataclass(frozen=True)
-class IntegerValued:
-    expr: Affine
-
-    def holds(self, binding: Mapping[str, Scalar]) -> bool:
-        return self.expr.evaluate(binding).denominator == 1
-
-    def describe(self) -> str:
-        return f"{self.expr} integer"
-
-
-Constraint = Union[RangeConstraint, IntegerValued]
+        return f"{self.expr} >= {self.bound}"
 
 
 @dataclass(frozen=True)
 class ValidityPredicate:
-    constraints: tuple[Constraint, ...] = ()
+    constraints: tuple[RangeConstraint, ...] = ()
 
     def violation(self, binding: Mapping[str, Scalar]) -> str | None:
         for c in self.constraints:

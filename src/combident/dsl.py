@@ -27,8 +27,9 @@ terms with the denominator omitted when it is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .affine import Affine, Bound
 from .descriptors import SORTS, IdentityDescriptor, KernelBlock, Side
@@ -51,61 +52,44 @@ __all__ = ["parse_identity", "print_identity"]
 
 # -- tokenizer ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int", "name", "punct", "end"
     text: str
-    line: int
-    column: int
+    offset: int
 
 
-_PUNCT = ("..", "==", "^-1", "[", "]", "(", ")", ",", ";", ":", "^", "*", "/", "+", "-", "=")
+# each match is the whitespace before one token, then the token in one of five groups
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:(#[^\n]*)|(\d+)|([^\W\d]\w*)|(\.\.|==|\^-1|[][(),;:^*/+=-])|([^ \t\r\n]))"
+)
+_KINDS = (None, "comment", "int", "name", "punct", "bad")
+_COMMENT, _NAME, _BAD = 1, 3, 5
+# the end token is repeated so that a peek of up to five tokens ahead, as at
+# "(1-x)^", never runs off the list
+_LOOKAHEAD = 6
+
+
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset``."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, column = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
+    end = len(source)
+    for match in _TOKEN.finditer(source):
+        group = match.lastindex
+        start = match.start(group)
+        if group == _COMMENT:
+            if match.end() == end:
+                end = start  # the end of input sits where a final comment starts
             continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "#":
-            while i < len(source) and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(source) and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(source) and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("name", source[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        for punct in _PUNCT:
-            if source.startswith(punct, i):
-                tokens.append(Token("punct", punct, line, column))
-                i += len(punct)
-                column += len(punct)
-                break
-        else:
-            raise DslSyntaxError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token("end", "", line, column))
+        text = match.group(group)
+        # a name starts with a letter or "_", not with a numeral such as "½" or "²"
+        if group == _BAD or group == _NAME and not (text[0].isalpha() or text[0] == "_"):
+            raise DslSyntaxError(f"unexpected character {text[0]!r}", *_position(source, start))
+        tokens.append(Token(_KINDS[group], text, start))
+    tokens += [Token("end", "", end)] * _LOOKAHEAD
     return tokens
 
 
@@ -113,6 +97,7 @@ def _tokenize(source: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.params: list[tuple[str, str]] = []
@@ -120,7 +105,7 @@ class _Parser:
     # basic machinery
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -128,9 +113,9 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
+    def fail(self, message: str, tok: Token | None = None, error=DslSyntaxError):
         tok = tok or self.peek()
-        raise DslSyntaxError(message, tok.line, tok.column)
+        raise error(message, *_position(self.source, tok.offset))
 
     def expect(self, text: str) -> Token:
         tok = self.next()
@@ -140,11 +125,11 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.tokens[self.pos].text == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        if self.tokens[self.pos].text == text:
+            self.pos += 1  # the end token's text is "", which no caller accepts
             return True
         return False
 
@@ -294,34 +279,36 @@ class _Parser:
         return Bound(self.affine())
 
     def affine(self) -> Affine:
-        total = Affine.of(0)
-        negate = False
-        if self.accept("-"):
-            negate = True
+        coeffs: dict[str, int] = {}
+        const = 0
+        sign = -1 if self.accept("-") else 1
         while True:
-            total = total + self.affine_term(negate)
-            if self.accept("+"):
-                negate = False
-            elif self.accept("-"):
-                negate = True
+            name, value = self.affine_term(sign)
+            if name is None:
+                const += value
             else:
-                return total
+                coeffs[name] = coeffs.get(name, 0) + value
+            if self.accept("+"):
+                sign = 1
+            elif self.accept("-"):
+                sign = -1
+            else:
+                return Affine.build(coeffs, const)
 
-    def affine_term(self, negate: bool) -> Affine:
+    def affine_term(self, sign: int) -> tuple[str | None, int | Fraction]:
+        """One signed term: ``(name, coefficient)``, or ``(None, constant)``."""
         tok = self.next()
-        sign = -1 if negate else 1
         if tok.kind == "int":
             value = int(tok.text)
             if self.peek().kind == "name":
-                name = self.next().text
-                return Affine.var(name, sign * value)
+                return self.next().text, sign * value
             if self.at("/") and self.peek(1).kind == "int":
                 # rational constant inside an affine form
                 self.next()
-                return Affine.of(Fraction(sign * value, self.denominator()))
-            return Affine.of(sign * value)
+                return None, Fraction(sign * value, self.denominator())
+            return None, sign * value
         if tok.kind == "name":
-            return Affine.var(tok.text, sign)
+            return tok.text, sign
         self.fail("expected an affine term", tok)
 
     def factor(self) -> TermExpr:
@@ -366,11 +353,7 @@ class _Parser:
         close = self.expect(")")
         arity = {"binom": 2, "pow": 2, "altpowsum": 3}[name_tok.text]
         if len(args) != arity:
-            raise DslArityError(
-                f"{name_tok.text} takes {arity} arguments, got {len(args)}",
-                close.line,
-                close.column,
-            )
+            self.fail(f"{name_tok.text} takes {arity} arguments, got {len(args)}", close, DslArityError)
         if name_tok.text == "binom":
             inverted = False
             if self.accept("^-1"):

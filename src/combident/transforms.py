@@ -29,7 +29,6 @@ from .descriptors import (
     SKIPPED_PRECONDITION,
     CheckResult,
     IdentityDescriptor,
-    IntegerValued,
     KernelBlock,
     RangeConstraint,
     Side,
@@ -125,8 +124,7 @@ def _weight_params(src: IdentityDescriptor, r: ParamSpec, s: ParamSpec, s_min: i
     taken = {name for name, _ in src.params}
     r_aff, r_decl = _resolve_param(r, "rat", taken)
     s_aff, s_decl = _resolve_param(s, "int", taken | {d[0] for d in r_decl})
-    constraints = (IntegerValued(s_aff),) if isinstance(s, str) else ()
-    validity = ValidityPredicate(constraints + (RangeConstraint(s_aff, ">=", s_min),))
+    validity = ValidityPredicate((RangeConstraint(s_aff, s_min),))
     return r_aff, s_aff, src.params + r_decl + s_decl, validity
 
 

@@ -12,6 +12,7 @@ import pytest
 @dataclass(frozen=True)
 class CatalogSweep:
     returncode: int
+    raw: bytes
     report: dict
     elapsed: float
 
@@ -27,4 +28,5 @@ def catalog_sweep(tmp_path_factory) -> CatalogSweep:
         text=True,
     )
     elapsed = time.monotonic() - start
-    return CatalogSweep(result.returncode, json.loads(out.read_text(encoding="utf-8")), elapsed)
+    raw = out.read_bytes()
+    return CatalogSweep(result.returncode, raw, json.loads(raw), elapsed)

@@ -1,11 +1,16 @@
 """Catalog fixtures: spot values, grids, consistency chains."""
 
 import itertools
+import json
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from combident import catalog
 from combident.catalog import entry_ids, get_entry, iter_grid, sorted_bindings, verify_entry, verify_grid
 from combident.descriptors import (
     FAILED,
@@ -17,7 +22,8 @@ from combident.descriptors import (
     check_two_sided,
     eval_side,
 )
-from combident.errors import EmptyGridError, UnboundParameterError, UnknownEntryError
+from combident.dsl import parse_identity, print_identity
+from combident.errors import DslSyntaxError, EmptyGridError, UnboundParameterError, UnknownEntryError
 from combident.terms import _map_affines
 
 
@@ -144,6 +150,55 @@ class TestGrids:
         for n in range(30):
             expected = 0 if n % 2 else (-1) ** (n // 2) * binom_int(n, n // 2) * binom_int(3 * n // 2, n)
             assert sides("C35", binding(n=n)) == (expected, expected), n
+
+
+class TestEntryFiles:
+    def test_table_and_files_hold_the_same_entries_in_catalog_order(self):
+        golden = json.loads((Path(__file__).parent / "data" / "verify_all.json").read_text(encoding="utf-8"))
+        assert list(entry_ids()) == [entry["id"] for entry in golden["entries"]]
+        assert len(entry_ids()) == 49
+        assert sorted(path.stem for path in catalog.ENTRY_DIR.glob("*.dsl")) == sorted(entry_ids())
+
+    def test_every_file_is_printed_source(self):
+        for entry_id in entry_ids():
+            text = (catalog.ENTRY_DIR / f"{entry_id}.dsl").read_text(encoding="utf-8")
+            assert print_identity(parse_identity(text)) == text, entry_id
+
+    def test_an_entry_is_parsed_on_its_first_use_only(self):
+        code = (
+            "import sys\n"
+            "calls = []\n"
+            "def profile(frame, event, arg):\n"
+            "    code = frame.f_code\n"
+            "    if event == 'call' and code.co_name == 'parse_identity' and code.co_filename.endswith('dsl.py'):\n"
+            "        calls.append(1)\n"
+            "sys.setprofile(profile)\n"
+            "import combident.cli\n"
+            "from combident.catalog import verify_grid\n"
+            "print(len(calls))\n"
+            "verify_grid('C03')\n"
+            "verify_grid('C03')\n"
+            "print(len(calls))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["0", "1"]
+
+    def test_a_malformed_file_names_itself(self, tmp_path, monkeypatch):
+        path = tmp_path / "C03.dsl"
+        path.write_text("params n:nat;\nsum[k=0..n] binom(n k) * x^0\n  == sum[k=0..0] 1 * x^0\n", encoding="utf-8")
+        monkeypatch.setattr(catalog, "ENTRY_DIR", tmp_path)
+        monkeypatch.setattr(catalog, "_ENTRIES", {})
+        with pytest.raises(DslSyntaxError) as info:
+            get_entry("C03")
+        assert str(info.value) == f"{path}: expected ')', found 'k' (line 2, column 21)"
+        assert (info.value.line, info.value.column) == (2, 21)
+
+    def test_validity_is_the_table_lower_bounds(self):
+        validity = get_entry("C11").validity
+        assert [c.describe() for c in validity.constraints] == ["s >= 1", "u >= 1"]
+        assert validity.violation(binding(n=2, r=2, s=1, t=3, u=0)) == "u >= 1"
+        assert validity.violation(binding(n=2, r=2, s=1, t=3, u=1)) is None
+        assert get_entry("C33").validity.constraints == ()
 
 
 class TestConsistencyChains:

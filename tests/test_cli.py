@@ -80,10 +80,9 @@ class TestVerify:
         assert all(e["counts"]["failed"] == 0 for e in report["entries"])
 
     def test_full_catalog_matches_golden_report(self, catalog_sweep):
-        # the per-entry part of the report is the regression oracle for refactors
+        # the whole report, byte for byte, is the regression oracle for refactors
         assert catalog_sweep.returncode == 0
-        golden = json.loads(GOLDEN_VERIFY_ALL.read_text(encoding="utf-8"))
-        assert catalog_sweep.report["entries"] == golden["entries"]
+        assert catalog_sweep.raw == GOLDEN_VERIFY_ALL.read_bytes()
 
 
 class TestDerive:
@@ -150,6 +149,20 @@ class TestDerive:
         )
         assert result.returncode == 2
         assert "no selected entry has the axis m; drop the override" in result.stderr
+
+    def test_parameter_without_a_grid_exits_two(self, tmp_path):
+        # only n, m, r, s, t and u have derive grids and --grid-* flags
+        source = tmp_path / "geometric-a.dsl"
+        source.write_text(
+            "params a:nat;\nsum[k=0..a] 1 * x^k\n  == sum[k=0..a] (-1)^k * binom(a + 1, k + 1) * (1-x)^k\n",
+            encoding="utf-8",
+        )
+        result = run_cli("derive", "--scheme", "frisch", "--input", str(source))
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: parameter a has no verification grid; derive grids exist for n, m, r, s, t, u only\n"
+        )
+        assert result.stdout == ""
 
     def test_derivation_with_no_verified_binding_exits_one(self, exported):
         # s = 0 puts every binding of the derived identity outside its validity region

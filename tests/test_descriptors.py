@@ -7,10 +7,6 @@ import pytest
 from combident import terms
 from combident.affine import Affine, Bound
 from combident.catalog import (
-    FIXTURES,
-    GEOM_SUM,
-    GOULD,
-    SIMONS,
     entry_ids,
     get_entry,
     macmahon_doubled,
@@ -43,12 +39,12 @@ def binding(**values):
 
 class TestEvalSide:
     def test_geometric_left(self):
-        assert eval_side(GEOM_SUM, "left", binding(n=2)) == 1 + X + X**2
+        assert eval_side(get_entry("F01").descriptor, "left", binding(n=2)) == 1 + X + X**2
 
     def test_simons_order_zero(self):
         b = binding(n=0)
-        assert eval_side(SIMONS, "left", b) == Polynomial.constant(1)
-        assert eval_side(SIMONS, "right", b) == Polynomial.constant(1)
+        assert eval_side(get_entry("F02").descriptor, "left", b) == Polynomial.constant(1)
+        assert eval_side(get_entry("F02").descriptor, "right", b) == Polynomial.constant(1)
 
     def test_seed_identity_spot_value(self):
         # left side of the first seed identity at n=1, r=2, s=1 is 1/2 + x/3
@@ -115,7 +111,7 @@ class TestEvalSide:
     def test_derived_side_with_a_rational_affine_constant(self):
         # r pinned to 7/2 leaves the constant 7/2 in the derived forms; with
         # u = 5/3 the common denominator is 6
-        derived = frisch_transform(FIXTURES["F03"], r=Fraction(7, 2))
+        derived = frisch_transform(get_entry("F03").descriptor, r=Fraction(7, 2))
         desc = derived.to_descriptor()
         for n in range(4):
             for s in (1, 2, 3):
@@ -170,7 +166,8 @@ class TestCheckTwoSided:
             eval_side(desc, "left", binding(n=Fraction(7, 2), r=2, s=1))
 
     def test_fixtures_verify(self):
-        for name, desc in FIXTURES.items():
+        for name in ("F01", "F02", "F03", "F04", "F05"):
+            desc = get_entry(name).descriptor
             for n in range(0 if name != "F04" else 1, 9):
                 b = binding(n=n) if name != "F03" else binding(n=n, u=Fraction(7, 3))
                 assert check_two_sided(desc, b).status == VERIFIED, (name, n)
@@ -219,8 +216,8 @@ class TestCheckTwoSided:
 
     def test_transposition_preserves_status(self):
         cases = [
-            (GEOM_SUM, [binding(n=n) for n in range(7)]),
-            (SIMONS, [binding(n=n) for n in range(7)]),
+            (get_entry("F01").descriptor, [binding(n=n) for n in range(7)]),
+            (get_entry("F02").descriptor, [binding(n=n) for n in range(7)]),
             (
                 get_entry("F03").descriptor,
                 [binding(n=n, u=u) for n in range(5) for u in (0, 2, Fraction(7, 3))],
@@ -232,30 +229,31 @@ class TestCheckTwoSided:
                 assert check_two_sided(desc, b).status == check_two_sided(flipped, b).status
 
     def test_transposition_is_involution(self):
-        assert transpose_descriptor(transpose_descriptor(SIMONS)) == SIMONS
+        simons = get_entry("F02").descriptor
+        assert transpose_descriptor(transpose_descriptor(simons)) == simons
 
 
 def _pinned_derivations():
     """The 12 derivations pinned by their catalog matches: (descriptor, matched entry)."""
     doubled = macmahon_doubled()
+    gould, simons = get_entry("F03").descriptor, get_entry("F02").descriptor
     derived = [
-        (frisch_transform(GOULD), "C05"),
-        (frisch_transform(GOULD, direction="transposed"), "C06"),
-        (klamkin_transform(GOULD), "C18"),
-        (klamkin_transform(GOULD, direction="transposed"), "C19"),
+        (frisch_transform(gould), "C05"),
+        (frisch_transform(gould, direction="transposed"), "C06"),
+        (klamkin_transform(gould), "C18"),
+        (klamkin_transform(gould, direction="transposed"), "C19"),
         (moment_transform(doubled, 1), "C33"),
         (moment_transform(doubled, 2), "C34"),
     ]
     for m, suffix in ((1, "a"), (2, "b"), (3, "c")):
-        derived.append((moment_transform(SIMONS, m), f"C39{suffix}"))
-        derived.append((moment_transform(SIMONS, m, variant="reflected"), f"C40{suffix}"))
+        derived.append((moment_transform(simons, m), f"C39{suffix}"))
+        derived.append((moment_transform(simons, m, variant="reflected"), f"C40{suffix}"))
     return [(d.descriptor, entry_id) for d, entry_id in derived]
 
 
 def _specialization_cases():
-    """(descriptor, default grid) of every catalog entry, fixture and pinned derivation."""
+    """(descriptor, default grid) of every catalog entry and pinned derivation."""
     cases = [(get_entry(i).descriptor, get_entry(i).default_grid) for i in entry_ids()]
-    cases += [(desc, get_entry(name).default_grid) for name, desc in FIXTURES.items()]
     cases += [(desc, get_entry(entry_id).default_grid) for desc, entry_id in _pinned_derivations()]
     return cases
 
@@ -318,7 +316,8 @@ class TestIntegralSpecialization:
                 check_two_sided(fresh, b)
         assert compiled == []
         # the first sort-violating call compiles the general function, and later ones reuse it
-        fresh = IdentityDescriptor(GOULD.params, GOULD.left, GOULD.right, name=GOULD.name)
+        gould = get_entry("F03").descriptor
+        fresh = IdentityDescriptor(gould.params, gould.left, gould.right, name=gould.name)
         for _ in range(2):
             with pytest.raises(ValueError, match=r"^bound n is not an integer at this binding$"):
                 list(fresh.compiled["left"](exact_env(binding(n=Fraction(7, 2), u=1))))

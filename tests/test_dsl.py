@@ -5,7 +5,7 @@ import random
 import pytest
 
 from combident.affine import Affine, Bound
-from combident.catalog import FIXTURES, entry_ids, entry_to_dsl, get_entry
+from combident.catalog import entry_ids, entry_to_dsl, get_entry
 from combident.dsl import parse_identity, print_identity
 from combident.errors import DslArityError, DslSyntaxError
 from combident.terms import AffineFactor, Binom, Const, Power, Product, SignPow
@@ -22,11 +22,11 @@ GEOMETRIC_SOURCE = "params n:nat;\nsum[k=0..n] 1 * x^k == sum[k=0..n] (-1)^k * b
 
 class TestParse:
     def test_simons_matches_fixture(self):
-        assert parse_identity(SIMONS_SOURCE) == FIXTURES["F02"]
+        assert parse_identity(SIMONS_SOURCE) == get_entry("F02").descriptor
 
     def test_geometric_matches_fixture(self):
         desc = parse_identity(GEOMETRIC_SOURCE)
-        assert desc == FIXTURES["F01"]
+        assert desc == get_entry("F01").descriptor
         block = desc.left.blocks[0]
         assert block.coef == Const(1) or isinstance(block.coef, Const)
         assert block.x_exp.coefficient("k") == 1
@@ -64,6 +64,12 @@ class TestParse:
     def test_reserved_index(self):
         with pytest.raises(DslSyntaxError):
             parse_identity("params k:nat;\nsum[k=0..n] 1 * x^k == sum[k=0..n] 1 * x^k\n")
+
+    @pytest.mark.parametrize("numeral", ["½", "²"])
+    def test_a_name_cannot_start_with_a_numeral(self, numeral):
+        with pytest.raises(DslSyntaxError) as info:
+            parse_identity(f"params {numeral}:nat;\nsum[k=0..0] 1 * x^0 == sum[k=0..0] 1 * x^0\n")
+        assert str(info.value) == f"unexpected character {numeral!r} (line 1, column 8)"
 
     def test_factor_shapes(self):
         source = (
@@ -123,7 +129,8 @@ class TestZeroDenominator:
 
 class TestRoundTrip:
     def test_fixture_descriptors(self):
-        for name, desc in FIXTURES.items():
+        for name in ("F01", "F02", "F03", "F04", "F05"):
+            desc = get_entry(name).descriptor
             assert parse_identity(print_identity(desc)) == desc, name
 
     def test_whole_catalog_exports_and_reparses(self):
@@ -148,6 +155,6 @@ class TestRoundTrip:
             assert desc.left.blocks[0].hi == Bound(base, half=True), source
 
     def test_print_normalized_source_is_stable(self):
-        for desc in FIXTURES.values():
-            text = print_identity(desc)
+        for name in ("F01", "F02", "F03", "F04", "F05"):
+            text = print_identity(get_entry(name).descriptor)
             assert print_identity(parse_identity(text)) == text

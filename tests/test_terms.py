@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from combident.affine import Affine, Bound
-from combident.catalog import FIXTURES, entry_ids, get_entry
+from combident.catalog import entry_ids, get_entry
 from combident.errors import PoleError, PreconditionError, UnboundParameterError
 from combident.exact import binom_int, binom_rational
 from combident.terms import (
@@ -157,7 +157,7 @@ class TestEvaluate:
 
 SUMMANDS = [
     block.coef
-    for desc in [get_entry(i).descriptor for i in entry_ids()] + list(FIXTURES.values())
+    for desc in [get_entry(i).descriptor for i in entry_ids()]
     for side in (desc.left, desc.right)
     for block in side.blocks
 ]

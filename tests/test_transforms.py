@@ -11,11 +11,6 @@ import pytest
 from combident import integrals
 from combident.affine import Affine, Bound
 from combident.catalog import (
-    FIXTURES,
-    GEOM_SUM,
-    GOULD,
-    MACMAHON,
-    SIMONS,
     entry_ids,
     get_entry,
     macmahon_doubled,
@@ -242,42 +237,44 @@ class TestGaussLegendreRule:
 
 class TestWeightTransform:
     def test_gould_gives_generalized_frisch(self):
-        plain = match_against_entry(frisch_transform(GOULD), "C05")
+        gould = get_entry("F03").descriptor
+        plain = match_against_entry(frisch_transform(gould), "C05")
         assert plain.ok and plain.factors == (Fraction(1),)
-        flipped = match_against_entry(frisch_transform(GOULD, direction="transposed"), "C06")
+        flipped = match_against_entry(frisch_transform(gould, direction="transposed"), "C06")
         assert flipped.ok and flipped.factors == (Fraction(1),)
 
     def test_simons_gives_frisch_type(self):
-        report = match_against_entry(frisch_transform(SIMONS), "C10")
+        report = match_against_entry(frisch_transform(get_entry("F02").descriptor), "C10")
         assert report.ok and report.factors == (Fraction(1),)
 
     def test_geometric_gives_inverse_binomial_sum(self):
-        report = match_against_entry(frisch_transform(GEOM_SUM), "C28")
+        report = match_against_entry(frisch_transform(get_entry("F01").descriptor), "C28")
         assert report.ok and report.factors == (Fraction(1),)
 
     def test_macmahon_gives_cubed_binomial_identity(self):
-        report = match_against_entry(frisch_transform(MACMAHON), "C31")
+        report = match_against_entry(frisch_transform(get_entry("F05").descriptor), "C31")
         assert report.ok and report.factors == (Fraction(1),)
 
     def test_concrete_parameters(self):
-        derived = frisch_transform(SIMONS, r=Fraction(7, 2), s=2)
+        derived = frisch_transform(get_entry("F02").descriptor, r=Fraction(7, 2), s=2)
         for n in range(7):
             assert check_derived(derived, binding(n=n)).status == VERIFIED
 
     def test_name_collision_rejected(self):
         with pytest.raises(ShapeError):
-            frisch_transform(GOULD, r="u")
+            frisch_transform(get_entry("F03").descriptor, r="u")
 
 
 class TestReciprocalTransform:
     def test_gould_gives_generalized_klamkin(self):
-        plain = match_against_entry(klamkin_transform(GOULD), "C18")
+        gould = get_entry("F03").descriptor
+        plain = match_against_entry(klamkin_transform(gould), "C18")
         assert plain.ok and plain.factors == (Fraction(1),)
-        flipped = match_against_entry(klamkin_transform(GOULD, direction="transposed"), "C19")
+        flipped = match_against_entry(klamkin_transform(gould, direction="transposed"), "C19")
         assert flipped.ok and flipped.factors == (Fraction(1),)
 
     def test_simons_gives_klamkin_type(self):
-        report = match_against_entry(klamkin_transform(SIMONS), "C17")
+        report = match_against_entry(klamkin_transform(get_entry("F02").descriptor), "C17")
         assert report.ok
         assert set(report.factors) <= {Fraction(1), Fraction(-1)}
 
@@ -295,17 +292,17 @@ class TestReciprocalTransform:
 class TestMomentTransform:
     def test_order_zero_collapses_to_x_equals_one(self):
         # at m = 0 only the k = 0 term of the right side survives
-        derived = moment_transform(SIMONS, 0, "direct")
+        derived = moment_transform(get_entry("F02").descriptor, 0, "direct")
         for n in range(8):
             b = binding(n=n)
             result = check_derived(derived, b)
             assert result.status == VERIFIED
-            right_at_one = eval_side(SIMONS, "right", b).evaluate({"x": Fraction(1)})
+            right_at_one = eval_side(get_entry("F02").descriptor, "right", b).evaluate({"x": Fraction(1)})
             assert result.lhs == right_at_one
 
     def test_direct_matches_family(self):
         for m in range(6):
-            derived = moment_transform(SIMONS, m, "direct")
+            derived = moment_transform(get_entry("F02").descriptor, m, "direct")
             report = match_against_entry(
                 derived, "C37", {"n": [Fraction(v) for v in range(9)], "m": [Fraction(m)]}
             )
@@ -313,7 +310,7 @@ class TestMomentTransform:
 
     def test_reflected_matches_family(self):
         for m in range(6):
-            derived = moment_transform(SIMONS, m, "reflected")
+            derived = moment_transform(get_entry("F02").descriptor, m, "reflected")
             report = match_against_entry(
                 derived, "C38", {"n": [Fraction(v) for v in range(9)], "m": [Fraction(m)]}
             )
@@ -321,14 +318,14 @@ class TestMomentTransform:
 
     def test_swapped_variants_verify(self):
         for variant in ("swapped", "swapped_reflected"):
-            derived = moment_transform(SIMONS, 2, variant)
+            derived = moment_transform(get_entry("F02").descriptor, 2, variant)
             for n in range(8):
                 assert check_derived(derived, binding(n=n)).status == VERIFIED, variant
 
     def test_truncation_extending_range_changes_nothing(self):
         # summands beyond k = m vanish, so the capped and full ranges agree
         for m in range(5):
-            derived = moment_transform(SIMONS, m, "direct")
+            derived = moment_transform(get_entry("F02").descriptor, m, "direct")
             capped = derived.descriptor.right.blocks[0]
             for n in range(9):
                 b = binding(n=n)
@@ -351,13 +348,13 @@ class TestMomentTransform:
     def test_reversed_left_kernel_and_mixed_side_derive(self):
         # an x^(n-k) left kernel and a mixed x^k (1-x)^(2n-2k) right side are
         # ordinary blocks for the one moment rule
-        for source, variant in ((GOULD, "direct"), (macmahon_doubled(), "reflected")):
+        for source, variant in ((get_entry("F03").descriptor, "direct"), (macmahon_doubled(), "reflected")):
             counts = derive_grid_counts(moment_transform(source, 1, variant))
             assert counts[FAILED] == 0 and counts[VERIFIED] > 0, variant
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            moment_transform(SIMONS, -1, "direct")
+            moment_transform(get_entry("F02").descriptor, -1, "direct")
 
 
 class TestMomentGolden:
@@ -441,7 +438,7 @@ class TestMatchAgainstEntry:
         assert report.detail == "sides disagree at n=1"
 
     def test_entry_with_kernels_is_rejected(self):
-        derived = moment_transform(SIMONS, 1, "direct")
+        derived = moment_transform(get_entry("F02").descriptor, 1, "direct")
         for entry_id in ("F01", "C01"):
             with pytest.raises(ShapeError):
                 match_against_entry(derived, entry_id)
@@ -474,9 +471,10 @@ class TestRewrites:
         ]
 
     def test_reflect_is_involution(self):
-        for desc in FIXTURES.values():
+        for name in ("F01", "F02", "F03", "F04", "F05"):
+            desc = get_entry(name).descriptor
             assert rewrite_descriptor(rewrite_descriptor(desc, "reflect_x"), "reflect_x") == desc
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
-            rewrite_descriptor(SIMONS, "conjugate_x")
+            rewrite_descriptor(get_entry("F02").descriptor, "conjugate_x")
