@@ -8,7 +8,7 @@ constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -16,26 +16,35 @@ from .errors import UnboundParameterError
 
 Scalar = Union[int, Fraction]
 
+_ZERO = Fraction(0)
+
+
+def _fraction(value: Scalar) -> Fraction:
+    """``value`` as a Fraction; a Fraction is kept and every zero is one shared object."""
+    if type(value) is Fraction:
+        return value
+    return _ZERO if value == 0 else Fraction(value)
+
 
 @dataclass(frozen=True)
 class Affine:
     coeffs: tuple[tuple[str, int], ...] = ()
-    const: Fraction = field(default=Fraction(0))
+    const: Fraction = _ZERO
 
     @staticmethod
     def of(const: Scalar) -> "Affine":
-        return Affine((), Fraction(const))
+        return Affine((), _fraction(const))
 
     @staticmethod
     def var(name: str, coeff: int = 1) -> "Affine":
         if coeff == 0:
-            return Affine.of(0)
-        return Affine(((name, coeff),), Fraction(0))
+            return Affine()
+        return Affine(((name, coeff),))
 
     @staticmethod
     def build(coeffs: Mapping[str, int], const: Scalar = 0) -> "Affine":
         filtered = tuple(sorted((n, c) for n, c in coeffs.items() if c != 0))
-        return Affine(filtered, Fraction(const))
+        return Affine(filtered, _fraction(const))
 
     def __add__(self, other) -> "Affine":
         other = _coerce(other)

@@ -36,6 +36,7 @@ from .descriptors import (
 )
 from .dsl import parse_identity
 from .errors import DslSyntaxError, EmptyGridError, UnboundParameterError, UnknownEntryError
+from .terms import exact
 
 GridSpec = Mapping[str, Sequence[Fraction]]
 
@@ -320,17 +321,21 @@ class GridReport:
         return GridReport(entry_id, counts, tuple(witnesses), sum(counts.values()))
 
 
-def iter_grid(grid: GridSpec) -> Iterable[dict[str, Fraction]]:
-    """Every binding of ``grid``: the product of its axes, names in sorted order."""
+def iter_grid(grid: GridSpec) -> Iterable[dict[str, int | Fraction]]:
+    """Every binding of ``grid``: the product of its axes, names in sorted order.
+
+    Integral values are ints and the others Fractions (:func:`terms.exact`),
+    so converting a binding for a check finds nothing to do.
+    """
     names = sorted(grid)
-    values = [tuple(Fraction(v) for v in grid[name]) for name in names]
+    values = [tuple(map(exact, grid[name])) for name in names]
     if not names or any(len(v) == 0 for v in values):
         raise EmptyGridError(f"grid over {names} has no bindings")
     for combo in iter_product(*values):
         yield dict(zip(names, combo))
 
 
-def sorted_bindings(grid: GridSpec) -> Iterable[dict[str, Fraction]]:
+def sorted_bindings(grid: GridSpec) -> Iterable[dict[str, int | Fraction]]:
     """The bindings of ``grid`` ordered by value, axis by axis in name order.
 
     That order is the product of the sorted axes, so no binding is compared.

@@ -370,6 +370,17 @@ def cmd_export(args) -> int:
 
 # -- entry point ------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """A non-negative integer option value; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="combident",
@@ -386,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
     verify.add_argument("--out", default=None, help="write a JSON report here")
     verify.add_argument("--format", choices=("human", "quiet"), default="human")
-    verify.add_argument("--sample", type=int, default=None, help="sample this many bindings")
+    verify.add_argument("--sample", type=_count, default=None, help="sample this many bindings")
     verify.add_argument("--seed", type=int, default=0, help="seed for sampled grids")
     verify.set_defaults(func=cmd_verify)
 

@@ -11,17 +11,19 @@ one-term ``k=0..0`` block, so one descriptor and one check cover them all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Mapping, Union
+from functools import cached_property
+from itertools import zip_longest
+from typing import Mapping, NamedTuple, Union
 
 from .affine import Affine, Bound
 from .errors import PoleError, PreconditionError, ShapeError, UnboundParameterError
 from .poly import Polynomial
 from .terms import (
     TermExpr,
+    add_term,
+    compile_check,
     compile_side,
     exact_env,
     rename_parameters as rename_term,
@@ -73,11 +75,16 @@ class IdentityDescriptor:
             for b in side.blocks
         )
 
+    def _blocks(self, side: Side) -> tuple:
+        return tuple((b.lo, b.hi, b.coef, (b.x_exp, b.one_minus_exp, b.one_plus_exp)) for b in side.blocks)
+
     @cached_property
     def compiled(self) -> dict[str, object]:
         """Each side as one generated function (:func:`terms.compile_side`), compiled on first use.
 
-        Called with an ``exact_env`` environment, a side's function of a
+        These answer value queries (:func:`eval_side`, :func:`side_value`,
+        :func:`eval_side_at`); a check runs :meth:`check` instead.  Called
+        with an ``exact_env`` environment, a side's function of a
         kernel-free descriptor returns the side's sum as one ``(num, den)``
         pair.  Otherwise it yields ``((num, den), a, b, c)`` for every term
         of every block, where ``x^a (1-x)^b (1+x)^c`` is the term's kernel.
@@ -86,14 +93,36 @@ class IdentityDescriptor:
         label = self.name or "descriptor"
         integral = frozenset(name for name, sort in self.params if sort in ("nat", "int"))
         return {
-            name: compile_side(
-                tuple((b.lo, b.hi, b.coef, (b.x_exp, b.one_minus_exp, b.one_plus_exp)) for b in side.blocks),
-                f"<combident {label} {name}>",
-                self.kernel_free,
-                integral,
-            )
+            name: compile_side(self._blocks(side), f"<combident {label} {name}>", self.kernel_free, integral)
             for name, side in (("left", self.left), ("right", self.right))
         }
+
+    @cached_property
+    def _checks(self) -> dict[int, tuple]:
+        return {}
+
+    def check(self, validity: ValidityPredicate | None = None):
+        """The generated check (:func:`terms.compile_check`) under ``validity``, compiled on first use.
+
+        Keyed by the identity of ``validity``, so a binding hashes neither
+        it nor the descriptor; each entry keeps its validity alive, so an id
+        is never reused while it is a key.
+        """
+        entry = self._checks.get(id(validity))
+        if entry is None:
+            constraints = () if validity is None else tuple(
+                (c.expr, c.bound, c.describe()) for c in validity.constraints
+            )
+            function = compile_check(
+                self.params,
+                constraints,
+                self._blocks(self.left),
+                self._blocks(self.right),
+                f"<combident {self.name or 'descriptor'} check>",
+                self.kernel_free,
+            )
+            entry = self._checks[id(validity)] = (validity, function)
+        return entry[1]
 
 
 # -- bindings ---------------------------------------------------------------
@@ -102,7 +131,12 @@ ParamBinding = dict[str, Scalar]
 
 
 def check_sorts(desc_params, binding: Mapping[str, Scalar]) -> str | None:
-    """Return a violation message, or None when the binding fits the sorts."""
+    """Return a violation message, or None when the binding fits the sorts.
+
+    The reference for the sort tests of a generated check
+    (:meth:`IdentityDescriptor.check`), which does not call it; it is kept
+    for the test that compares the two.
+    """
     for name, sort in desc_params:
         if name not in binding:
             raise UnboundParameterError(name)
@@ -135,6 +169,11 @@ class ValidityPredicate:
     constraints: tuple[RangeConstraint, ...] = ()
 
     def violation(self, binding: Mapping[str, Scalar]) -> str | None:
+        """The first constraint that fails, described, or None.
+
+        The reference for the validity tests of a generated check, which
+        does not call it; it is kept for the test that compares the two.
+        """
         for c in self.constraints:
             if not c.holds(binding):
                 return c.describe()
@@ -143,8 +182,9 @@ class ValidityPredicate:
 
 # -- check results ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """The outcome of checking one binding: an immutable record, cheap to build once per binding."""
+
     identity: str
     binding: ParamBinding
     status: str
@@ -163,15 +203,6 @@ def format_binding(binding: Mapping[str, Fraction]) -> str:
 
 # -- evaluation -------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _kernel_coefficients(b: int, c: int) -> tuple[int, ...]:
-    """Integer coefficients of ``(1-x)^b (1+x)^c``, lowest power first."""
-    coeffs = [(-1) ** i * math.comb(b, i) for i in range(b + 1)]
-    for _ in range(c):
-        coeffs = [lo + hi for lo, hi in zip(coeffs + [0], [0] + coeffs)]
-    return tuple(coeffs)
-
-
 def eval_side(
     desc: IdentityDescriptor, side: str, binding: Mapping[str, Scalar]
 ) -> Fraction | Polynomial:
@@ -185,33 +216,32 @@ def side_value(desc: IdentityDescriptor, side: str, env: Mapping[str, Scalar]) -
     A kernel-free side's function returns its sum as one ``(num, den)``
     pair, and this builds one Fraction.  Any other side accumulates a dense
     list of integer x-coefficients over one common denominator (the lcm of
-    the reduced terms' denominators) and builds one Fraction per coefficient
-    at the end.
+    the reduced terms' denominators), as a check does, and builds one
+    Fraction per coefficient at the end.  Besides value queries, this is
+    the reference for the kernel sides of a generated check.
     """
     if desc.kernel_free:
         return Fraction(*desc.compiled[side](env))
     dense: list[int] = []
     common = 1
     for (num, den), a, b, c in desc.compiled[side](env):
-        if not num:
-            continue
-        if den != 1:
-            g = math.gcd(num, den)
-            num, den = num // g, den // g
-            if common % den:
-                scale = den // math.gcd(common, den)
-                dense = [v * scale for v in dense]
-                common *= scale
-        num *= common // den
-        kernel = _kernel_coefficients(b, c)
-        missing = a + len(kernel) - len(dense)
-        if missing > 0:
-            dense.extend([0] * missing)
-        for i, value in enumerate(kernel, a):
-            dense[i] += num * value
+        common = add_term(dense, common, num, den, a, b, c)
+    return _polynomial(dense, common)
+
+
+def _polynomial(dense: list[int], common: int) -> Polynomial:
+    """The polynomial in x with the coefficients ``dense`` over ``common``, lowest power first."""
     if common != 1:
         dense = [Fraction(v, common) if v else 0 for v in dense]
     return Polynomial.univariate("x", dense)
+
+
+def _same_polynomial(left: tuple[list[int], int], right: tuple[list[int], int]) -> bool:
+    """Whether two ``(dense, common)`` sides are one polynomial, compared in ints."""
+    (ldense, lcommon), (rdense, rcommon) = left, right
+    if lcommon == rcommon and len(ldense) == len(rdense):
+        return ldense == rdense
+    return all(u * rcommon == v * lcommon for u, v in zip_longest(ldense, rdense, fillvalue=0))
 
 
 def eval_side_at(
@@ -247,39 +277,39 @@ def check_two_sided(
     """Verify one binding; evaluation errors become skip statuses.
 
     The binding is converted once, by :func:`exact_env`: integral values
-    become ints.  Both sides are evaluated on that copy, and the result
-    keeps it.  A kernel-free descriptor compares its two ``(num, den)``
-    pairs by cross-multiplication and builds one Fraction, which a verified
-    result holds as both ``lhs`` and ``rhs``.
+    become ints.  One call of the descriptor's generated check
+    (:meth:`IdentityDescriptor.check`) tests the sorts and ``validity`` and
+    computes both sides on that copy, and the result keeps it.  The sides
+    are compared in ints: a kernel-free descriptor's two ``(num, den)``
+    pairs by cross-multiplication, any other's integer x-coefficients over
+    their common denominators.  A verified result builds one value, a
+    Fraction or a polynomial, and holds it as both ``lhs`` and ``rhs``.  A
+    declared parameter missing from the binding raises
+    :class:`UnboundParameterError`.
     """
     binding = exact_env(binding)
     label = desc.name or "descriptor"
-    sort_issue = check_sorts(desc.params, binding)
-    if sort_issue is not None:
-        return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=sort_issue)
-    if validity is not None:
-        issue = validity.violation(binding)
-        if issue is not None:
-            return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=issue)
     try:
-        if desc.kernel_free:
-            lhs, rhs = desc.compiled["left"](binding), desc.compiled["right"](binding)
-        else:
-            lhs, rhs = side_value(desc, "left", binding), side_value(desc, "right", binding)
+        sides = desc.check(validity)(binding)
     except PoleError as exc:
         return CheckResult(label, binding, SKIPPED_POLE, witness=str(exc))
-    except (PreconditionError, UnboundParameterError) as exc:
+    except PreconditionError as exc:
         return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=str(exc))
+    if type(sides) is str:
+        return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=sides)
+    left, right = sides
     if desc.kernel_free:
-        (lnum, lden), (rnum, rden) = lhs, rhs
+        (lnum, lden), (rnum, rden) = left, right
         if lnum * rden == rnum * lden:  # both denominators are > 0
             value = Fraction(lnum, lden)
             return CheckResult(label, binding, VERIFIED, lhs=value, rhs=value)
         lhs, rhs = Fraction(lnum, lden), Fraction(rnum, rden)
         witness = f"lhs = {lhs}, rhs = {rhs} at {format_binding(binding)}"
-    elif lhs == rhs:
-        return CheckResult(label, binding, VERIFIED, lhs=lhs, rhs=rhs)
     else:
+        if _same_polynomial(left, right):
+            value = _polynomial(*left)
+            return CheckResult(label, binding, VERIFIED, lhs=value, rhs=value)
+        lhs, rhs = _polynomial(*left), _polynomial(*right)
         witness = first_mismatch(lhs, rhs)
     return CheckResult(label, binding, FAILED, lhs=lhs, rhs=rhs, witness=witness)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Mapping, Union
 
 from .affine import Affine, Bound
@@ -154,7 +154,7 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 
 # -- exact evaluation -------------------------------------------------------
 #
-# Every check runs a side compiled once into the Python source of one
+# Every check runs code generated once into the Python source of one
 # function, which ``compile()`` turns into code.  The function reads an
 # environment of ints and Fractions (see :func:`exact_env`), writes every
 # parameter as an integer numerator over one common denominator D (the lcm
@@ -168,13 +168,19 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 # per call; integer uses of a form also take its ``divmod`` by D there, so
 # inside the k-loop an integer check is one test of a remainder.
 #
-# A side may name parameters that are integral (sorts ``nat`` and ``int``).
-# A k-free form over only those names with an integer constant is static:
-# its int value is computed once per call, with no D, no remainder test and
-# no rational branch, and the pair of a static form is over 1.  The
-# function first tests that every integral name it reads is bound to an
-# int; if one is not, it hands the call to the general function of the same
-# blocks, compiled with no integral names on the first such call.
+# Names that are integral (sorts ``nat`` and ``int``) are read as ints.  A
+# k-free form over only those names with an integer constant is static: its
+# int value is computed once per call, with no D, no remainder test and no
+# rational branch, and the pair of a static form is over 1.
+#
+# Two kinds of function are generated from the same emitter.  A check
+# (:func:`compile_check`) tests a binding's sorts and validity in its
+# prologue, before it reads anything else, and then computes both sides of
+# an identity over one D.  A side function (:func:`compile_side`) computes
+# one side for value queries; it first tests that every integral name it
+# reads is bound to an int, and if one is not, it hands the call to the
+# general function of the same blocks, compiled with no integral names on
+# the first such call.
 #
 # :func:`evaluate` is the reference the generated code is tested against: a
 # walk of one term's tree in Fractions that raises the same exceptions with
@@ -183,17 +189,23 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 Pair = tuple[int, int]
 
 
-def exact_env(binding: Mapping[str, object]) -> dict[str, Scalar]:
-    """A copy of ``binding`` with every integral value as an int.
+def exact(value: object) -> Scalar:
+    """``value`` as an int when it is integral, else as a Fraction.
 
-    Values that are neither ints nor Fractions (say, ``"7/2"``) go through
-    ``Fraction`` once here; compiled functions read ints and Fractions only.
+    A value that is neither (say, ``"7/2"``) goes through ``Fraction``.
     """
+    if type(value) is int:
+        return value
+    value = value if type(value) is Fraction else Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def exact_env(binding: Mapping[str, object]) -> dict[str, Scalar]:
+    """A copy of ``binding`` with every value :func:`exact`; compiled functions read ints and Fractions only."""
     env = dict(binding)
     for name, v in env.items():
         if type(v) is not int:
-            v = v if type(v) is Fraction else Fraction(v)
-            env[name] = v.numerator if v.denominator == 1 else v
+            env[name] = exact(v)
     return env
 
 
@@ -254,8 +266,13 @@ def _binom_int(u: int, j: int) -> int:
     raise PreconditionError(f"binomial with upper index {u} is undefined at negative lower index {j}")
 
 
+@lru_cache(maxsize=4096)
 def _binom_pair(num: int, den: int, j: int) -> Pair:
-    """binom(num/den, j) as a pair; ``num/den`` need not be in lowest terms."""
+    """binom(num/den, j) as a pair; ``num/den`` need not be in lowest terms.
+
+    Memoized: a sweep asks for few distinct binomials many times.  A call
+    that raises is not cached, so it raises again on every repeat.
+    """
     if num % den == 0:
         return _binom_int(num // den, j), 1
     if j < 0:
@@ -263,6 +280,48 @@ def _binom_pair(num: int, den: int, j: int) -> Pair:
             f"binomial with upper index {Fraction(num, den)} is undefined at negative lower index {j}"
         )
     return binom_rational_pair(num, den, j)
+
+
+def _not_an_integer(name: str, value: Scalar) -> str:
+    return f"{name} = {value} is not an integer"
+
+
+def _negative(name: str, value: Scalar) -> str:
+    return f"{name} = {value} is negative"
+
+
+@lru_cache(maxsize=4096)
+def _kernel_coefficients(b: int, c: int) -> tuple[int, ...]:
+    """Integer coefficients of ``(1-x)^b (1+x)^c``, lowest power first."""
+    coeffs = [(-1) ** i * math.comb(b, i) for i in range(b + 1)]
+    for _ in range(c):
+        coeffs = [lo + hi for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
+
+
+def add_term(dense: list[int], common: int, num: int, den: int, a: int, b: int, c: int) -> int:
+    """Add ``num/den * x^a (1-x)^b (1+x)^c`` to ``dense``; return its new common denominator.
+
+    ``dense`` holds integer x-coefficients, lowest power first, over
+    ``common``.  A term is reduced before it is added, so ``common`` stays
+    the lcm of the reduced terms' denominators.
+    """
+    if not num:
+        return common
+    if den != 1:
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        if common % den:
+            scale = den // math.gcd(common, den)
+            dense[:] = [v * scale for v in dense]
+            common *= scale
+    num *= common // den
+    kernel = _kernel_coefficients(b, c)
+    end = a + len(kernel)
+    if end > len(dense):
+        dense.extend([0] * (end - len(dense)))
+    dense[a:end] = [v + num * w for v, w in zip(dense[a:end], kernel)]
+    return common
 
 
 _NAMESPACE = {
@@ -274,7 +333,7 @@ _NAMESPACE = {
         for f in (
             _not_integer, _bound_not_integer, _exponent_not_integer, _negative_exponent,
             _negative_power, _negative_count, _negative_sum_power, _no_reciprocal, _vanishes,
-            _binom_int, _binom_pair,
+            _binom_int, _binom_pair, _not_an_integer, _negative, add_term,
         )
     },
 }
@@ -317,11 +376,14 @@ class _Source:
 
     A form that names k is split into ``c * k + rest``: k is the index of a
     block's loop, an int, and ``rest`` is computed once per call.  The names
-    in ``integral`` are read as ints (see the comment above).
+    in ``integral`` are read as ints (see the comment above), and those in
+    ``naturals`` are known to be ints >= 0, so tests of a sign that cannot be
+    negative are left out.
     """
 
-    def __init__(self, integral: frozenset[str]):
+    def __init__(self, integral: frozenset[str], naturals: frozenset[str] = frozenset()):
         self.integral = integral
+        self.naturals = naturals
         self.params: dict[str, str] = {}  # name -> identifier of its numerator over D
         # keyed by _key(k-free part): the identifier of a static form's int
         # value, of any other form's numerator over D, and of the quotient and
@@ -375,8 +437,7 @@ class _Source:
     def read(self, rest: Affine) -> None:
         """Read the names of a k-free form from the environment, in first-use order."""
         for param, _ in rest.coeffs:
-            if param not in self.params:
-                self.params[param] = f"p{len(self.params)}"
+            self.param(param)
 
     def static(self, rest: Affine) -> str | None:
         """Identifier or literal of a static k-free form's int value, computed once per call; else None."""
@@ -442,10 +503,14 @@ class _Source:
         self.emit(depth, f"if {remainder}: raise {error}({self.site(what, form)}, {numerator}, D)")
         return _linear(c, "k", quotient)
 
-    def natural(self, value: str, depth: int, negative: str) -> str:
-        """``value`` as an operand, raising ``negative.format(value)`` below 0."""
-        if _is_literal(value) and int(value) >= 0:
-            return value
+    def nonnegative(self, form: Affine) -> bool:
+        """Whether ``form`` is >= 0 wherever it is computed: a sum of k and ``naturals`` and a constant >= 0."""
+        return form.const >= 0 and all(c > 0 and (n == "k" or n in self.naturals) for n, c in form.coeffs)
+
+    def natural(self, form: Affine, value: str, depth: int, negative: str) -> str:
+        """``value``, the source of ``form``'s int value, as an operand, raising ``negative.format(value)`` below 0."""
+        if self.nonnegative(form):
+            return _group(value)
         value = self.assign(depth, value, "e")
         self.emit(depth, f"if {value} < 0: raise {negative.format(value)}")
         return value
@@ -466,7 +531,9 @@ class _Source:
             base, den = self.value(expr.base)
             form = expr.exponent
             e = self.integer(form, depth, "_not_integer", "exponent")
-            e = self.natural(e, depth, "_negative_power({})")
+            e = self.natural(form, e, depth, "_negative_power({})")
+            if e == "1":
+                return base, den
             return f"{_group(base)} ** {e}", "1" if den == "1" else f"D ** {e}"
         if isinstance(expr, Binom):
             return self.binom(expr, depth)
@@ -476,15 +543,17 @@ class _Source:
             self.emit(depth, f"if not ({den} := {denom}): raise _vanishes({self.ref(expr.denom)})")
             numer, numer_over = self.value(expr.numer)
             # (numer / numer_over) / (denom / denom_over): D cancels unless one is over 1
-            numer = _group(numer if numer_over == denom_over else f"{numer} * {denom_over}")
+            if numer_over != denom_over:
+                numer = denom_over if numer == "1" else f"{numer} * {denom_over}"
+            numer = _group(numer)
             self.emit(depth, f"{num}, {den} = ({numer}, {den}) if {den} > 0 else (-{numer}, -{den})")
-            return num, den if numer_over == denom_over else f"{den} * {numer_over}"
+            return num, den if numer_over in (denom_over, "1") else f"{den} * {numer_over}"
         if isinstance(expr, AltPowerSum):
             count = self.integer(expr.count, depth, "_not_integer", "count")
-            count = self.natural(count, depth, "_negative_count({})")
+            count = self.natural(expr.count, count, depth, "_negative_count({})")
             shift, step = self.value(expr.shift)
             p = self.integer(expr.power, depth, "_not_integer", "power")
-            p = self.natural(p, depth, "_negative_sum_power({})")
+            p = self.natural(expr.power, p, depth, "_negative_sum_power({})")
             if step == "1":
                 return self.assign(depth, f"alternating_power_sum({count}, {shift}, {p})", "a"), "1"
             value = self.assign(depth, f"alternating_power_sum({count}, {shift}, {p}, D)", "a")
@@ -522,11 +591,16 @@ class _Source:
         else:
             quotient, remainder = self.quotient(rest)
             u = _linear(c, "k", quotient)
-        test = u
-        if not (u.isidentifier() or _is_literal(u)):
-            u = self.fresh("u")
-            test = f"({u} := {test})"
-        counting = f"comb({u}, {j}) if {test} >= 0 <= {j} else _binom_int({u}, {j})"
+        if static is not None and self.nonnegative(expr.upper):
+            # counting: comb is 0 above u, and so is a negative lower index
+            counting = f"comb({u}, {j})" if self.nonnegative(lower) else f"comb({u}, {j}) if {j} >= 0 else 0"
+        else:
+            test = u
+            if not (u.isidentifier() or _is_literal(u)):
+                u = self.fresh("u")
+                test = f"({u} := {test})"
+            signs = f"{test} >= 0" if self.nonnegative(lower) else f"{test} >= 0 <= {j}"
+            counting = f"comb({u}, {j}) if {signs} else _binom_int({u}, {j})"
         if static is not None:
             self.emit(depth, f"{num} = {counting}")
             den = "1"
@@ -560,34 +634,47 @@ class _Source:
             return "0"
         what = f"{what} exponent"
         value = self.integer(form, depth, "_exponent_not_integer", what)
-        return self.natural(value, depth, f"_negative_exponent({self.site(what, form)}, {{}})")
+        return self.natural(form, value, depth, f"_negative_exponent({self.site(what, form)}, {{}})")
 
     # -- the function
 
-    def compile(self, signature: str, filename: str, general=None, generator: bool = False):
-        """Compile ``def signature:`` with a prologue that reads the parameters.
+    def param(self, name: str) -> str:
+        """The identifier of ``name``'s value is ``"v" + param(name)``; a new name is read after the known ones."""
+        if name not in self.params:
+            self.params[name] = f"p{len(self.params)}"
+        return self.params[name]
 
-        ``general`` is the function a call goes to when an integral name is
-        not bound to an int; ``generator`` says to yield from it.
-        """
-        prologue = []
+    def plain(self, form: Affine) -> str:
+        """Source of ``form`` over the values read from the environment, with no D."""
+        parts = [_linear(c, "v" + self.param(n), "0") for n, c in form.coeffs]
+        if form.const:
+            const = form.const
+            parts.append(str(const.numerator) if const.denominator == 1 else self.ref(const))
+        return " + ".join(parts) or "0"
+
+    def guarded_reads(self, general, generator: bool) -> list[str]:
+        """Prologue of a side function: read every name, then hand a call to ``general``
+        when an integral name is not bound to an int; ``generator`` says to yield from it."""
+        reads = []
         if self.params:
-            prologue.append("try:")
-            prologue += [f"    v{p} = env[{name!r}]" for name, p in self.params.items()]
-            prologue.append("except KeyError as exc:")
-            prologue.append("    raise UnboundParameterError(exc.args[0]) from None")
+            reads.append("try:")
+            reads += [f"    v{p} = env[{name!r}]" for name, p in self.params.items()]
+            reads.append("except KeyError as exc:")
+            reads.append("    raise UnboundParameterError(exc.args[0]) from None")
         guards = [f"type(v{p}) is not int" for name, p in self.params.items() if name in self.integral]
         if guards:
             self.namespace["general"] = general
-            prologue.append(f"if {' or '.join(guards)}:")
-            prologue += ["    yield from general()(env)", "    return"] if generator else ["    return general()(env)"]
+            reads.append(f"if {' or '.join(guards)}:")
+            reads += ["    yield from general()(env)", "    return"] if generator else ["    return general()(env)"]
+        return reads
+
+    def compile(self, signature: str, filename: str, reads: list[str]):
+        """Compile ``def signature:`` whose prologue is ``reads`` and then the k-free forms."""
+        prologue = list(reads)
         values = {f"v{p}" for p in self.params.values()}
         for name, rest in self.statics.values():
             if name not in values:
-                parts = [_linear(c, "v" + self.params[n], "0") for n, c in rest.coeffs]
-                if rest.const:
-                    parts.append(str(rest.const.numerator))
-                prologue.append(f"{name} = {' + '.join(parts)}")
+                prologue.append(f"{name} = {self.plain(rest)}")
         if self.rests:
             scaled = {n for _, rest in self.rests.values() for n, _ in rest.coeffs}
             dens = [f"v{p}.denominator" for n, p in self.params.items() if n in scaled and n not in self.integral]
@@ -610,7 +697,7 @@ class _Source:
             parts = [_linear(c, self.params[n], "0") for n, c in rest.coeffs]
             num, den = rest.const.numerator, rest.const.denominator
             if num:
-                parts.append(f"{num} * D" if den == 1 else f"{num} * (D // {den})")
+                parts.append(_linear(num, "D", "0") if den == 1 else f"{num} * (D // {den})")
             prologue.append(f"{name} = {' + '.join(parts)}")
         for quotient, remainder, numerator in self.quotients.values():
             prologue.append(f"{quotient}, {remainder} = divmod({numerator}, D)")
@@ -620,6 +707,39 @@ class _Source:
         namespace = {**_NAMESPACE, "alternating_power_sum": alternating_power_sum, **self.namespace}
         exec(compile(source, filename, "exec"), namespace)
         return namespace[signature.partition("(")[0]]
+
+
+def _emit_side(src: _Source, blocks: tuple, kernel_free: bool, collect: bool) -> str:
+    """Emit the k-loops of one side's blocks; return the source of the side's value.
+
+    A kernel-free side adds its terms' pairs into ``total`` over ``common``.
+    Any other side yields ``((num, den), a, b, c)`` for every term, or with
+    ``collect`` adds it to ``dense`` over ``common`` (:func:`add_term`).
+    """
+    if kernel_free:
+        src.emit(1, "total, common = 0, 1")
+    elif collect:
+        src.emit(1, "dense, common = [], 1")
+    for lo, hi, coef, kernel in blocks:
+        start, stop = src.bound(lo, 1), src.bound(hi, 1)
+        if not (_is_literal(start) and int(start) >= 0):
+            start = f"max(0, {start})"
+        stop = str(int(stop) + 1) if _is_literal(stop) else f"{_group(stop)} + 1"
+        src.emit(1, f"for k in range({start}, {stop}):")
+        num, den = src.term(coef, 2)
+        if not kernel_free:
+            exponents = ", ".join(src.kernel_exponent(f, what, 2) for f, what in zip(kernel, _KERNEL_LABELS))
+            if collect:
+                src.emit(2, f"common = add_term(dense, common, {num}, {den}, {exponents})")
+            else:
+                src.emit(2, f"yield ({num}, {den}), {exponents}")
+        elif den == "1":
+            src.emit(2, f"total += {_group(num)} * common")
+        else:
+            num, den = src.assign(2, num, "n"), src.assign(2, den, "d")
+            src.emit(2, f"if {den} == common: total += {num}")
+            src.emit(2, f"else: total, common = total * {den} + {num} * common, common * {den}")
+    return "(total, common)" if kernel_free else "(dense, common)"
 
 
 def compile_side(
@@ -641,29 +761,90 @@ def compile_side(
     to anything else runs the general function of the same blocks.
     """
     src = _Source(integral)
+    value = _emit_side(src, blocks, kernel_free, collect=False)
     if kernel_free:
-        src.emit(1, "total, common = 0, 1")
-    for lo, hi, coef, kernel in blocks:
-        start, stop = src.bound(lo, 1), src.bound(hi, 1)
-        if not (_is_literal(start) and int(start) >= 0):
-            start = f"max(0, {start})"
-        src.emit(1, f"for k in range({start}, {_group(stop)} + 1):")
-        num, den = src.term(coef, 2)
-        if not kernel_free:
-            exponents = (src.kernel_exponent(f, what, 2) for f, what in zip(kernel, _KERNEL_LABELS))
-            src.emit(2, f"yield ({num}, {den}), {', '.join(exponents)}")
-        elif den == "1":
-            src.emit(2, f"total += {_group(num)} * common")
-        else:
-            num, den = src.assign(2, num, "n"), src.assign(2, den, "d")
-            src.emit(2, f"if {den} == common: total += {num}")
-            src.emit(2, f"else: total, common = total * {den} + {num} * common, common * {den}")
-    if kernel_free:
-        src.emit(1, "return total, common")
+        src.emit(1, f"return {value}")
     elif not blocks:
         src.emit(1, "yield from ()")
     general = cache(lambda: compile_side(blocks, filename, kernel_free))
-    return src.compile("side(env)", filename, general, not kernel_free)
+    return src.compile("side(env)", filename, src.guarded_reads(general, not kernel_free))
+
+
+def compile_check(
+    params: tuple[tuple[str, str], ...],
+    constraints: tuple[tuple[Affine, int, str], ...],
+    left: tuple,
+    right: tuple,
+    filename: str = "<combident check>",
+    kernel_free: bool = False,
+):
+    """One generated function that checks a binding of a two-sided identity.
+
+    ``params`` are the declared ``(name, sort)`` pairs, ``constraints`` the
+    validity as ``(form, bound, text)`` for ``form >= bound``, and ``left``
+    and ``right`` the sides' blocks as for :func:`compile_side`.  Called with
+    an :func:`exact_env` environment, the function:
+
+    - reads every declared name in order and tests its sort right after
+      reading it, returning ``"n = 7/2 is not an integer"`` or
+      ``"n = -1 is negative"``; a missing name raises
+      :class:`UnboundParameterError`;
+    - returns the ``text`` of the first constraint that fails;
+    - returns ``str(UnboundParameterError(name))`` for a name that a side
+      uses and ``params`` does not declare, when it is missing, at the point
+      where that side would have read it;
+    - otherwise returns the two sides' values over one D: ``(num, den)``
+      pairs for a ``kernel_free`` identity, else ``(dense, common)`` integer
+      x-coefficients over their common denominators (:func:`add_term`).
+
+    An error inside a side is raised as in :func:`compile_side`.  The
+    integral names are always ints past the sort tests, so no general
+    function is needed.
+    """
+    integral = frozenset(name for name, sort in params if sort in ("nat", "int"))
+    # past the tests, a nat name is >= 0, and so is an integral name bounded below by 0 or more
+    naturals = {name for name, sort in params if sort == "nat"}
+    naturals.update(_lone_name(form) for form, bound, _ in constraints if bound >= 0 and _lone_name(form) in integral)
+    src = _Source(integral, frozenset(naturals))
+    tested = []  # read and tested in order; a missing name raises
+    for name, sort in params:
+        v = "v" + src.param(name)
+        tested.append(f"{v} = env[{name!r}]")
+        if sort in ("nat", "int"):
+            tested.append(f"if type({v}) is not int: return _not_an_integer({name!r}, {v})")
+        if sort == "nat":
+            tested.append(f"if {v} < 0: return _negative({name!r}, {v})")
+    for form, bound, text in constraints:
+        for name, _ in form.coeffs:
+            if name not in src.params:
+                tested.append(f"v{src.param(name)} = env[{name!r}]")
+        tested.append(f"if {src.plain(form)} < {bound}: return {src.ref(text)}")
+    reads = []
+    if tested:
+        reads = ["try:"] + ["    " + line for line in tested]
+        reads += ["except KeyError as exc:", "    raise UnboundParameterError(exc.args[0]) from None"]
+
+    def undeclared(start: int) -> list[tuple[str, str, str]]:
+        """``(name, identifier, witness)`` of the names read after the first ``start``."""
+        return [
+            (name, "v" + p, src.ref(str(UnboundParameterError(name))))
+            for name, p in list(src.params.items())[start:]
+        ]
+
+    known = len(src.params)
+    lhs = _emit_side(src, left, kernel_free, collect=True)
+    src.emit(1, f"lhs = {lhs}")
+    for name, v, witness in undeclared(known):
+        reads += [f"{v} = env.get({name!r})", f"if {v} is None: return {witness}"]
+    known, mark = len(src.params), len(src.lines)
+    rhs = _emit_side(src, right, kernel_free, collect=True)
+    src.emit(1, f"return lhs, {rhs}")
+    # a name only the right side uses is read before D with a stand-in, and
+    # tested where the right side begins
+    late = undeclared(known)
+    reads += [f"{v} = env.get({name!r}, 0)" for name, v, _ in late]
+    src.lines[mark:mark] = [f"    if {name!r} not in env: return {witness}" for name, _, witness in late]
+    return src.compile("check(env)", filename, reads)
 
 
 # -- the reference interpreter ----------------------------------------------

@@ -44,6 +44,16 @@ class TestVerify:
         # an axis that some selected entry has is still accepted
         assert run_cli("verify", "--id", "C03,C20", "--m", "0..1", "--n", "0..2").returncode == 0
 
+    def test_negative_sample_is_a_usage_error(self):
+        result = run_cli("verify", "--id", "C03", "--sample", "-1")
+        assert result.returncode == 2
+        assert "argument --sample: must be 0 or more, got -1" in result.stderr
+        assert "population" not in result.stderr
+        # an empty sample is no usage error: it checks nothing, which exits 1
+        empty = run_cli("verify", "--id", "C03", "--sample", "0")
+        assert empty.returncode == 1
+        assert "unexercised verified=0" in empty.stdout
+
     def test_entry_with_no_verified_binding_exits_one(self):
         # s = 0 puts every C03 binding outside its validity region
         result = run_cli("verify", "--id", "C03", "--s", "0")

@@ -1,10 +1,12 @@
 """Two-sided identity checking: sides, statuses, transposition."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from combident import terms
+from combident import catalog, terms
 from combident.affine import Affine, Bound
 from combident.catalog import (
     entry_ids,
@@ -14,18 +16,27 @@ from combident.catalog import (
     verify_entry,
 )
 from combident.descriptors import (
+    FAILED,
     SKIPPED_POLE,
     SKIPPED_PRECONDITION,
     VERIFIED,
+    CheckResult,
     IdentityDescriptor,
     KernelBlock,
+    RangeConstraint,
     Side,
+    ValidityPredicate,
+    check_sorts,
     check_two_sided,
     eval_side,
     eval_side_at,
+    first_mismatch,
+    format_binding,
+    side_value,
     transpose_descriptor,
 )
-from combident.errors import UnboundParameterError
+from combident.errors import PoleError, PreconditionError, UnboundParameterError
+from combident.exact import binom_rational, binom_rational_pair
 from combident.poly import Polynomial
 from combident.terms import af, binom, compile_side, const, evaluate_sum, exact_env, ibinom, prod
 from combident.transforms import check_derived, frisch_transform, klamkin_transform, moment_transform
@@ -234,7 +245,7 @@ class TestCheckTwoSided:
 
 
 def _pinned_derivations():
-    """The 12 derivations pinned by their catalog matches: (descriptor, matched entry)."""
+    """The 12 derivations pinned by their catalog matches: (derived identity, matched entry)."""
     doubled = macmahon_doubled()
     gould, simons = get_entry("F03").descriptor, get_entry("F02").descriptor
     derived = [
@@ -248,14 +259,19 @@ def _pinned_derivations():
     for m, suffix in ((1, "a"), (2, "b"), (3, "c")):
         derived.append((moment_transform(simons, m), f"C39{suffix}"))
         derived.append((moment_transform(simons, m, variant="reflected"), f"C40{suffix}"))
-    return [(d.descriptor, entry_id) for d, entry_id in derived]
+    return derived
+
+
+def _check_cases():
+    """(descriptor, validity, default grid) of every catalog entry and pinned derivation."""
+    cases = [(get_entry(i).descriptor, get_entry(i).validity, get_entry(i).default_grid) for i in entry_ids()]
+    cases += [(d.descriptor, d.validity, get_entry(entry_id).default_grid) for d, entry_id in _pinned_derivations()]
+    return cases
 
 
 def _specialization_cases():
     """(descriptor, default grid) of every catalog entry and pinned derivation."""
-    cases = [(get_entry(i).descriptor, get_entry(i).default_grid) for i in entry_ids()]
-    cases += [(desc, get_entry(entry_id).default_grid) for desc, entry_id in _pinned_derivations()]
-    return cases
+    return [(desc, grid) for desc, _, grid in _check_cases()]
 
 
 # values no binding that passes check_sorts can give: n and s are nat or int wherever declared
@@ -305,20 +321,215 @@ class TestIntegralSpecialization:
         assert violations > 150 and compared > 28000
 
     def test_default_grids_never_compile_a_general_function(self, monkeypatch):
-        # a general function is compiled through the module's compile_side
-        # (descriptors call their own import of it), so this counts only those
-        compiled = []
-        real = terms.compile_side
-        monkeypatch.setattr(terms, "compile_side", lambda *args: compiled.append(args) or real(*args))
-        for desc, grid in _specialization_cases():
+        # a check compiles one function per descriptor, and never a side
+        # function or a general one, even at sort-violating bindings
+        filenames = _count_compiles(monkeypatch)
+        for desc, validity, grid in _check_cases():
             fresh = IdentityDescriptor(desc.params, desc.left, desc.right, name=desc.name)
-            for b in sorted_bindings(grid):
-                check_two_sided(fresh, b)
-        assert compiled == []
-        # the first sort-violating call compiles the general function, and later ones reuse it
+            for b in _check_bindings(desc, validity, grid):
+                check_two_sided(fresh, b, validity)
+            assert filenames == [f"<combident {desc.name} check>"], desc.name
+            assert "compiled" not in fresh.__dict__
+            filenames.clear()
+        # a value query compiles both side functions; a side function's
+        # first sort-violating call compiles its general function, and later
+        # ones reuse it
         gould = get_entry("F03").descriptor
         fresh = IdentityDescriptor(gould.params, gould.left, gould.right, name=gould.name)
         for _ in range(2):
             with pytest.raises(ValueError, match=r"^bound n is not an integer at this binding$"):
                 list(fresh.compiled["left"](exact_env(binding(n=Fraction(7, 2), u=1))))
-        assert len(compiled) == 1
+        assert filenames == ["<combident F03 left>", "<combident F03 right>", "<combident F03 left>"]
+
+
+def _count_compiles(monkeypatch) -> list[str]:
+    """The file names of the generated functions compiled from now on, in order."""
+    filenames: list[str] = []
+
+    def spy(source, filename, mode):
+        filenames.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(terms, "compile", spy, raising=False)
+    return filenames
+
+
+def _check_bindings(desc: IdentityDescriptor, validity: ValidityPredicate, grid) -> list[dict]:
+    """The default grid, each sort violation, every integral name violating at once,
+    and each validity bound and the value below it."""
+    declared = {name for name, _ in desc.params}
+    bindings = list(sorted_bindings(grid))
+    for name, value in _SORT_VIOLATIONS:
+        if name in declared:
+            bindings += sorted_bindings({**grid, name: (value,)})
+    integral = [name for name, sort in desc.params if sort != "rat"]
+    if integral:
+        bindings += sorted_bindings({**grid, **{name: (Fraction(-7, 2),) for name in integral}})
+    for c in validity.constraints:
+        (name, _), = c.expr.coeffs
+        bindings += sorted_bindings({**grid, name: (c.bound - 1, c.bound)})
+    return bindings
+
+
+def _reference_check(desc: IdentityDescriptor, b, validity: ValidityPredicate | None = None) -> CheckResult:
+    """check_two_sided by the reference path: :func:`check_sorts`, ``validity.violation``, then
+    each side by :func:`side_value`, a side function of its own."""
+    env = exact_env(b)
+    issue = check_sorts(desc.params, env)
+    if issue is None and validity is not None:
+        issue = validity.violation(env)
+    if issue is not None:
+        return CheckResult(desc.name, env, SKIPPED_PRECONDITION, witness=issue)
+    try:
+        lhs, rhs = side_value(desc, "left", env), side_value(desc, "right", env)
+    except PoleError as exc:
+        return CheckResult(desc.name, env, SKIPPED_POLE, witness=str(exc))
+    except (PreconditionError, UnboundParameterError) as exc:
+        return CheckResult(desc.name, env, SKIPPED_PRECONDITION, witness=str(exc))
+    if lhs == rhs:
+        return CheckResult(desc.name, env, VERIFIED, lhs=lhs, rhs=rhs)
+    if desc.kernel_free:
+        witness = f"lhs = {lhs}, rhs = {rhs} at {format_binding(env)}"
+    else:
+        witness = first_mismatch(lhs, rhs)
+    return CheckResult(desc.name, env, FAILED, lhs=lhs, rhs=rhs, witness=witness)
+
+
+def _result(check, desc, b, validity) -> tuple:
+    """What ``check`` gives: status, witness, the sides with their types, and the binding, or what it raises."""
+    try:
+        r = check(desc, b, validity)
+    except (ArithmeticError, LookupError, ValueError) as exc:
+        return type(exc), str(exc)
+    return r.status, r.witness, r.lhs, type(r.lhs), r.rhs, type(r.rhs), r.binding
+
+
+def _agree(desc: IdentityDescriptor, bindings, validity: ValidityPredicate | None = None) -> list:
+    """Assert the generated check and the reference agree at every binding; return the results."""
+    results = []
+    for b in bindings:
+        expected = _result(_reference_check, desc, b, validity)
+        assert _result(check_two_sided, desc, b, validity) == expected, (desc.name, b)
+        results.append(expected)
+    return results
+
+
+class TestGeneratedCheck:
+    """One generated check per descriptor agrees with the reference path."""
+
+    def test_catalog_and_derivations_agree_with_the_reference(self):
+        statuses = Counter()
+        for desc, validity, grid in _check_cases():
+            for result in _agree(desc, _check_bindings(desc, validity, grid), validity):
+                statuses[result[0]] += 1
+        assert statuses[VERIFIED] > 6000 and statuses[SKIPPED_POLE] > 500
+        assert statuses[SKIPPED_PRECONDITION] > 1500
+
+    def test_validity_is_tested_after_the_sorts(self):
+        c03 = get_entry("C03")
+        statuses = _agree(
+            c03.descriptor,
+            [binding(n=2, r=3, s=0), binding(n=2, r=3, s=1), binding(n=-1, r=3, s=0), binding(n=2, r=3, s=Fraction(1, 2))],
+            c03.validity,
+        )
+        assert [r[1] for r in statuses] == ["s >= 1", None, "n = -1 is negative", "s = 1/2 is not an integer"]
+        # a rational form, and two constraints of which the second fails
+        n, r = Affine.var("n"), Affine.var("r")
+        validity = ValidityPredicate((RangeConstraint(2 * r - n + Affine.of(Fraction(1, 2)), 1), RangeConstraint(n, 3)))
+        bindings = [binding(n=v, r=w, s=1) for v in range(6) for w in (0, Fraction(1, 4), Fraction(3, 4), 2)]
+        witnesses = {r[1] for r in _agree(c03.descriptor, bindings, validity)}
+        assert {"2r - n + 1/2 >= 1", "n >= 3"} <= witnesses
+
+    def test_a_sort_violation_wins_over_a_later_missing_name(self):
+        desc, validity = get_entry("C03").descriptor, get_entry("C03").validity
+        # n is declared first: its violation is reported, r and s are never read
+        assert _agree(desc, [{"n": Fraction(7, 2)}], validity) == [
+            (SKIPPED_PRECONDITION, "n = 7/2 is not an integer", None, type(None), None, type(None), {"n": Fraction(7, 2)})
+        ]
+        # a missing name before the violating one raises
+        assert _agree(desc, [{"n": 2, "s": Fraction(1, 2)}], validity) == [(UnboundParameterError, "'r'")]
+        with pytest.raises(UnboundParameterError, match="entry C03 needs parameter r"):
+            verify_entry("C03", {"n": 2, "s": Fraction(1, 2)})
+
+    def test_a_name_the_descriptor_does_not_declare(self):
+        n, k, q = Affine.var("n"), Affine.var("k"), Affine.var("q")
+        pole = ibinom(n, k + 1)  # binom(n, n + 1) = 0 at k = n: every binding of n is a pole
+        zero = KernelBlock(Bound.of(0), Bound.of(0), const(0))
+        cases = {
+            "left": IdentityDescriptor(
+                (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(n), prod(binom(n, k), af(q))),)), Side((zero,)), "left"
+            ),
+            # the left side's pole is raised before the right side reads q
+            "right": IdentityDescriptor(
+                (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(n), pole),)),
+                Side((KernelBlock(Bound.of(0), Bound(n), af(q)),)), "right",
+            ),
+            "right after a sum": IdentityDescriptor(
+                (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(n), binom(n, k)),)),
+                Side((KernelBlock(Bound.of(0), Bound(n), af(q)),)),
+                "right after a sum",
+            ),
+            "bound": IdentityDescriptor(
+                (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(q), binom(n, k)),)), Side((zero,)), "bound"
+            ),
+            "kernel": IdentityDescriptor(
+                (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(n), af(q), x_exp=k),)),
+                Side((KernelBlock(Bound.of(0), Bound.of(0), const(0), x_exp=q),)), "kernel",
+            ),
+        }
+        seen = Counter()
+        for name, desc in cases.items():
+            bindings = [binding(n=v) for v in range(3)] + [binding(n=v, q=w) for v in range(3) for w in (0, 2, Fraction(1, 2))]
+            for result in _agree(desc, bindings):
+                seen[name, result[0], result[1]] += 1
+        assert seen["left", SKIPPED_PRECONDITION, "'q'"] == 3
+        assert seen["right", SKIPPED_POLE, "binom(2, 3) = 0 has no reciprocal"] == 4
+        assert seen["right after a sum", SKIPPED_PRECONDITION, "'q'"] == 3
+        assert seen["bound", SKIPPED_PRECONDITION, "'q'"] == 3
+        assert seen["kernel", SKIPPED_PRECONDITION, "'q'"] == 3
+
+    def test_a_verify_grid_compiles_one_check_and_no_side(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_ENTRIES", {})
+        filenames = _count_compiles(monkeypatch)
+        report = catalog.verify_grid("C03")
+        assert report.verified > 0 and filenames == ["<combident C03 check>"]
+        assert "compiled" not in get_entry("C03").descriptor.__dict__
+        catalog.verify_grid("C03")
+        assert filenames == ["<combident C03 check>"]
+
+
+class TestMemoizedBinomials:
+    def test_memoized_pairs_equal_the_product_formula(self):
+        rng = random.Random(20251019)
+        args = [(rng.randint(-40, 40), rng.randint(1, 12), rng.randint(0, 15)) for _ in range(3000)]
+        args += [(num * den, den, j) for num in range(-6, 7) for den in (1, 2, 6) for j in range(-3, 8)]
+        for round_ in range(2):  # the second round is answered from the cache
+            before = terms._binom_pair.cache_info()
+            for num, den, j in args:
+                if j < 0 and (num % den or num < 0):
+                    continue  # undefined; see the next test
+                if num % den == 0:
+                    expected = (terms._binom_int(num // den, j), 1)
+                else:
+                    expected = binom_rational_pair(num, den, j)
+                assert terms._binom_pair(num, den, j) == expected, (num, den, j)
+                if j >= 0:
+                    assert Fraction(*expected) == binom_rational(Fraction(num, den), j)
+            if round_:
+                assert terms._binom_pair.cache_info().misses == before.misses
+        assert terms._binom_pair.cache_info().maxsize is not None
+
+    def test_a_call_that_raises_raises_on_every_repeat(self):
+        for _ in range(3):
+            with pytest.raises(PreconditionError, match=r"^binomial with upper index 1/2 is undefined at negative lower index -1$"):
+                terms._binom_pair(2, 4, -1)
+            with pytest.raises(PreconditionError, match=r"^binomial with upper index -3 is undefined at negative lower index -2$"):
+                terms._binom_pair(-6, 2, -2)
+
+    def test_a_vanishing_inverse_binomial_still_skips_as_a_pole(self):
+        n, k = Affine.var("n"), Affine.var("k")
+        desc = _one_sided((("n", "nat"),), prod(binom(n, k + 1), ibinom(n, k + 1)))
+        for _ in range(2):
+            result = check_two_sided(desc, binding(n=2))
+            assert result.status == SKIPPED_POLE
+            assert result.witness == "binom(2, 3) = 0 has no reciprocal"
