@@ -27,7 +27,6 @@ from .descriptors import (
     ValidityPredicate,
     check_two_sided,
     eval_side,
-    eval_side_at,
     transpose_descriptor,
 )
 from .dsl import parse_identity, print_identity

@@ -46,6 +46,7 @@ from .transforms import (
     klamkin_transform,
     match_against_entry,
     moment_transform,
+    summation_entry,
 )
 
 GRID_PARAMS = ("n", "m", "r", "s", "t", "u")
@@ -98,11 +99,21 @@ def _witness_record(result) -> dict:
     }
 
 
+def _selection(spec: str) -> list[str]:
+    """The entry ids of ``--id``: ``all``, or a comma list with no empty and no repeated piece."""
+    if spec == "all":
+        return list(entry_ids())
+    selection = [part.strip() for part in spec.split(",")]
+    for position, entry_id in enumerate(selection, 1):
+        if not entry_id:
+            raise ValueError(f"--id {spec!r}: piece {position} is empty")
+        if entry_id in selection[:position - 1]:
+            raise ValueError(f"--id {spec!r}: {entry_id} is named twice")
+    return selection
+
+
 def cmd_verify(args) -> int:
-    if args.id == "all":
-        selection = list(entry_ids())
-    else:
-        selection = [part.strip() for part in args.id.split(",") if part.strip()]
+    selection = _selection(args.id)
     entries = [get_entry(entry_id) for entry_id in selection]  # raises UnknownEntryError
     overrides = _grid_overrides(args, {name for entry in entries for name in entry.default_grid})
 
@@ -210,6 +221,8 @@ def cmd_derive(args) -> int:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     desc = parse_identity(source)
+    if args.match:
+        summation_entry(args.match)  # an unknown or polynomial entry fails before anything is printed
 
     if args.scheme == "frisch":
         derived = frisch_transform(desc, direction=args.direction)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 from typing import Mapping, NamedTuple, Union
 
@@ -22,11 +22,13 @@ from .errors import PoleError, PreconditionError, ShapeError, UnboundParameterEr
 from .poly import Polynomial
 from .terms import (
     TermExpr,
-    add_term,
     compile_check,
-    compile_side,
+    evaluate,
+    evaluate_kernel,
+    evaluate_sum,
     exact_env,
     rename_parameters as rename_term,
+    require_blocks,
 )
 
 Scalar = Union[int, Fraction]
@@ -40,6 +42,7 @@ SKIPPED_PRECONDITION = "skipped_precondition"
 SORTS = ("nat", "int", "rat")
 
 _ZERO = Affine.of(0)
+_X = Polynomial.variable("x")
 
 
 @dataclass(frozen=True)
@@ -77,25 +80,6 @@ class IdentityDescriptor:
 
     def _blocks(self, side: Side) -> tuple:
         return tuple((b.lo, b.hi, b.coef, (b.x_exp, b.one_minus_exp, b.one_plus_exp)) for b in side.blocks)
-
-    @cached_property
-    def compiled(self) -> dict[str, object]:
-        """Each side as one generated function (:func:`terms.compile_side`), compiled on first use.
-
-        These answer value queries (:func:`eval_side`, :func:`side_value`,
-        :func:`eval_side_at`); a check runs :meth:`check` instead.  Called
-        with an ``exact_env`` environment, a side's function of a
-        kernel-free descriptor returns the side's sum as one ``(num, den)``
-        pair.  Otherwise it yields ``((num, den), a, b, c)`` for every term
-        of every block, where ``x^a (1-x)^b (1+x)^c`` is the term's kernel.
-        Both are specialized on the ``nat`` and ``int`` names being ints.
-        """
-        label = self.name or "descriptor"
-        integral = frozenset(name for name, sort in self.params if sort in ("nat", "int"))
-        return {
-            name: compile_side(self._blocks(side), f"<combident {label} {name}>", self.kernel_free, integral)
-            for name, side in (("left", self.left), ("right", self.right))
-        }
 
     @cached_property
     def _checks(self) -> dict[int, tuple]:
@@ -206,27 +190,34 @@ def format_binding(binding: Mapping[str, Fraction]) -> str:
 def eval_side(
     desc: IdentityDescriptor, side: str, binding: Mapping[str, Scalar]
 ) -> Fraction | Polynomial:
-    """Exact value of one side at ``binding``, converted by :func:`exact_env`."""
-    return side_value(desc, side, exact_env(binding))
+    """Exact value of one side at ``binding``, converted by :func:`exact_env`.
 
-
-def side_value(desc: IdentityDescriptor, side: str, env: Mapping[str, Scalar]) -> Fraction | Polynomial:
-    """Exact value of one side in an :func:`exact_env` environment.
-
-    A kernel-free side's function returns its sum as one ``(num, den)``
-    pair, and this builds one Fraction.  Any other side accumulates a dense
-    list of integer x-coefficients over one common denominator (the lcm of
-    the reduced terms' denominators), as a check does, and builds one
-    Fraction per coefficient at the end.  Besides value queries, this is
-    the reference for the kernel sides of a generated check.
+    A walk in Fractions by the reference interpreter; no generated code
+    runs, and neither the sorts nor a validity are tested.  A kernel-free
+    side is the sum of its blocks' :func:`terms.evaluate_sum`, a Fraction.
+    Any other side is the polynomial sum of ``coef * x^a (1-x)^b (1+x)^c``
+    over its terms (:func:`terms.evaluate`, :func:`terms.evaluate_kernel`).
+    A name of the side missing from ``binding`` is reported before anything
+    is evaluated, the first in the order a check reads them.
     """
+    env = exact_env(binding)
+    blocks = desc._blocks(desc.left if side == "left" else desc.right)
+    require_blocks(blocks, env)
     if desc.kernel_free:
-        return Fraction(*desc.compiled[side](env))
-    dense: list[int] = []
-    common = 1
-    for (num, den), a, b, c in desc.compiled[side](env):
-        common = add_term(dense, common, num, den, a, b, c)
-    return _polynomial(dense, common)
+        return sum((evaluate_sum(lo, hi, coef, env) for lo, hi, coef, _ in blocks), Fraction(0))
+    terms = []
+    for lo, hi, coef, kernel in blocks:
+        for k in range(max(0, lo.evaluate(env)), hi.evaluate(env) + 1):
+            at = {**env, "k": k}
+            value = evaluate(coef, at)
+            terms += [(mono, value * c) for mono, c in _kernel(*evaluate_kernel(kernel, at)).terms]
+    return Polynomial.from_terms(terms)
+
+
+@lru_cache(maxsize=1024)
+def _kernel(a: int, b: int, c: int) -> Polynomial:
+    """``x^a (1-x)^b (1+x)^c`` as a polynomial."""
+    return _X**a * (1 - _X) ** b * (1 + _X) ** c
 
 
 def _polynomial(dense: list[int], common: int) -> Polynomial:
@@ -242,20 +233,6 @@ def _same_polynomial(left: tuple[list[int], int], right: tuple[list[int], int]) 
     if lcommon == rcommon and len(ldense) == len(rdense):
         return ldense == rdense
     return all(u * rcommon == v * lcommon for u, v in zip_longest(ldense, rdense, fillvalue=0))
-
-
-def eval_side_at(
-    desc: IdentityDescriptor, side: str, binding: Mapping[str, Scalar], x0: Scalar
-) -> Fraction:
-    """Direct rational summation of a side at a concrete x value."""
-    terms = desc.compiled[side](exact_env(binding))
-    if desc.kernel_free:
-        return Fraction(*terms)
-    x0 = Fraction(x0)
-    return sum(
-        (Fraction(*pair) * x0**a * (1 - x0) ** b * (1 + x0) ** c for pair, a, b, c in terms),
-        Fraction(0),
-    )
 
 
 def first_mismatch(lhs: Polynomial, rhs: Polynomial) -> str:

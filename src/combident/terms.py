@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Mapping, Union
 
 from .affine import Affine, Bound
@@ -173,18 +173,14 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 # int value is computed once per call, with no D, no remainder test and no
 # rational branch, and the pair of a static form is over 1.
 #
-# Two kinds of function are generated from the same emitter.  A check
-# (:func:`compile_check`) tests a binding's sorts and validity in its
-# prologue, before it reads anything else, and then computes both sides of
-# an identity over one D.  A side function (:func:`compile_side`) computes
-# one side for value queries; it first tests that every integral name it
-# reads is bound to an int, and if one is not, it hands the call to the
-# general function of the same blocks, compiled with no integral names on
-# the first such call.
+# One kind of function is generated: a check (:func:`compile_check`) per
+# identity and validity.  Its prologue tests a binding's sorts and validity
+# before it reads anything else, and it then computes both sides of the
+# identity over one D.
 #
-# :func:`evaluate` is the reference the generated code is tested against: a
-# walk of one term's tree in Fractions that raises the same exceptions with
-# the same messages.
+# :func:`evaluate` is the reference the generated code is tested against, and
+# what value queries run: a walk of one term's tree in Fractions that raises
+# the same exceptions with the same messages.
 
 Pair = tuple[int, int]
 
@@ -372,7 +368,7 @@ def _linear(c: int, var: str, rest: str) -> str:
 
 
 class _Source:
-    """The source of one compiled side function, and the namespace it will run in.
+    """The source of one generated check, and the namespace it will run in.
 
     A form that names k is split into ``c * k + rest``: k is the index of a
     block's loop, an int, and ``rest`` is computed once per call.  The names
@@ -381,7 +377,7 @@ class _Source:
     negative are left out.
     """
 
-    def __init__(self, integral: frozenset[str], naturals: frozenset[str] = frozenset()):
+    def __init__(self, integral: frozenset[str], naturals: frozenset[str]):
         self.integral = integral
         self.naturals = naturals
         self.params: dict[str, str] = {}  # name -> identifier of its numerator over D
@@ -652,22 +648,6 @@ class _Source:
             parts.append(str(const.numerator) if const.denominator == 1 else self.ref(const))
         return " + ".join(parts) or "0"
 
-    def guarded_reads(self, general, generator: bool) -> list[str]:
-        """Prologue of a side function: read every name, then hand a call to ``general``
-        when an integral name is not bound to an int; ``generator`` says to yield from it."""
-        reads = []
-        if self.params:
-            reads.append("try:")
-            reads += [f"    v{p} = env[{name!r}]" for name, p in self.params.items()]
-            reads.append("except KeyError as exc:")
-            reads.append("    raise UnboundParameterError(exc.args[0]) from None")
-        guards = [f"type(v{p}) is not int" for name, p in self.params.items() if name in self.integral]
-        if guards:
-            self.namespace["general"] = general
-            reads.append(f"if {' or '.join(guards)}:")
-            reads += ["    yield from general()(env)", "    return"] if generator else ["    return general()(env)"]
-        return reads
-
     def compile(self, signature: str, filename: str, reads: list[str]):
         """Compile ``def signature:`` whose prologue is ``reads`` and then the k-free forms."""
         prologue = list(reads)
@@ -709,17 +689,14 @@ class _Source:
         return namespace[signature.partition("(")[0]]
 
 
-def _emit_side(src: _Source, blocks: tuple, kernel_free: bool, collect: bool) -> str:
+def _emit_side(src: _Source, blocks: tuple, kernel_free: bool) -> str:
     """Emit the k-loops of one side's blocks; return the source of the side's value.
 
     A kernel-free side adds its terms' pairs into ``total`` over ``common``.
-    Any other side yields ``((num, den), a, b, c)`` for every term, or with
-    ``collect`` adds it to ``dense`` over ``common`` (:func:`add_term`).
+    Any other side adds ``num/den * x^a (1-x)^b (1+x)^c`` for every term to
+    ``dense`` over ``common`` (:func:`add_term`).
     """
-    if kernel_free:
-        src.emit(1, "total, common = 0, 1")
-    elif collect:
-        src.emit(1, "dense, common = [], 1")
+    src.emit(1, "total, common = 0, 1" if kernel_free else "dense, common = [], 1")
     for lo, hi, coef, kernel in blocks:
         start, stop = src.bound(lo, 1), src.bound(hi, 1)
         if not (_is_literal(start) and int(start) >= 0):
@@ -729,10 +706,7 @@ def _emit_side(src: _Source, blocks: tuple, kernel_free: bool, collect: bool) ->
         num, den = src.term(coef, 2)
         if not kernel_free:
             exponents = ", ".join(src.kernel_exponent(f, what, 2) for f, what in zip(kernel, _KERNEL_LABELS))
-            if collect:
-                src.emit(2, f"common = add_term(dense, common, {num}, {den}, {exponents})")
-            else:
-                src.emit(2, f"yield ({num}, {den}), {exponents}")
+            src.emit(2, f"common = add_term(dense, common, {num}, {den}, {exponents})")
         elif den == "1":
             src.emit(2, f"total += {_group(num)} * common")
         else:
@@ -740,34 +714,6 @@ def _emit_side(src: _Source, blocks: tuple, kernel_free: bool, collect: bool) ->
             src.emit(2, f"if {den} == common: total += {num}")
             src.emit(2, f"else: total, common = total * {den} + {num} * common, common * {den}")
     return "(total, common)" if kernel_free else "(dense, common)"
-
-
-def compile_side(
-    blocks: tuple,
-    filename: str = "<combident side>",
-    kernel_free: bool = False,
-    integral: frozenset[str] = frozenset(),
-):
-    """One generated function for a list of blocks ``(lo, hi, coef, kernel)``.
-
-    Called with an :func:`exact_env` environment, the function runs the
-    k-loop of every block in order.  A ``kernel_free`` side adds its terms'
-    ``(num, den)`` pairs over one running denominator and returns the sum as
-    one unreduced pair; ``kernel`` is not read.  Otherwise ``kernel`` is the
-    exponent forms ``(a, b, c)`` of ``x^a (1-x)^b (1+x)^c`` and the function
-    is a generator that yields ``((num, den), a, b, c)`` for every term.
-    ``filename`` names the function in tracebacks and profiles.  The names
-    in ``integral`` are specialized on as ints; a call that binds one of them
-    to anything else runs the general function of the same blocks.
-    """
-    src = _Source(integral)
-    value = _emit_side(src, blocks, kernel_free, collect=False)
-    if kernel_free:
-        src.emit(1, f"return {value}")
-    elif not blocks:
-        src.emit(1, "yield from ()")
-    general = cache(lambda: compile_side(blocks, filename, kernel_free))
-    return src.compile("side(env)", filename, src.guarded_reads(general, not kernel_free))
 
 
 def compile_check(
@@ -782,8 +728,11 @@ def compile_check(
 
     ``params`` are the declared ``(name, sort)`` pairs, ``constraints`` the
     validity as ``(form, bound, text)`` for ``form >= bound``, and ``left``
-    and ``right`` the sides' blocks as for :func:`compile_side`.  Called with
-    an :func:`exact_env` environment, the function:
+    and ``right`` the sides' blocks ``(lo, hi, coef, kernel)``, where
+    ``kernel`` is the exponent forms ``(a, b, c)`` of ``x^a (1-x)^b (1+x)^c``
+    (not read when ``kernel_free``).  ``filename`` names the function in
+    tracebacks and profiles.  Called with an :func:`exact_env` environment,
+    the function:
 
     - reads every declared name in order and tests its sort right after
       reading it, returning ``"n = 7/2 is not an integer"`` or
@@ -797,9 +746,9 @@ def compile_check(
       pairs for a ``kernel_free`` identity, else ``(dense, common)`` integer
       x-coefficients over their common denominators (:func:`add_term`).
 
-    An error inside a side is raised as in :func:`compile_side`.  The
-    integral names are always ints past the sort tests, so no general
-    function is needed.
+    An error inside a side is raised with the type and message that
+    :func:`evaluate` gives it.  The ``nat`` and ``int`` names are ints past
+    the sort tests, so the function reads them as ints.
     """
     integral = frozenset(name for name, sort in params if sort in ("nat", "int"))
     # past the tests, a nat name is >= 0, and so is an integral name bounded below by 0 or more
@@ -832,12 +781,12 @@ def compile_check(
         ]
 
     known = len(src.params)
-    lhs = _emit_side(src, left, kernel_free, collect=True)
+    lhs = _emit_side(src, left, kernel_free)
     src.emit(1, f"lhs = {lhs}")
     for name, v, witness in undeclared(known):
         reads += [f"{v} = env.get({name!r})", f"if {v} is None: return {witness}"]
     known, mark = len(src.params), len(src.lines)
-    rhs = _emit_side(src, right, kernel_free, collect=True)
+    rhs = _emit_side(src, right, kernel_free)
     src.emit(1, f"return lhs, {rhs}")
     # a name only the right side uses is read before D with a stand-in, and
     # tested where the right side begins
@@ -932,14 +881,49 @@ def _require(forms, env: Env) -> None:
                 raise UnboundParameterError(name)
 
 
+def _bound_forms(*bounds: Bound):
+    return (f for b in bounds for f in (b.base, b.cap) if f is not None)
+
+
+def require_blocks(blocks: tuple, binding: Env) -> None:
+    """Raise :class:`UnboundParameterError` for the first name of ``blocks`` missing from ``binding``.
+
+    ``blocks`` are ``(lo, hi, coef, kernel)`` as for :func:`compile_check`;
+    the names are taken in the order a check reads them: block by block,
+    the bounds, then the summand, then the kernel exponents.
+    """
+    indexed = {**binding, "k": 0}
+    for lo, hi, coef, kernel in blocks:
+        _require(_bound_forms(lo, hi), binding)
+        _require(_forms(coef), indexed)
+        _require(kernel, indexed)
+
+
+def evaluate_kernel(kernel: tuple[Affine, Affine, Affine], env: Env) -> tuple[int, int, int]:
+    """The exponents ``(a, b, c)`` of ``x^a (1-x)^b (1+x)^c`` at a full binding (k included).
+
+    The reference for a check's kernel exponents: each must be an integer
+    >= 0, and raises what a check raises when it is not.
+    """
+    exponents = []
+    for form, label in zip(kernel, _KERNEL_LABELS):
+        site = (f"{label} exponent", form)
+        value = Fraction(form.evaluate(env))
+        if value.denominator != 1:
+            raise _exponent_not_integer(site, value.numerator, value.denominator)
+        if value < 0:
+            raise _negative_exponent(site, value.numerator)
+        exponents.append(value.numerator)
+    return tuple(exponents)
+
+
 def evaluate(expr: TermExpr, env: Env) -> Fraction:
     """Exact value of a term at a full binding (the index k included in env).
 
     The reference interpreter: a walk of the tree in Fractions.  It raises
-    what a compiled side raises at the same term and binding, with the same
-    message.  Like a compiled side's prologue, it reports a parameter
-    missing from ``env`` before any other error, naming the first one in
-    reading order.
+    what a generated check raises at the same term and binding, with the
+    same message.  Like a check, it reports a parameter missing from ``env``
+    before any other error, naming the first one in reading order.
     """
     env = exact_env(env)
     _require(_forms(expr), env)
@@ -954,10 +938,11 @@ def evaluate_sum(lo: Bound, hi: Bound, term: TermExpr, binding: Env) -> Fraction
     even when the range is empty.
     """
     env = exact_env(binding)
-    _require((f for b in (lo, hi) for f in (b.base, b.cap) if f is not None), env)
+    _require(_bound_forms(lo, hi), env)
     _require(_forms(term), {**env, "k": 0})
     start, stop = lo.evaluate(env), hi.evaluate(env)
-    return sum((evaluate(term, {**env, "k": k}) for k in range(max(0, start), stop + 1)), Fraction(0))
+    # env is exact and every name of term is bound: what evaluate would add
+    return sum((_value(term, {**env, "k": k}) for k in range(max(0, start), stop + 1)), Fraction(0))
 
 
 # -- structural helpers -----------------------------------------------------

@@ -35,7 +35,6 @@ from .descriptors import (
     ValidityPredicate,
     check_two_sided,
     format_binding,
-    side_value,
     transpose_descriptor,
 )
 from .errors import PoleError, PreconditionError, ShapeError
@@ -357,6 +356,20 @@ class MatchReport:
     detail: str = ""
 
 
+def summation_entry(entry_id: str):
+    """The catalog entry ``entry_id``, which a derived identity can be matched against.
+
+    An unknown id raises :class:`UnknownEntryError`; an entry with x kernels
+    raises :class:`ShapeError`, since only summation entries can be matched.
+    """
+    from .catalog import get_entry
+
+    entry = get_entry(entry_id)
+    if not entry.descriptor.kernel_free:
+        raise ShapeError(f"entry {entry_id} is a polynomial identity in x, not a summation identity")
+    return entry
+
+
 def match_against_entry(
     derived: DerivedIdentity, entry_id: str, grid: Mapping | None = None
 ) -> MatchReport:
@@ -367,15 +380,15 @@ def match_against_entry(
     match is ok only when the factors reproduce the entry: they are one
     constant c, or ``c * (-1)^p`` for a parameter p that is an integer at
     every compared binding (a derivation may carry both sides by (-1)^n).
-    Returns the set of factors seen.  Only summation entries can be matched:
-    an entry with x kernels raises :class:`ShapeError`.
+    Returns the set of factors seen.  Only summation entries can be matched
+    (:func:`summation_entry`).  The entry's two sides at a binding come from
+    one call of its generated check without validity; a binding it skips is
+    not compared.
     """
-    from .catalog import get_entry, iter_grid
+    from .catalog import iter_grid
 
-    entry = get_entry(entry_id)
-    desc = entry.descriptor
-    if not desc.kernel_free:
-        raise ShapeError(f"entry {entry_id} is a polynomial identity in x, not a summation identity")
+    entry = summation_entry(entry_id)
+    check = entry.descriptor.check()
     bindings = list(iter_grid(grid or entry.default_grid))
     samples: list[tuple[Mapping, Fraction]] = []
     checked = 0
@@ -386,10 +399,13 @@ def match_against_entry(
         if derived_result.status == FAILED:
             return MatchReport(False, checked, (), f"derived identity fails at {format_binding(binding)}")
         try:
-            cat_lhs = side_value(desc, "left", derived_result.binding)
-            cat_rhs = side_value(desc, "right", derived_result.binding)
+            sides = check(derived_result.binding)
         except (PoleError, PreconditionError):
             continue
+        if type(sides) is str:
+            continue
+        (lnum, lden), (rnum, rden) = sides
+        cat_lhs, cat_rhs = Fraction(lnum, lden), Fraction(rnum, rden)
         if cat_lhs != cat_rhs:
             return MatchReport(False, checked, (), f"entry {entry_id} fails at {format_binding(binding)}")
         der_lhs = derived_result.lhs

@@ -21,7 +21,6 @@ from combident.descriptors import (
     VERIFIED,
     check_two_sided,
     eval_side,
-    eval_side_at,
     transpose_descriptor,
 )
 from combident.dsl import parse_identity, print_identity
@@ -90,8 +89,8 @@ def test_criterion_2_frisch_klamkin_reproduction():
     compared = 0
     for b in iter_grid(get_entry("C01").default_grid):
         try:
-            left = eval_side_at(seed1, "left", b, -1)
-            right = eval_side_at(seed1, "right", b, -1)
+            left = eval_side(seed1, "left", b).evaluate({"x": -1})
+            right = eval_side(seed1, "right", b).evaluate({"x": -1})
             frisch_lhs, frisch_rhs = entry_sides("C03", b)
         except PoleError:
             continue
@@ -104,8 +103,8 @@ def test_criterion_2_frisch_klamkin_reproduction():
         if Fraction(b["r"]).denominator != 1:
             continue  # the reflected seed needs an integer upper offset
         try:
-            left = eval_side_at(seed2, "left", b, 1)
-            right = eval_side_at(seed2, "right", b, 1)
+            left = eval_side(seed2, "left", b).evaluate({"x": 1})
+            right = eval_side(seed2, "right", b).evaluate({"x": 1})
             klamkin_lhs, klamkin_rhs = entry_sides("C04", b)
         except PoleError:
             continue

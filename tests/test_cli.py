@@ -33,6 +33,22 @@ class TestVerify:
         assert result.returncode == 2
         assert "unknown entry" in result.stderr
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("", "--id '': piece 1 is empty"),
+            (",", "--id ',': piece 1 is empty"),
+            ("C03,,C04", "--id 'C03,,C04': piece 2 is empty"),
+            ("C03,C03", "--id 'C03,C03': C03 is named twice"),
+        ],
+    )
+    def test_empty_or_repeated_id_exits_two(self, spec, message):
+        # each would verify no entry, or one entry twice
+        result = run_cli("verify", "--id", spec)
+        assert result.returncode == 2
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""
+
     def test_usage_error_exits_two(self):
         result = run_cli("verify", "--bogus-flag")
         assert result.returncode == 2
@@ -151,6 +167,15 @@ class TestDerive:
         )
         assert result.returncode == 2
         assert "polynomial identity" in result.stderr
+        assert result.stdout == ""
+
+    def test_unknown_match_entry_exits_two_before_deriving(self, exported):
+        result = run_cli(
+            "derive", "--scheme", "frisch", "--input", str(exported / "F03.dsl"), "--match", "C99",
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: unknown entry 'C99'\n"
+        assert result.stdout == ""
 
     def test_override_of_an_absent_axis_exits_two(self, exported):
         result = run_cli(

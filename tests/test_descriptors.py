@@ -29,17 +29,21 @@ from combident.descriptors import (
     check_sorts,
     check_two_sided,
     eval_side,
-    eval_side_at,
     first_mismatch,
     format_binding,
-    side_value,
     transpose_descriptor,
 )
 from combident.errors import PoleError, PreconditionError, UnboundParameterError
 from combident.exact import binom_rational, binom_rational_pair
 from combident.poly import Polynomial
-from combident.terms import af, binom, compile_side, const, evaluate_sum, exact_env, ibinom, prod
-from combident.transforms import check_derived, frisch_transform, klamkin_transform, moment_transform
+from combident.terms import af, binom, const, evaluate_sum, exact_env, ibinom, prod
+from combident.transforms import (
+    check_derived,
+    frisch_transform,
+    klamkin_transform,
+    match_against_entry,
+    moment_transform,
+)
 
 X = Polynomial.variable("x")
 
@@ -66,24 +70,28 @@ class TestEvalSide:
         assert right.substitute("x", 0) == Polynomial.constant(Fraction(1, 2))
 
     def test_kernel_free_side_is_a_rational(self):
-        # a summation entry never builds a polynomial; its value is the
-        # reference summation at any x
+        # a summation entry never builds a polynomial; both sides are the
+        # value the generated check verifies
         desc = get_entry("C03").descriptor
         b = binding(n=4, r=Fraction(8, 3), s=2)
+        checked = check_two_sided(desc, b)
+        assert checked.status == VERIFIED
         for side in ("left", "right"):
             value = eval_side(desc, side, b)
-            assert isinstance(value, Fraction)
-            for x0 in (0, 1, Fraction(-1, 2)):
-                assert value == eval_side_at(desc, side, b, x0)
+            assert type(value) is Fraction and value == checked.lhs
 
     def test_numeric_matches_polynomial(self):
+        # each side's reference polynomial, at points, is the polynomial the
+        # generated check verifies
         probe = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2)]
         desc = get_entry("C01").descriptor
         b = binding(n=3, r=Fraction(7, 2), s=2)
+        checked = check_two_sided(desc, b)
+        assert checked.status == VERIFIED
         for side in ("left", "right"):
             p = eval_side(desc, side, b)
             for x0 in probe:
-                assert p.evaluate({"x": x0}) == eval_side_at(desc, side, b, x0)
+                assert p.evaluate({"x": x0}) == checked.lhs.evaluate({"x": x0})
 
     def test_dense_kernel_expansion_matches_polynomial_product(self):
         # the right side's x kernel keeps the descriptor polynomial at a = b = c = 0
@@ -98,26 +106,6 @@ class TestEvalSide:
                     desc = IdentityDescriptor((), Side((block,)), right)
                     expected = Fraction(3, 2) * X**a * (1 - X) ** b * (1 + X) ** c
                     assert eval_side(desc, "left", {}) == expected, (a, b, c)
-
-    def test_kernel_sides_at_rational_bindings_match_direct_summation(self):
-        # the dense expansion in ints over one common denominator against the
-        # direct Fraction summation at x0, which shares no code with it
-        probe = [Fraction(0), Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
-        rationals = (Fraction(7, 2), Fraction(5, 3), Fraction(-7, 6))
-        cases = [
-            ("C01", [binding(n=n, r=r, s=s) for n in range(5) for r in rationals for s in (1, 2)]),
-            ("F03", [binding(n=n, u=u) for n in range(6) for u in rationals]),
-        ]
-        fractional = 0
-        for entry_id, bindings in cases:
-            desc = get_entry(entry_id).descriptor
-            for b in bindings:
-                for side in ("left", "right"):
-                    p = eval_side(desc, side, b)
-                    fractional += any(c.denominator > 1 for _, c in p.terms)
-                    for x0 in probe:
-                        assert p.evaluate({"x": x0}) == eval_side_at(desc, side, b, x0), (entry_id, b)
-        assert fractional > 50
 
     def test_derived_side_with_a_rational_affine_constant(self):
         # r pinned to 7/2 leaves the constant 7/2 in the derived forms; with
@@ -269,77 +257,8 @@ def _check_cases():
     return cases
 
 
-def _specialization_cases():
-    """(descriptor, default grid) of every catalog entry and pinned derivation."""
-    return [(desc, grid) for desc, _, grid in _check_cases()]
-
-
 # values no binding that passes check_sorts can give: n and s are nat or int wherever declared
 _SORT_VIOLATIONS = (("n", Fraction(7, 2)), ("n", Fraction(-1)), ("s", Fraction(1, 2)))
-
-
-def _general(desc: IdentityDescriptor, side: str):
-    blocks = (desc.left if side == "left" else desc.right).blocks
-    return compile_side(
-        tuple((b.lo, b.hi, b.coef, (b.x_exp, b.one_minus_exp, b.one_plus_exp)) for b in blocks),
-        kernel_free=desc.kernel_free,
-        integral=frozenset(),
-    )
-
-
-def _outcome(function, env, kernel_free: bool):
-    """A side's value (its pair, or its yielded terms, as Fractions) or its exception's type and message."""
-    try:
-        result = function(env)
-        terms_ = [(result,)] if kernel_free else list(result)
-    except (ArithmeticError, LookupError, ValueError) as exc:
-        return type(exc), str(exc)
-    for (num, den), *_ in terms_:
-        assert type(num) is int and type(den) is int and den > 0
-    return [(Fraction(num, den), *exponents) for (num, den), *exponents in terms_]
-
-
-class TestIntegralSpecialization:
-    """Side functions specialized on ``nat``/``int`` names agree with the general ones."""
-
-    def test_specialized_and_general_sides_agree(self):
-        compared = violations = 0
-        for desc, grid in _specialization_cases():
-            declared = {name for name, _ in desc.params}
-            bindings = [{}] + list(sorted_bindings(grid))  # {}: the first name read is unbound
-            for name, value in _SORT_VIOLATIONS:
-                if name in declared:
-                    bindings += sorted_bindings({**grid, name: (value,)})
-                    violations += 1
-            for side in ("left", "right"):
-                specialized, general = desc.compiled[side], _general(desc, side)
-                for b in bindings:
-                    env = exact_env(b)
-                    expected = _outcome(general, env, desc.kernel_free)
-                    assert _outcome(specialized, env, desc.kernel_free) == expected, (desc.name, side, b)
-                    compared += 1
-        assert violations > 150 and compared > 28000
-
-    def test_default_grids_never_compile_a_general_function(self, monkeypatch):
-        # a check compiles one function per descriptor, and never a side
-        # function or a general one, even at sort-violating bindings
-        filenames = _count_compiles(monkeypatch)
-        for desc, validity, grid in _check_cases():
-            fresh = IdentityDescriptor(desc.params, desc.left, desc.right, name=desc.name)
-            for b in _check_bindings(desc, validity, grid):
-                check_two_sided(fresh, b, validity)
-            assert filenames == [f"<combident {desc.name} check>"], desc.name
-            assert "compiled" not in fresh.__dict__
-            filenames.clear()
-        # a value query compiles both side functions; a side function's
-        # first sort-violating call compiles its general function, and later
-        # ones reuse it
-        gould = get_entry("F03").descriptor
-        fresh = IdentityDescriptor(gould.params, gould.left, gould.right, name=gould.name)
-        for _ in range(2):
-            with pytest.raises(ValueError, match=r"^bound n is not an integer at this binding$"):
-                list(fresh.compiled["left"](exact_env(binding(n=Fraction(7, 2), u=1))))
-        assert filenames == ["<combident F03 left>", "<combident F03 right>", "<combident F03 left>"]
 
 
 def _count_compiles(monkeypatch) -> list[str]:
@@ -373,7 +292,7 @@ def _check_bindings(desc: IdentityDescriptor, validity: ValidityPredicate, grid)
 
 def _reference_check(desc: IdentityDescriptor, b, validity: ValidityPredicate | None = None) -> CheckResult:
     """check_two_sided by the reference path: :func:`check_sorts`, ``validity.violation``, then
-    each side by :func:`side_value`, a side function of its own."""
+    each side by :func:`eval_side`, a walk in Fractions."""
     env = exact_env(b)
     issue = check_sorts(desc.params, env)
     if issue is None and validity is not None:
@@ -381,7 +300,7 @@ def _reference_check(desc: IdentityDescriptor, b, validity: ValidityPredicate | 
     if issue is not None:
         return CheckResult(desc.name, env, SKIPPED_PRECONDITION, witness=issue)
     try:
-        lhs, rhs = side_value(desc, "left", env), side_value(desc, "right", env)
+        lhs, rhs = eval_side(desc, "left", env), eval_side(desc, "right", env)
     except PoleError as exc:
         return CheckResult(desc.name, env, SKIPPED_POLE, witness=str(exc))
     except (PreconditionError, UnboundParameterError) as exc:
@@ -472,6 +391,11 @@ class TestGeneratedCheck:
             "bound": IdentityDescriptor(
                 (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(q), binom(n, k)),)), Side((zero,)), "bound"
             ),
+            # every name of a side is read before its first block runs
+            "pole before a later block": IdentityDescriptor(
+                (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(n), pole), KernelBlock(Bound.of(0), Bound(n), af(q)))),
+                Side((zero,)), "pole before a later block",
+            ),
             "kernel": IdentityDescriptor(
                 (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(n), af(q), x_exp=k),)),
                 Side((KernelBlock(Bound.of(0), Bound.of(0), const(0), x_exp=q),)), "kernel",
@@ -486,16 +410,77 @@ class TestGeneratedCheck:
         assert seen["right", SKIPPED_POLE, "binom(2, 3) = 0 has no reciprocal"] == 4
         assert seen["right after a sum", SKIPPED_PRECONDITION, "'q'"] == 3
         assert seen["bound", SKIPPED_PRECONDITION, "'q'"] == 3
+        assert seen["pole before a later block", SKIPPED_PRECONDITION, "'q'"] == 3
+        assert seen["pole before a later block", SKIPPED_POLE, "binom(2, 3) = 0 has no reciprocal"] == 3
         assert seen["kernel", SKIPPED_PRECONDITION, "'q'"] == 3
+
+    def test_kernel_exponent_errors_agree_with_the_reference(self):
+        n, k, r = Affine.var("n"), Affine.var("k"), Affine.var("r")
+        zero = KernelBlock(Bound.of(0), Bound.of(0), const(0))
+        params = (("n", "nat"), ("r", "rat"))
+        negative = IdentityDescriptor(params, Side((KernelBlock(Bound.of(0), Bound(n), const(1), x_exp=k - 2),)), Side((zero,)))
+        rational = IdentityDescriptor(params, Side((zero, KernelBlock(Bound.of(0), Bound(n), const(1), one_plus_exp=k + r))), Side((zero,)))
+        bindings = [binding(n=v, r=w) for v in range(3) for w in (1, Fraction(1, 2))]
+        assert {r[1] for r in _agree(negative, bindings)} == {"x exponent k - 2 is negative (-2)"}
+        # at r = 1 the exponents are integers and the sides differ: the failures agree too
+        outcomes = Counter(r[1] if r[0] != FAILED else FAILED for r in _agree(rational, bindings))
+        assert outcomes == {"(1+x) exponent k + r is not an integer": 3, FAILED: 3}
+
+    def test_rational_kernel_bindings_agree_with_the_reference(self):
+        # the dense expansion in ints over one common denominator against the
+        # reference polynomial of Fraction terms, which shares no code with
+        # it; terms over denominators other than 1 rescale the dense list
+        rationals = (Fraction(7, 2), Fraction(5, 3), Fraction(-7, 6))
+        cases = [
+            ("C01", [binding(n=n, r=r, s=s) for n in range(5) for r in rationals for s in (1, 2)]),
+            ("F03", [binding(n=n, u=u) for n in range(6) for u in rationals]),
+        ]
+        fractional = 0
+        for entry_id, bindings in cases:
+            entry = get_entry(entry_id)
+            for status, _, lhs, _, rhs, *_ in _agree(entry.descriptor, bindings, entry.validity):
+                assert status == VERIFIED, entry_id
+                # each side of the reference, as each was counted when summed directly
+                fractional += sum(any(c.denominator > 1 for _, c in p.terms) for p in (lhs, rhs))
+        assert fractional > 50
 
     def test_a_verify_grid_compiles_one_check_and_no_side(self, monkeypatch):
         monkeypatch.setattr(catalog, "_ENTRIES", {})
         filenames = _count_compiles(monkeypatch)
         report = catalog.verify_grid("C03")
         assert report.verified > 0 and filenames == ["<combident C03 check>"]
-        assert "compiled" not in get_entry("C03").descriptor.__dict__
         catalog.verify_grid("C03")
         assert filenames == ["<combident C03 check>"]
+
+    def test_one_check_per_identity_and_none_for_value_queries(self, monkeypatch):
+        filenames = _count_compiles(monkeypatch)
+        # a check compiles once per descriptor, sort-violating bindings included
+        for desc, validity, grid in _check_cases():
+            fresh = IdentityDescriptor(desc.params, desc.left, desc.right, name=desc.name)
+            for b in _check_bindings(desc, validity, grid):
+                check_two_sided(fresh, b, validity)
+            assert filenames == [f"<combident {desc.name} check>"], desc.name
+            filenames.clear()
+        monkeypatch.setattr(catalog, "_ENTRIES", {})
+        pinned = _pinned_derivations()
+        for derived, entry_id in pinned:
+            assert match_against_entry(derived, entry_id).ok, entry_id
+        # the derived identity's check and the entry's, for each of the 12 matches
+        assert len(filenames) == 24
+        assert all(name.startswith("<combident ") and name.endswith(" check>") for name in filenames)
+        assert {f"<combident {entry_id} check>" for _, entry_id in pinned} <= set(filenames)
+        filenames.clear()
+        values = 0
+        for entry_id in entry_ids():
+            entry = get_entry(entry_id)
+            for b in list(sorted_bindings(entry.default_grid))[:4]:
+                for side in ("left", "right"):
+                    try:
+                        eval_side(entry.descriptor, side, b)
+                    except (PoleError, PreconditionError):
+                        continue
+                    values += 1
+        assert values > 300 and filenames == []
 
 
 class TestMemoizedBinomials:

@@ -1,4 +1,4 @@
-"""Summand expression evaluation: the reference interpreter and compiled sides."""
+"""Summand expression evaluation: the reference interpreter and the generated check."""
 
 import dis
 import functools
@@ -19,7 +19,7 @@ from combident.terms import (
     altpowsum,
     binom,
     collect_names,
-    compile_side,
+    compile_check,
     const,
     evaluate,
     evaluate_sum,
@@ -42,33 +42,53 @@ def env(**values):
     return {name: Fraction(v) for name, v in values.items()}
 
 
+def _one_block_check(lo, hi, term):
+    """A generated check whose left side is ``sum[k=lo..hi] term`` and whose right side is empty.
+
+    It declares no names, so it reads every name as a possible rational.
+    """
+    return compile_check((), (), ((lo, hi, term, None),), (), "<one-block check>", kernel_free=True)
+
+
 @functools.cache
-def _one_term_side(term):
-    """``term`` as a kernel-free side of one block ``k..k``, its k read from the binding."""
-    k = Bound(K)
-    return compile_side(((k, k, term, None),), "<one-term side>", kernel_free=True)
+def _one_term_check(term):
+    """``term`` as the left side of a check of one block ``k..k``, its k read from the binding."""
+    return _one_block_check(Bound(K), Bound(K), term)
+
+
+def left_pair(check, binding) -> tuple[int, int]:
+    """The ``(num, den)`` of ``check``'s left side at ``binding``.
+
+    A check returns a name it does not declare and cannot find as the
+    witness ``str(UnboundParameterError(name))``, which is ``repr(name)``;
+    it is raised again here, as :func:`evaluate` raises it.
+    """
+    result = check(exact_env(binding))
+    if type(result) is str:
+        raise UnboundParameterError(result[1:-1])
+    return result[0]
 
 
 def compiled(term, binding) -> Fraction:
     """``term`` at ``binding`` through the generated code that checks every identity."""
-    return Fraction(*_one_term_side(term)(exact_env(binding)))
+    return Fraction(*left_pair(_one_term_check(term), binding))
 
 
 def agrees_everywhere(expected, term, binding):
-    """The reference and a compiled side both give ``expected``."""
+    """The reference and a generated check both give ``expected``."""
     assert evaluate(term, binding) == compiled(term, binding) == expected
 
 
 def raises_everywhere(exc, message, term, binding):
-    """The reference and a compiled side both raise ``exc`` with exactly ``message``."""
+    """The reference and a generated check both raise ``exc`` with exactly ``message``."""
     for value in (evaluate, compiled):
         with pytest.raises(exc, match=f"^{re.escape(message)}$"):
             value(term, binding)
 
 
-def unbound_everywhere(name, compute, side, binding):
-    """``compute(binding)`` and ``side`` both report ``name`` as the unbound parameter."""
-    for run in (lambda: compute(binding), lambda: side(exact_env(binding))):
+def unbound_everywhere(name, compute, check, binding):
+    """``compute(binding)`` and ``check`` both report ``name`` as the unbound parameter."""
+    for run in (lambda: compute(binding), lambda: left_pair(check, binding)):
         with pytest.raises(UnboundParameterError) as info:
             run()
         assert info.value.args == (name,)
@@ -123,7 +143,7 @@ class TestEvaluate:
             raises_everywhere(PreconditionError, message, term, env(k=1, n=3, s=Fraction(1, 2)))
 
     def test_negative_integer_upper_index_matches_product_formula(self):
-        # the compiled side takes _binom_int's upper negation here, the
+        # the generated check takes _binom_int's upper negation here, the
         # reference the product formula
         for u in range(-6, 0):
             for j in range(7):
@@ -131,16 +151,16 @@ class TestEvaluate:
 
     def test_unbound_parameter(self):
         term = af(R)
-        unbound_everywhere("r", functools.partial(evaluate, term), _one_term_side(term), env(k=0))
+        unbound_everywhere("r", functools.partial(evaluate, term), _one_term_check(term), env(k=0))
 
     def test_unbound_parameter_is_reported_first(self):
         # s = 1/2 fails the first factor's lower index, but the missing r
         # comes first; of two missing names, the first one read (a quotient
         # reads its denominator first) is named
         term = prod(binom(N, K + S), af(R))
-        unbound_everywhere("r", functools.partial(evaluate, term), _one_term_side(term), env(k=0, n=4, s=Fraction(1, 2)))
+        unbound_everywhere("r", functools.partial(evaluate, term), _one_term_check(term), env(k=0, n=4, s=Fraction(1, 2)))
         term = prod(binom(N, K + S), quot(R, N - Affine.var("m")))
-        unbound_everywhere("m", functools.partial(evaluate, term), _one_term_side(term), env(k=0, n=4, s=Fraction(1, 2)))
+        unbound_everywhere("m", functools.partial(evaluate, term), _one_term_check(term), env(k=0, n=4, s=Fraction(1, 2)))
 
     def test_quotient_pole(self):
         raises_everywhere(PoleError, "denominator s - 1 vanishes", quot(S, S - 1), env(k=0, s=1))
@@ -184,9 +204,9 @@ class TestCompiledAgainstReference:
         binding = {name: Fraction(data.draw(values, label=name)) for name in names}
         binding["k"] = Fraction(data.draw(st.integers(0, 12), label="k"))
         reference = _outcome(lambda: evaluate(term, binding))
-        # the side itself returns an (int, int) pair with den > 0: Fraction
+        # the check itself returns an (int, int) pair with den > 0: Fraction
         # would also accept a float or a stray sign
-        raw = _outcome(lambda: _one_term_side(term)(exact_env(binding)))
+        raw = _outcome(lambda: left_pair(_one_term_check(term), binding))
         if isinstance(reference, tuple):
             assert raw == reference
         else:
@@ -215,16 +235,17 @@ class TestIntegerNumerators:
         assert mixed > 100
 
     def test_a_lone_rational_name_is_its_own_numerator(self):
-        # r is the only name of C03's left side over a denominator, so D is
-        # r's denominator and r over D is r's numerator: one read, no scaling
+        # r is the only name of C03 over a denominator, so D is r's
+        # denominator and r over D is r's numerator: one read, no scaling
         desc = get_entry("C03").descriptor
-        left = desc.compiled["left"]
-        assert [i.argval for i in dis.get_instructions(left)].count("denominator") == 1
-        block = desc.left.blocks[0]
+        check = desc.check()
+        assert [i.argval for i in dis.get_instructions(check)].count("denominator") == 1
         for r in (Fraction(7, 2), Fraction(-5, 3), 3):
             for n, s in ((4, 2), (6, 3)):
                 b = {"n": n, "r": r, "s": s}
-                assert Fraction(*left(exact_env(b))) == evaluate_sum(block.lo, block.hi, block.coef, b), b
+                for pair, side in zip(check(exact_env(b)), (desc.left, desc.right)):
+                    block, = side.blocks
+                    assert Fraction(*pair) == evaluate_sum(block.lo, block.hi, block.coef, b), b
 
     def test_non_integer_lower_index_over_a_common_denominator(self):
         message = "lower index k + s must be an integer, got 8/3"
@@ -250,14 +271,10 @@ class TestIntegerNumerators:
         agrees_everywhere(expected, term, env(k=1, r=Fraction(5, 2)))
 
 
-def _one_block_side(lo, hi, term):
-    return compile_side(((lo, hi, term, None),), kernel_free=True)
-
-
 def summed(lo, hi, term, binding):
-    """``sum[k=lo..hi] term`` at ``binding``, the reference checked against a compiled side."""
+    """``sum[k=lo..hi] term`` at ``binding``, the reference checked against a generated check."""
     value = evaluate_sum(lo, hi, term, binding)
-    assert Fraction(*_one_block_side(lo, hi, term)(exact_env(binding))) == value
+    assert Fraction(*left_pair(_one_block_check(lo, hi, term), binding)) == value
     return value
 
 
@@ -277,7 +294,7 @@ class TestSums:
     def test_unbound_summand_parameter_over_an_empty_range(self):
         lo, hi, term = Bound.of(0), Bound(N), af(R)
         compute = functools.partial(evaluate_sum, lo, hi, term)
-        unbound_everywhere("r", compute, _one_block_side(lo, hi, term), env(n=-1))
+        unbound_everywhere("r", compute, _one_block_check(lo, hi, term), env(n=-1))
 
 
 class TestFrischForEveryR:
