@@ -76,9 +76,6 @@ class Affine:
     def coefficient(self, name: str) -> int:
         return dict(self.coeffs).get(name, 0)
 
-    def names(self) -> set[str]:
-        return {n for n, _ in self.coeffs}
-
     def is_constant(self) -> bool:
         return not self.coeffs
 
@@ -180,12 +177,6 @@ class Bound:
                 raise ValueError(f"bound cap {self.cap} is not an integer at this binding")
             value = min(value, capped.numerator)
         return value
-
-    def names(self) -> set[str]:
-        out = set(self.base.names())
-        if self.cap is not None:
-            out |= self.cap.names()
-        return out
 
     def rename(self, mapping: Mapping[str, str]) -> "Bound":
         return Bound(

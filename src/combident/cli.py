@@ -39,7 +39,6 @@ from .descriptors import FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED
 from .dsl import parse_identity, print_identity
 from .errors import DslSyntaxError, EmptyGridError, ShapeError, UnknownEntryError
 from .integrals import _DPS, BetaArgs, beta_integral_exact, beta_integral_quadrature
-from .terms import collect_names
 from .transforms import (
     check_derived,
     frisch_transform,
@@ -50,13 +49,6 @@ from .transforms import (
 )
 
 GRID_PARAMS = ("n", "m", "r", "s", "t", "u")
-
-
-def _fraction_str(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _grid_overrides(args, axes, prefix: str = "") -> dict[str, tuple[Fraction, ...]]:
@@ -92,7 +84,7 @@ def _write_report(path: str, report: dict) -> None:
 
 def _witness_record(result) -> dict:
     return {
-        "binding": {name: _fraction_str(v) for name, v in sorted(result.binding.items())},
+        "binding": {name: str(v) for name, v in sorted(result.binding.items())},
         "lhs": str(result.lhs),
         "rhs": str(result.rhs),
         "detail": result.witness or "",
@@ -160,7 +152,7 @@ def cmd_verify(args) -> int:
                     "command": "verify",
                     "selection": selection,
                     "grid_overrides": {
-                        name: [_fraction_str(v) for v in values]
+                        name: [str(v) for v in values]
                         for name, values in sorted(overrides.items())
                     },
                     "sample": args.sample,
@@ -193,12 +185,9 @@ _SCHEME_FLAGS = (
 
 
 def _derive_grid(desc, args=None) -> dict[str, tuple[Fraction, ...]]:
-    """The grid of a derived identity: every name its blocks use, over its ``--grid-*`` override or default."""
-    names = set()
-    for block in desc.left.blocks + desc.right.blocks:
-        names |= collect_names(block.coef) | block.lo.names() | block.hi.names()
-    names.discard("k")
-    ungridded = sorted(names - set(_DERIVED_GRID_DEFAULTS))
+    """The grid of a derived identity: every declared name, over its ``--grid-*`` override or default."""
+    names = [name for name, _ in desc.params]
+    ungridded = sorted(set(names) - set(_DERIVED_GRID_DEFAULTS))
     if ungridded:
         raise ValueError(
             f"parameter {', '.join(ungridded)} has no verification grid;"
@@ -264,12 +253,12 @@ def cmd_derive(args) -> int:
     if args.match:
         report = match_against_entry(derived, args.match)
         match_ok = report.ok
-        factors = ", ".join(_fraction_str(f) for f in report.factors[:6])
+        factors = ", ".join(str(f) for f in report.factors[:6])
         match_note = {
             "entry": args.match,
             "ok": report.ok,
             "checked": report.checked,
-            "factors": [_fraction_str(f) for f in report.factors],
+            "factors": [str(f) for f in report.factors],
             "detail": report.detail,
         }
         print(f"# match {args.match}: {'ok' if report.ok else 'MISMATCH'} (factors: {factors})")
@@ -338,7 +327,7 @@ def cmd_integrals(args) -> int:
     if args.pair:
         for a, b, exact, estimate, error in rows:
             print(
-                f"a={_fraction_str(a)} b={_fraction_str(b)} exact={exact}"
+                f"a={a} b={b} exact={exact}"
                 f" estimate={mp.nstr(estimate, 20)} error={mp.nstr(error, 3)}"
             )
     within_tolerance = worst <= mp.mpf("1e-10")

@@ -28,7 +28,6 @@ from .terms import (
     evaluate_sum,
     exact_env,
     rename_parameters as rename_term,
-    require_blocks,
 )
 
 Scalar = Union[int, Fraction]
@@ -197,12 +196,14 @@ def eval_side(
     side is the sum of its blocks' :func:`terms.evaluate_sum`, a Fraction.
     Any other side is the polynomial sum of ``coef * x^a (1-x)^b (1+x)^c``
     over its terms (:func:`terms.evaluate`, :func:`terms.evaluate_kernel`).
-    A name of the side missing from ``binding`` is reported before anything
-    is evaluated, the first in the order a check reads them.
+    Before anything is evaluated, the first declared parameter missing from
+    ``binding`` raises :class:`UnboundParameterError`, as in a check.
     """
     env = exact_env(binding)
+    for name, _ in desc.params:
+        if name not in env:
+            raise UnboundParameterError(name)
     blocks = desc._blocks(desc.left if side == "left" else desc.right)
-    require_blocks(blocks, env)
     if desc.kernel_free:
         return sum((evaluate_sum(lo, hi, coef, env) for lo, hi, coef, _ in blocks), Fraction(0))
     terms = []

@@ -20,6 +20,10 @@ Grammar (UTF-8, ``#`` line comments)::
     affine    := signed linear combination of names with integer coefficients
                  plus a rational constant, e.g. "n - 2k + 1"
 
+The header names every parameter: a name in a block is a declared one or
+the index k, and k cannot appear in a bound.  Any other name, and k in a
+bound, is a syntax error at that name's line and column.
+
 Printing produces normalized source; ``parse(print(d)) == d`` for every
 descriptor this package constructs.  Rationals serialize as ``p/q`` in lowest
 terms with the denominator omitted when it is 1.
@@ -101,6 +105,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self.params: list[tuple[str, str]] = []
+        self.in_bound = False
 
     # basic machinery
 
@@ -188,36 +193,20 @@ class _Parser:
         hi = self.bound()
         self.expect("]")
         factors = [self.factor()]
-        x_exp = one_minus = one_plus = Affine.of(0)
-        saw_kernel = False
+        kernel = {}  # "x", "1-x" or "1+x" -> the sum of its exponents
         while self.accept("*"):
-            kind = self.try_kernel_atom()
-            if kind is not None:
-                name, exp = kind
-                saw_kernel = True
-                if name == "x":
-                    x_exp = x_exp + exp
-                elif name == "1-x":
-                    one_minus = one_minus + exp
-                else:
-                    one_plus = one_plus + exp
-                while self.accept("*"):
-                    more = self.try_kernel_atom()
-                    if more is None:
-                        self.fail("only kernel atoms may follow the kernel")
-                    name, exp = more
-                    if name == "x":
-                        x_exp = x_exp + exp
-                    elif name == "1-x":
-                        one_minus = one_minus + exp
-                    else:
-                        one_plus = one_plus + exp
-                break
-            factors.append(self.factor())
-        if not saw_kernel:
+            atom = self.try_kernel_atom()
+            if atom is not None:
+                kernel[atom[0]] = kernel.get(atom[0], Affine.of(0)) + atom[1]
+            elif kernel:
+                self.fail("only kernel atoms may follow the kernel")
+            else:
+                factors.append(self.factor())
+        if not kernel:
             self.fail("block must end with a kernel such as x^k")
         coef = factors[0] if len(factors) == 1 else Product(tuple(factors))
-        return KernelBlock(lo, hi, coef, x_exp, one_minus, one_plus)
+        zero = Affine.of(0)
+        return KernelBlock(lo, hi, coef, *(kernel.get(atom, zero) for atom in ("x", "1-x", "1+x")))
 
     def try_kernel_atom(self) -> tuple[str, Affine] | None:
         # "x^e" | "(1-x)^e" | "(1+x)^e"
@@ -249,11 +238,16 @@ class _Parser:
             self.next()
             return Affine.of(int(tok.text))
         if tok.kind == "name":
-            self.next()
-            return Affine.var(tok.text)
+            return Affine.var(self.name(self.next()))
         self.fail("expected an exponent")
 
     def bound(self) -> Bound:
+        self.in_bound = True  # an error ends the parse, so the flag needs no reset then
+        bound = self.bound_form()
+        self.in_bound = False
+        return bound
+
+    def bound_form(self) -> Bound:
         if self.peek().text == "floor":
             self.next()
             self.expect("(")
@@ -301,15 +295,23 @@ class _Parser:
         if tok.kind == "int":
             value = int(tok.text)
             if self.peek().kind == "name":
-                return self.next().text, sign * value
+                return self.name(self.next()), sign * value
             if self.at("/") and self.peek(1).kind == "int":
                 # rational constant inside an affine form
                 self.next()
                 return None, Fraction(sign * value, self.denominator())
             return None, sign * value
         if tok.kind == "name":
-            return tok.text, sign
+            return self.name(tok), sign
         self.fail("expected an affine term", tok)
+
+    def name(self, tok: Token) -> str:
+        """The text of the name token ``tok``: a declared parameter, or k outside a bound."""
+        if tok.text == "k" and self.in_bound:
+            self.fail("the summation index k cannot appear in a bound", tok)
+        if tok.text != "k" and all(tok.text != n for n, _ in self.params):
+            self.fail(f"undeclared parameter {tok.text!r}", tok)
+        return tok.text
 
     def factor(self) -> TermExpr:
         tok = self.peek()
@@ -337,8 +339,7 @@ class _Parser:
         if tok.text == "(":
             return self.paren_factor()
         if tok.kind == "name":
-            self.next()
-            left = Affine.var(tok.text)
+            left = Affine.var(self.name(self.next()))
             if self.accept("/"):
                 return Quot(left, self.quotient_operand())
             return AffineFactor(left)
@@ -385,7 +386,7 @@ class _Parser:
             a = self.affine()
             self.expect(")")
         elif tok.kind == "name":
-            a = Affine.var(self.next().text)
+            a = Affine.var(self.name(self.next()))
         elif tok.kind == "int":
             a = Affine.of(self.denominator())
         else:
@@ -401,17 +402,26 @@ class _Parser:
         try:
             a = self.affine()
             self.expect(")")
-        except DslSyntaxError:
+        except DslSyntaxError as not_affine:
             self.pos = start
-            self.expect("(")
-            terms = [self.term_inside_parens()]
-            while self.accept("+"):
-                terms.append(self.term_inside_parens())
-            self.expect(")")
-            return terms[0] if len(terms) == 1 else TermSum(tuple(terms))
+            try:
+                return self.paren_term()
+            except DslSyntaxError as exc:
+                # report the reading that got further, the affine one on a tie: in
+                # "(2q)" or "(n - q)" it is the one that names the undeclared q
+                further = (exc.line, exc.column) > (not_affine.line, not_affine.column)
+                raise (exc if further else not_affine) from None
         if self.accept("/"):
             return Quot(a, self.quotient_operand())
         return AffineFactor(a)
+
+    def paren_term(self) -> TermExpr:
+        self.expect("(")
+        terms = [self.term_inside_parens()]
+        while self.accept("+"):
+            terms.append(self.term_inside_parens())
+        self.expect(")")
+        return terms[0] if len(terms) == 1 else TermSum(tuple(terms))
 
     def term_inside_parens(self) -> TermExpr:
         factors = [self.factor()]
@@ -431,46 +441,31 @@ def parse_identity(source: str) -> IdentityDescriptor:
 
 # -- printer -----------------------------------------------------------------
 
-def _print_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _print_affine(a: Affine) -> str:
-    return str(a)
-
-
 def _print_exponent(a: Affine) -> str:
+    """An exponent, an affine factor or a quotient operand: bare for one name or a constant, else parenthesized."""
     if a.is_constant():
-        return _print_fraction(a.const)
+        return str(a.const)
     if len(a.coeffs) == 1 and a.const == 0 and a.coeffs[0][1] == 1:
         return a.coeffs[0][0]
-    return f"({_print_affine(a)})"
-
-
-def _print_operand(a: Affine) -> str:
-    # bare for single names and plain integers, parenthesized otherwise
-    return _print_exponent(a)
+    return f"({a})"
 
 
 def _print_factor(expr: TermExpr) -> str:
     if isinstance(expr, Const):
-        return _print_fraction(expr.value)
+        return str(expr.value)
     if isinstance(expr, AffineFactor):
-        return _print_operand(expr.value)
+        return _print_exponent(expr.value)
     if isinstance(expr, SignPow):
         return f"(-1)^{_print_exponent(expr.exponent)}"
     if isinstance(expr, Power):
-        return f"pow({_print_affine(expr.base)}, {_print_affine(expr.exponent)})"
+        return f"pow({expr.base}, {expr.exponent})"
     if isinstance(expr, Binom):
-        text = f"binom({_print_affine(expr.upper)}, {_print_affine(expr.lower)})"
+        text = f"binom({expr.upper}, {expr.lower})"
         return text + "^-1" if expr.inverted else text
     if isinstance(expr, Quot):
-        return f"{_print_operand(expr.numer)} / {_print_operand(expr.denom)}"
+        return f"{_print_exponent(expr.numer)} / {_print_exponent(expr.denom)}"
     if isinstance(expr, AltPowerSum):
-        args = ", ".join(_print_affine(a) for a in (expr.count, expr.shift, expr.power))
-        return f"altpowsum({args})"
+        return f"altpowsum({expr.count}, {expr.shift}, {expr.power})"
     if isinstance(expr, Product):
         return " * ".join(_print_factor(f) for f in expr.factors)
     if isinstance(expr, TermSum):
@@ -478,18 +473,14 @@ def _print_factor(expr: TermExpr) -> str:
     raise TypeError(f"cannot print {expr!r}")
 
 
-def _print_term(expr: TermExpr) -> str:
-    return _print_factor(expr)
-
-
 def _print_bound(b: Bound) -> str:
     if b.half and b.cap is not None:
         raise ValueError("bounds cannot combine floor and min in source form")
     if b.half:
-        return f"floor({_print_operand(b.base)}/2)"
+        return f"floor({_print_exponent(b.base)}/2)"
     if b.cap is not None:
-        return f"min({_print_affine(b.base)}, {_print_affine(b.cap)})"
-    return _print_affine(b.base)
+        return f"min({b.base}, {b.cap})"
+    return str(b.base)
 
 
 def _print_block(block: KernelBlock) -> str:
@@ -503,7 +494,7 @@ def _print_block(block: KernelBlock) -> str:
     if not kernel_atoms:
         kernel_atoms.append("x^0")
     header = f"sum[k={_print_bound(block.lo)}..{_print_bound(block.hi)}]"
-    return f"{header} {_print_term(block.coef)} * " + " * ".join(kernel_atoms)
+    return f"{header} {_print_factor(block.coef)} * " + " * ".join(kernel_atoms)
 
 
 def _print_side(side: Side) -> str:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from .affine import Affine, Bound
-from .errors import PoleError, PreconditionError, UnboundParameterError
+from .errors import PoleError, PreconditionError, ShapeError, UnboundParameterError
 from .exact import alternating_power_sum, binom_rational, binom_rational_pair
 
 Scalar = Union[int, Fraction]
@@ -138,12 +138,6 @@ def prod(*factors: TermExpr) -> TermExpr:
     return Product(tuple(factors))
 
 
-def tsum(*terms: TermExpr) -> TermExpr:
-    if len(terms) == 1:
-        return terms[0]
-    return TermSum(tuple(terms))
-
-
 def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, int]) -> AltPowerSum:
     if isinstance(shift, int):
         shift = Affine.of(shift)
@@ -174,9 +168,10 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 # rational branch, and the pair of a static form is over 1.
 #
 # One kind of function is generated: a check (:func:`compile_check`) per
-# identity and validity.  Its prologue tests a binding's sorts and validity
-# before it reads anything else, and it then computes both sides of the
-# identity over one D.
+# identity and validity.  The declared parameters are every name it reads
+# besides the index k, and k never appears in a bound.  Its prologue reads
+# them all and tests a binding's sorts and validity, and it then computes
+# both sides of the identity over one D.
 #
 # :func:`evaluate` is the reference the generated code is tested against, and
 # what value queries run: a walk of one term's tree in Fractions that raises
@@ -371,16 +366,18 @@ class _Source:
     """The source of one generated check, and the namespace it will run in.
 
     A form that names k is split into ``c * k + rest``: k is the index of a
-    block's loop, an int, and ``rest`` is computed once per call.  The names
-    in ``integral`` are read as ints (see the comment above), and those in
-    ``naturals`` are known to be ints >= 0, so tests of a sign that cannot be
-    negative are left out.
+    block's loop, an int, and ``rest`` is computed once per call.  ``names``
+    are the declared parameters, the only other names a form may use.  The
+    names in ``integral`` are read as ints (see the comment above), and
+    those in ``naturals`` are known to be ints >= 0, so tests of a sign that
+    cannot be negative are left out.
     """
 
-    def __init__(self, integral: frozenset[str], naturals: frozenset[str]):
+    def __init__(self, names: list[str], integral: frozenset[str], naturals: frozenset[str]):
         self.integral = integral
         self.naturals = naturals
-        self.params: dict[str, str] = {}  # name -> identifier of its numerator over D
+        # name -> identifier of its numerator over D
+        self.params = {name: f"p{i}" for i, name in enumerate(names)}
         # keyed by _key(k-free part): the identifier of a static form's int
         # value, of any other form's numerator over D, and of the quotient and
         # remainder of that by D
@@ -423,17 +420,12 @@ class _Source:
 
     # -- affine forms
 
-    def split(self, form: Affine, indexed: bool = True) -> tuple[int, Affine]:
-        """``(c, rest)`` with ``form == c * k + rest``; c is 0 when not ``indexed``."""
-        c = form.coefficient("k") if indexed else 0
+    def split(self, form: Affine) -> tuple[int, Affine]:
+        """``(c, rest)`` with ``form == c * k + rest``."""
+        c = form.coefficient("k")
         if not c:
             return 0, form
         return c, Affine(tuple((n, v) for n, v in form.coeffs if n != "k"), form.const)
-
-    def read(self, rest: Affine) -> None:
-        """Read the names of a k-free form from the environment, in first-use order."""
-        for param, _ in rest.coeffs:
-            self.param(param)
 
     def static(self, rest: Affine) -> str | None:
         """Identifier or literal of a static k-free form's int value, computed once per call; else None."""
@@ -443,7 +435,6 @@ class _Source:
             return str(rest.const.numerator)
         key = _key(rest)
         if key not in self.statics:
-            self.read(rest)
             lone = _lone_name(rest)
             name = "v" + self.params[lone] if lone else self.fresh("r")  # a parameter's own value
             self.statics[key] = (name, rest)
@@ -456,10 +447,9 @@ class _Source:
         key = _key(rest)
         if key in self.rests:
             return self.rests[key][0]
-        self.read(rest)
+        idents = [self.param(n) for n, _ in rest.coeffs]
         self.den_lcm = math.lcm(self.den_lcm, rest.const.denominator)
-        lone = _lone_name(rest)
-        name = self.params[lone] if lone else self.fresh("r")  # a parameter's own numerator
+        name = idents[0] if _lone_name(rest) else self.fresh("r")  # a parameter's own numerator
         self.rests[key] = (name, rest)
         return name
 
@@ -470,9 +460,9 @@ class _Source:
             self.quotients[key] = (self.fresh("q"), self.fresh("m"), self.rest(rest))
         return self.quotients[key][:2]
 
-    def numerator(self, form: Affine, indexed: bool = True) -> str:
+    def numerator(self, form: Affine) -> str:
         """Source of ``form``'s value times D, an int."""
-        c, rest = self.split(form, indexed)
+        c, rest = self.split(form)
         return _linear(c, "k * D", self.rest(rest))
 
     def value(self, form: Affine) -> tuple[str, str]:
@@ -483,19 +473,19 @@ class _Source:
             return _linear(c, "k", static), "1"
         return _linear(c, "k * D", self.rest(rest)), "D"
 
-    def integer(self, form: Affine, depth: int, error: str, what: str, indexed: bool = True) -> str:
+    def integer(self, form: Affine, depth: int, error: str, what: str) -> str:
         """Emit the check that ``form`` is an integer; return the source of its value.
 
         ``error`` names the function that builds the exception from
         ``((what, form), num, den)``.  A form is integral at every k or at none, so
         the check tests the remainder of its k-free part.
         """
-        c, rest = self.split(form, indexed)
+        c, rest = self.split(form)
         static = self.static(rest)
         if static is not None:
             return _linear(c, "k", static)
         quotient, remainder = self.quotient(rest)
-        numerator = self.numerator(form, indexed)
+        numerator = self.numerator(form)
         self.emit(depth, f"if {remainder}: raise {error}({self.site(what, form)}, {numerator}, D)")
         return _linear(c, "k", quotient)
 
@@ -613,14 +603,16 @@ class _Source:
         return num, den
 
     def bound(self, bound: Bound, depth: int) -> str:
-        """Source of a summation bound; ``k`` in a bound is a parameter, not the index."""
-        value = self.integer(bound.base, depth, "_bound_not_integer", "bound", False)
+        """Source of a summation bound, which cannot name the index k."""
+        if any(form.coefficient("k") for form in (bound.base, bound.cap) if form is not None):
+            raise ShapeError("the summation index k cannot appear in a bound")
+        value = self.integer(bound.base, depth, "_bound_not_integer", "bound")
         if bound.half:
             value = f"{_group(value)} // 2"
         if bound.cap is not None:
             capped = self.fresh("h")
             self.emit(depth, f"{capped} = {value}")
-            cap = self.integer(bound.cap, depth, "_bound_not_integer", "bound cap", False)
+            cap = self.integer(bound.cap, depth, "_bound_not_integer", "bound cap")
             self.emit(depth, f"if {capped} > {_group(cap)}: {capped} = {cap}")
             value = capped
         return self.assign(depth, value, "h")
@@ -635,9 +627,9 @@ class _Source:
     # -- the function
 
     def param(self, name: str) -> str:
-        """The identifier of ``name``'s value is ``"v" + param(name)``; a new name is read after the known ones."""
+        """The identifier of ``name``'s numerator over D; ``"v" + param(name)`` is its value."""
         if name not in self.params:
-            self.params[name] = f"p{len(self.params)}"
+            raise ShapeError(f"parameter {name!r} is not declared")
         return self.params[name]
 
     def plain(self, form: Affine) -> str:
@@ -731,17 +723,16 @@ def compile_check(
     and ``right`` the sides' blocks ``(lo, hi, coef, kernel)``, where
     ``kernel`` is the exponent forms ``(a, b, c)`` of ``x^a (1-x)^b (1+x)^c``
     (not read when ``kernel_free``).  ``filename`` names the function in
-    tracebacks and profiles.  Called with an :func:`exact_env` environment,
-    the function:
+    tracebacks and profiles.  A form may name only the declared parameters
+    and, outside a bound, the index k; any other name, or k in a bound,
+    raises :class:`ShapeError` here.  Called with an :func:`exact_env`
+    environment, the function:
 
     - reads every declared name in order and tests its sort right after
       reading it, returning ``"n = 7/2 is not an integer"`` or
       ``"n = -1 is negative"``; a missing name raises
       :class:`UnboundParameterError`;
     - returns the ``text`` of the first constraint that fails;
-    - returns ``str(UnboundParameterError(name))`` for a name that a side
-      uses and ``params`` does not declare, when it is missing, at the point
-      where that side would have read it;
     - otherwise returns the two sides' values over one D: ``(num, den)``
       pairs for a ``kernel_free`` identity, else ``(dense, common)`` integer
       x-coefficients over their common denominators (:func:`add_term`).
@@ -754,7 +745,7 @@ def compile_check(
     # past the tests, a nat name is >= 0, and so is an integral name bounded below by 0 or more
     naturals = {name for name, sort in params if sort == "nat"}
     naturals.update(_lone_name(form) for form, bound, _ in constraints if bound >= 0 and _lone_name(form) in integral)
-    src = _Source(integral, frozenset(naturals))
+    src = _Source([name for name, _ in params], integral, frozenset(naturals))
     tested = []  # read and tested in order; a missing name raises
     for name, sort in params:
         v = "v" + src.param(name)
@@ -764,35 +755,15 @@ def compile_check(
         if sort == "nat":
             tested.append(f"if {v} < 0: return _negative({name!r}, {v})")
     for form, bound, text in constraints:
-        for name, _ in form.coeffs:
-            if name not in src.params:
-                tested.append(f"v{src.param(name)} = env[{name!r}]")
         tested.append(f"if {src.plain(form)} < {bound}: return {src.ref(text)}")
     reads = []
     if tested:
         reads = ["try:"] + ["    " + line for line in tested]
         reads += ["except KeyError as exc:", "    raise UnboundParameterError(exc.args[0]) from None"]
-
-    def undeclared(start: int) -> list[tuple[str, str, str]]:
-        """``(name, identifier, witness)`` of the names read after the first ``start``."""
-        return [
-            (name, "v" + p, src.ref(str(UnboundParameterError(name))))
-            for name, p in list(src.params.items())[start:]
-        ]
-
-    known = len(src.params)
     lhs = _emit_side(src, left, kernel_free)
     src.emit(1, f"lhs = {lhs}")
-    for name, v, witness in undeclared(known):
-        reads += [f"{v} = env.get({name!r})", f"if {v} is None: return {witness}"]
-    known, mark = len(src.params), len(src.lines)
     rhs = _emit_side(src, right, kernel_free)
     src.emit(1, f"return lhs, {rhs}")
-    # a name only the right side uses is read before D with a stand-in, and
-    # tested where the right side begins
-    late = undeclared(known)
-    reads += [f"{v} = env.get({name!r}, 0)" for name, v, _ in late]
-    src.lines[mark:mark] = [f"    if {name!r} not in env: return {witness}" for name, _, witness in late]
     return src.compile("check(env)", filename, reads)
 
 
@@ -885,20 +856,6 @@ def _bound_forms(*bounds: Bound):
     return (f for b in bounds for f in (b.base, b.cap) if f is not None)
 
 
-def require_blocks(blocks: tuple, binding: Env) -> None:
-    """Raise :class:`UnboundParameterError` for the first name of ``blocks`` missing from ``binding``.
-
-    ``blocks`` are ``(lo, hi, coef, kernel)`` as for :func:`compile_check`;
-    the names are taken in the order a check reads them: block by block,
-    the bounds, then the summand, then the kernel exponents.
-    """
-    indexed = {**binding, "k": 0}
-    for lo, hi, coef, kernel in blocks:
-        _require(_bound_forms(lo, hi), binding)
-        _require(_forms(coef), indexed)
-        _require(kernel, indexed)
-
-
 def evaluate_kernel(kernel: tuple[Affine, Affine, Affine], env: Env) -> tuple[int, int, int]:
     """The exponents ``(a, b, c)`` of ``x^a (1-x)^b (1+x)^c`` at a full binding (k included).
 
@@ -977,13 +934,3 @@ def substitute_index(expr: TermExpr, replacement: Affine) -> TermExpr:
 def rename_parameters(expr: TermExpr, mapping: Mapping[str, str]) -> TermExpr:
     return _map_affines(expr, lambda a: a.rename(mapping))
 
-
-def collect_names(expr: TermExpr) -> set[str]:
-    names: set[str] = set()
-
-    def visit(a: Affine) -> Affine:
-        names.update(a.names())
-        return a
-
-    _map_affines(expr, visit)
-    return names

@@ -199,6 +199,36 @@ class TestDerive:
         )
         assert result.stdout == ""
 
+    def test_undeclared_name_exits_two_before_deriving(self, exported):
+        # a typo'd name is a parse error, not a grid axis of its own
+        source = (exported / "F03.dsl").read_text(encoding="utf-8")
+        bad = exported / "F03-typo.dsl"
+        bad.write_text(source.replace("binom(u, k) * x", "binom(u, k) * binom(t, 0) * x", 1), encoding="utf-8")
+        result = run_cli("derive", "--scheme", "frisch", "--input", str(bad))
+        assert result.returncode == 2
+        assert result.stderr == "error: undeclared parameter 't' (line 4, column 47)\n"
+        assert result.stdout == ""
+
+    def test_declared_unused_parameter_is_gridded(self, exported):
+        # t is read by the check, so it is an axis of the grid: (7, 9) doubles F03's 162 bindings
+        source = (exported / "F03.dsl").read_text(encoding="utf-8")
+        declared = exported / "F03-t.dsl"
+        declared.write_text(source.replace("params n:nat,", "params n:nat, t:rat,", 1), encoding="utf-8")
+        result = run_cli("derive", "--scheme", "frisch", "--input", str(declared))
+        assert result.returncode == 0
+        assert result.stdout.endswith("# verification: verified=324 pole=0 pre=0 failed=0\n")
+
+    def test_declared_unused_parameter_without_a_grid_exits_two(self, exported):
+        source = (exported / "F03.dsl").read_text(encoding="utf-8")
+        declared = exported / "F03-q.dsl"
+        declared.write_text(source.replace("params n:nat,", "params n:nat, q:rat,", 1), encoding="utf-8")
+        result = run_cli("derive", "--scheme", "frisch", "--input", str(declared))
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: parameter q has no verification grid; derive grids exist for n, m, r, s, t, u only\n"
+        )
+        assert result.stdout == ""
+
     def test_derivation_with_no_verified_binding_exits_one(self, exported):
         # s = 0 puts every binding of the derived identity outside its validity region
         result = run_cli(

@@ -33,7 +33,7 @@ from combident.descriptors import (
     format_binding,
     transpose_descriptor,
 )
-from combident.errors import PoleError, PreconditionError, UnboundParameterError
+from combident.errors import PoleError, PreconditionError, ShapeError, UnboundParameterError
 from combident.exact import binom_rational, binom_rational_pair
 from combident.poly import Polynomial
 from combident.terms import af, binom, const, evaluate_sum, exact_env, ibinom, prod
@@ -134,14 +134,11 @@ def _one_sided(params, coef) -> IdentityDescriptor:
 
 
 class TestCheckTwoSided:
-    def test_undeclared_parameter_skips(self):
+    def test_an_undeclared_name_is_refused(self):
         coef = prod(binom(Affine.var("n"), Affine.var("k")), af(Affine.var("q")))
         desc = _one_sided((("n", "nat"),), coef)
-        with pytest.raises(UnboundParameterError):
-            eval_side(desc, "left", binding(n=2))
-        result = check_two_sided(desc, binding(n=2))
-        assert result.status == SKIPPED_PRECONDITION
-        assert result.witness == "'q'"
+        with pytest.raises(ShapeError, match="^parameter 'q' is not declared$"):
+            check_two_sided(desc, binding(n=2, q=1))
 
     def test_rational_r_at_a_lower_index_skips(self):
         k, r = Affine.var("k"), Affine.var("r")
@@ -370,49 +367,44 @@ class TestGeneratedCheck:
         with pytest.raises(UnboundParameterError, match="entry C03 needs parameter r"):
             verify_entry("C03", {"n": 2, "s": Fraction(1, 2)})
 
-    def test_a_name_the_descriptor_does_not_declare(self):
+    def test_a_descriptor_with_an_undeclared_name_is_refused(self):
         n, k, q = Affine.var("n"), Affine.var("k"), Affine.var("q")
-        pole = ibinom(n, k + 1)  # binom(n, n + 1) = 0 at k = n: every binding of n is a pole
         zero = KernelBlock(Bound.of(0), Bound.of(0), const(0))
-        cases = {
-            "left": IdentityDescriptor(
-                (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(n), prod(binom(n, k), af(q))),)), Side((zero,)), "left"
-            ),
-            # the left side's pole is raised before the right side reads q
-            "right": IdentityDescriptor(
-                (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(n), pole),)),
-                Side((KernelBlock(Bound.of(0), Bound(n), af(q)),)), "right",
-            ),
-            "right after a sum": IdentityDescriptor(
-                (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(n), binom(n, k)),)),
-                Side((KernelBlock(Bound.of(0), Bound(n), af(q)),)),
-                "right after a sum",
-            ),
-            "bound": IdentityDescriptor(
-                (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(q), binom(n, k)),)), Side((zero,)), "bound"
-            ),
-            # every name of a side is read before its first block runs
-            "pole before a later block": IdentityDescriptor(
-                (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(n), pole), KernelBlock(Bound.of(0), Bound(n), af(q)))),
-                Side((zero,)), "pole before a later block",
-            ),
-            "kernel": IdentityDescriptor(
-                (("n", "nat"),), Side((KernelBlock(Bound.of(0), Bound(n), af(q), x_exp=k),)),
-                Side((KernelBlock(Bound.of(0), Bound.of(0), const(0), x_exp=q),)), "kernel",
-            ),
-        }
-        seen = Counter()
-        for name, desc in cases.items():
-            bindings = [binding(n=v) for v in range(3)] + [binding(n=v, q=w) for v in range(3) for w in (0, 2, Fraction(1, 2))]
-            for result in _agree(desc, bindings):
-                seen[name, result[0], result[1]] += 1
-        assert seen["left", SKIPPED_PRECONDITION, "'q'"] == 3
-        assert seen["right", SKIPPED_POLE, "binom(2, 3) = 0 has no reciprocal"] == 4
-        assert seen["right after a sum", SKIPPED_PRECONDITION, "'q'"] == 3
-        assert seen["bound", SKIPPED_PRECONDITION, "'q'"] == 3
-        assert seen["pole before a later block", SKIPPED_PRECONDITION, "'q'"] == 3
-        assert seen["pole before a later block", SKIPPED_POLE, "binom(2, 3) = 0 has no reciprocal"] == 3
-        assert seen["kernel", SKIPPED_PRECONDITION, "'q'"] == 3
+        sum_n = KernelBlock(Bound.of(0), Bound(n), binom(n, k))
+        undeclared = "parameter 'q' is not declared"
+        in_bound = "the summation index k cannot appear in a bound"
+        cases = [
+            ("summand", (sum_n, KernelBlock(Bound.of(0), Bound(n), af(q))), zero, None, undeclared),
+            ("right side only", (sum_n,), KernelBlock(Bound.of(0), Bound(n), af(q)), None, undeclared),
+            ("bound", (KernelBlock(Bound.of(0), Bound(q), binom(n, k)),), zero, None, undeclared),
+            ("bound cap", (KernelBlock(Bound.of(0), Bound(n, cap=q), binom(n, k)),), zero, None, undeclared),
+            ("kernel", (KernelBlock(Bound.of(0), Bound(n), const(1), x_exp=k + q),), zero, None, undeclared),
+            ("validity", (sum_n,), zero, ValidityPredicate((RangeConstraint(q, 1),)), undeclared),
+            ("k in a bound", (KernelBlock(Bound(n - k), Bound(n), binom(n, k)),), zero, None, in_bound),
+            ("k in a cap", (KernelBlock(Bound.of(0), Bound(n, cap=k), binom(n, k)),), zero, None, in_bound),
+        ]
+        for label, left, right, validity, message in cases:
+            desc = IdentityDescriptor((("n", "nat"),), Side(left), Side((right,)), label)
+            constraints = () if validity is None else tuple((c.expr, c.bound, c.describe()) for c in validity.constraints)
+            blocks = desc._blocks(desc.left), desc._blocks(desc.right)
+            with pytest.raises(ShapeError, match=f"^{message}$"):
+                terms.compile_check(desc.params, constraints, *blocks)
+            with pytest.raises(ShapeError, match=f"^{message}$"):
+                check_two_sided(desc, binding(n=2), validity)
+
+    def test_a_missing_declared_name_is_reported_before_any_value(self):
+        # block 1 is a pole at every n; q is declared, read by block 2 only
+        n, k, q = Affine.var("n"), Affine.var("k"), Affine.var("q")
+        pole = KernelBlock(Bound.of(0), Bound(n), ibinom(n, k + 1))
+        left = Side((pole, KernelBlock(Bound.of(0), Bound(n), af(q))))
+        desc = IdentityDescriptor((("n", "nat"), ("q", "rat")), left, Side((KernelBlock(Bound.of(0), Bound.of(0), const(0)),)))
+        for side in ("left", "right"):
+            with pytest.raises(UnboundParameterError, match="'q'"):
+                eval_side(desc, side, binding(n=2))
+            with pytest.raises(UnboundParameterError, match="'n'"):
+                eval_side(desc, side, {})
+        assert _agree(desc, [binding(n=2)]) == [(UnboundParameterError, "'q'")]
+        assert _agree(desc, [binding(n=2, q=1)])[0][:2] == (SKIPPED_POLE, "binom(2, 3) = 0 has no reciprocal")
 
     def test_kernel_exponent_errors_agree_with_the_reference(self):
         n, k, r = Affine.var("n"), Affine.var("k"), Affine.var("r")

@@ -127,6 +127,39 @@ class TestZeroDenominator:
         assert zero_denominators >= 5
 
 
+NAME_ERRORS = (
+    # (left side, message, column); every name must be declared, and k is not a bound's
+    ("sum[k=0..n] binom(t, 0) * x^k", "undeclared parameter 't'", 19),
+    ("sum[k=0..n] q * x^k", "undeclared parameter 'q'", 13),
+    ("sum[k=0..n] n / q * x^k", "undeclared parameter 'q'", 17),
+    ("sum[k=0..n] (2q) * x^k", "undeclared parameter 'q'", 15),
+    ("sum[k=0..n] (n - q) * x^k", "undeclared parameter 'q'", 18),
+    ("sum[k=0..n] ((-1)^k * q) * x^k", "undeclared parameter 'q'", 23),
+    ("sum[k=0..nr] 1 * x^k", "undeclared parameter 'nr'", 10),
+    ("sum[k=0..min(n, 2m)] 1 * x^k", "undeclared parameter 'm'", 18),
+    ("sum[k=0..floor((n + q)/2)] 1 * x^k", "undeclared parameter 'q'", 21),
+    ("sum[k=0..n] 1 * x^k0", "undeclared parameter 'k0'", 19),
+    ("sum[k=0..n] 1 * x^k * (1-x)^(n - q)", "undeclared parameter 'q'", 34),
+    ("sum[k=0..k] 1 * x^k", "the summation index k cannot appear in a bound", 10),
+    ("sum[k=n - k..n] 1 * x^k", "the summation index k cannot appear in a bound", 11),
+    ("sum[k=0..floor(k/2)] 1 * x^k", "the summation index k cannot appear in a bound", 16),
+)
+
+
+class TestNames:
+    @pytest.mark.parametrize("left, message, column", NAME_ERRORS)
+    def test_an_undeclared_name_or_k_in_a_bound_is_an_error_at_that_name(self, left, message, column):
+        with pytest.raises(DslSyntaxError) as info:
+            parse_identity(f"params n:nat;\n{left} == sum[k=0..0] 1 * x^0\n")
+        assert (info.value.message, info.value.line, info.value.column) == (message, 2, column)
+
+    def test_declared_names_parse_in_every_position(self):
+        source = "params n:nat, q:rat;\nsum[k=0..min(n, q)] (n - q) * n / q * x^(n - q) == sum[k=0..q] q * x^k\n"
+        desc = parse_identity(source)
+        assert desc.left.blocks[0].hi == Bound(Affine.var("n"), cap=Affine.var("q"))
+        assert parse_identity(print_identity(desc)) == desc
+
+
 class TestRoundTrip:
     def test_fixture_descriptors(self):
         for name in ("F01", "F02", "F03", "F04", "F05"):

@@ -17,8 +17,8 @@ from combident.exact import binom_int, binom_rational
 from combident.terms import (
     af,
     altpowsum,
+    _forms,
     binom,
-    collect_names,
     compile_check,
     const,
     evaluate,
@@ -33,6 +33,7 @@ from combident.terms import (
 )
 
 K = Affine.var("k")
+J = Affine.var("j")  # a declared stand-in for the index k in a bound
 N = Affine.var("n")
 R = Affine.var("r")
 S = Affine.var("s")
@@ -42,36 +43,41 @@ def env(**values):
     return {name: Fraction(v) for name, v in values.items()}
 
 
+def names(*forms) -> list[str]:
+    """The names of ``forms`` but k, each once, in the order they first appear."""
+    return list(dict.fromkeys(name for form in forms for name, _ in form.coeffs if name != "k"))
+
+
 def _one_block_check(lo, hi, term):
     """A generated check whose left side is ``sum[k=lo..hi] term`` and whose right side is empty.
 
-    It declares no names, so it reads every name as a possible rational.
+    It declares the bounds' names and then the term's, in the order
+    :func:`evaluate` looks them up, all ``rat``: any of them may be rational.
     """
-    return compile_check((), (), ((lo, hi, term, None),), (), "<one-block check>", kernel_free=True)
+    bounds = [f for b in (lo, hi) for f in (b.base, b.cap) if f is not None]
+    params = tuple((name, "rat") for name in names(*bounds, *_forms(term)))
+    return compile_check(params, (), ((lo, hi, term, None),), (), "<one-block check>", kernel_free=True)
 
 
 @functools.cache
 def _one_term_check(term):
-    """``term`` as the left side of a check of one block ``k..k``, its k read from the binding."""
-    return _one_block_check(Bound(K), Bound(K), term)
+    """``term`` as the left side of a check of one block ``j..j``; j is bound to the binding's k."""
+    return _one_block_check(Bound(J), Bound(J), term)
 
 
 def left_pair(check, binding) -> tuple[int, int]:
-    """The ``(num, den)`` of ``check``'s left side at ``binding``.
+    """The ``(num, den)`` of ``check``'s left side at ``binding``."""
+    return check(exact_env(binding))[0]
 
-    A check returns a name it does not declare and cannot find as the
-    witness ``str(UnboundParameterError(name))``, which is ``repr(name)``;
-    it is raised again here, as :func:`evaluate` raises it.
-    """
-    result = check(exact_env(binding))
-    if type(result) is str:
-        raise UnboundParameterError(result[1:-1])
-    return result[0]
+
+def term_pair(term, binding) -> tuple[int, int]:
+    """The ``(num, den)`` of ``term`` at ``binding`` (k included) from its one-term check."""
+    return left_pair(_one_term_check(term), {**binding, "j": binding["k"]})
 
 
 def compiled(term, binding) -> Fraction:
     """``term`` at ``binding`` through the generated code that checks every identity."""
-    return Fraction(*left_pair(_one_term_check(term), binding))
+    return Fraction(*term_pair(term, binding))
 
 
 def agrees_everywhere(expected, term, binding):
@@ -86,9 +92,9 @@ def raises_everywhere(exc, message, term, binding):
             value(term, binding)
 
 
-def unbound_everywhere(name, compute, check, binding):
-    """``compute(binding)`` and ``check`` both report ``name`` as the unbound parameter."""
-    for run in (lambda: compute(binding), lambda: left_pair(check, binding)):
+def unbound_everywhere(name, compute, pair, binding):
+    """``compute(binding)`` and the generated ``pair(binding)`` both report ``name`` as the unbound parameter."""
+    for run in (lambda: compute(binding), lambda: pair(binding)):
         with pytest.raises(UnboundParameterError) as info:
             run()
         assert info.value.args == (name,)
@@ -151,16 +157,16 @@ class TestEvaluate:
 
     def test_unbound_parameter(self):
         term = af(R)
-        unbound_everywhere("r", functools.partial(evaluate, term), _one_term_check(term), env(k=0))
+        unbound_everywhere("r", functools.partial(evaluate, term), functools.partial(term_pair, term), env(k=0))
 
     def test_unbound_parameter_is_reported_first(self):
         # s = 1/2 fails the first factor's lower index, but the missing r
         # comes first; of two missing names, the first one read (a quotient
         # reads its denominator first) is named
         term = prod(binom(N, K + S), af(R))
-        unbound_everywhere("r", functools.partial(evaluate, term), _one_term_check(term), env(k=0, n=4, s=Fraction(1, 2)))
+        unbound_everywhere("r", functools.partial(evaluate, term), functools.partial(term_pair, term), env(k=0, n=4, s=Fraction(1, 2)))
         term = prod(binom(N, K + S), quot(R, N - Affine.var("m")))
-        unbound_everywhere("m", functools.partial(evaluate, term), _one_term_check(term), env(k=0, n=4, s=Fraction(1, 2)))
+        unbound_everywhere("m", functools.partial(evaluate, term), functools.partial(term_pair, term), env(k=0, n=4, s=Fraction(1, 2)))
 
     def test_quotient_pole(self):
         raises_everywhere(PoleError, "denominator s - 1 vanishes", quot(S, S - 1), env(k=0, s=1))
@@ -200,13 +206,12 @@ class TestCompiledAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(SUMMANDS), st.data())
     def test_catalog_summands_agree(self, term, data):
-        names = sorted(collect_names(term) - {"k"})
-        binding = {name: Fraction(data.draw(values, label=name)) for name in names}
+        binding = {name: Fraction(data.draw(values, label=name)) for name in sorted(names(*_forms(term)))}
         binding["k"] = Fraction(data.draw(st.integers(0, 12), label="k"))
         reference = _outcome(lambda: evaluate(term, binding))
         # the check itself returns an (int, int) pair with den > 0: Fraction
         # would also accept a float or a stray sign
-        raw = _outcome(lambda: left_pair(_one_term_check(term), binding))
+        raw = _outcome(lambda: term_pair(term, binding))
         if isinstance(reference, tuple):
             assert raw == reference
         else:
@@ -224,10 +229,10 @@ class TestIntegerNumerators:
         choices = (Fraction(7, 2), Fraction(5, 3), 3)
         mixed = 0
         for term in SUMMANDS:
-            names = sorted(collect_names(term) - {"k"})
-            for values in itertools.product(choices, repeat=len(names)):
+            declared = sorted(names(*_forms(term)))
+            for values in itertools.product(choices, repeat=len(declared)):
                 for k in (0, 2):
-                    binding = {"k": k, **dict(zip(names, values))}
+                    binding = {"k": k, **dict(zip(declared, values))}
                     reference = _outcome(lambda: evaluate(term, binding))
                     assert _outcome(lambda: compiled(term, binding)) == reference, (term, binding)
                     if not isinstance(reference, tuple):
@@ -294,7 +299,7 @@ class TestSums:
     def test_unbound_summand_parameter_over_an_empty_range(self):
         lo, hi, term = Bound.of(0), Bound(N), af(R)
         compute = functools.partial(evaluate_sum, lo, hi, term)
-        unbound_everywhere("r", compute, _one_block_check(lo, hi, term), env(n=-1))
+        unbound_everywhere("r", compute, functools.partial(left_pair, _one_block_check(lo, hi, term)), env(n=-1))
 
 
 class TestFrischForEveryR:
@@ -325,7 +330,3 @@ class TestStructure:
                 a = evaluate(reflected, env(k=k, n=n))
                 b = evaluate(term, env(k=n - k, n=n))
                 assert a == b
-
-    def test_collect_names(self):
-        term = prod(sign(K), binom(N, K), ibinom(K + R, S))
-        assert collect_names(term) == {"k", "n", "r", "s"}
