@@ -11,7 +11,6 @@ weight, reciprocal, and moment transforms.
 from .affine import Affine, Bound
 from .catalog import (
     CatalogEntry,
-    GridReport,
     entry_ids,
     entry_to_dsl,
     export_catalog,
@@ -21,6 +20,7 @@ from .catalog import (
 )
 from .descriptors import (
     CheckResult,
+    GridReport,
     IdentityDescriptor,
     KernelBlock,
     Side,

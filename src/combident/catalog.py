@@ -24,14 +24,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .affine import Affine
 from .descriptors import (
-    FAILED,
-    SKIPPED_POLE,
-    SKIPPED_PRECONDITION,
-    VERIFIED,
     CheckResult,
+    GridReport,
     IdentityDescriptor,
     RangeConstraint,
     ValidityPredicate,
+    check_grid,
     check_two_sided,
 )
 from .dsl import parse_identity
@@ -292,35 +290,6 @@ def verify_entry(entry_id: str, binding: Mapping[str, Fraction]) -> CheckResult:
         raise UnboundParameterError(f"entry {entry.id} needs parameter {exc.args[0]}") from None
 
 
-@dataclass(frozen=True)
-class GridReport:
-    entry_id: str
-    counts: dict[str, int]
-    witnesses: tuple[CheckResult, ...]
-    total: int
-
-    @property
-    def failed(self) -> int:
-        return self.counts.get(FAILED, 0)
-
-    @property
-    def verified(self) -> int:
-        return self.counts.get(VERIFIED, 0)
-
-    @staticmethod
-    def tally(
-        entry_id: str, results: Iterable[CheckResult], max_witnesses: int = 10
-    ) -> "GridReport":
-        """Count statuses and keep the first ``max_witnesses`` failures."""
-        counts = {VERIFIED: 0, FAILED: 0, SKIPPED_POLE: 0, SKIPPED_PRECONDITION: 0}
-        witnesses = []
-        for result in results:
-            counts[result.status] += 1
-            if result.status == FAILED and len(witnesses) < max_witnesses:
-                witnesses.append(result)
-        return GridReport(entry_id, counts, tuple(witnesses), sum(counts.values()))
-
-
 def iter_grid(grid: GridSpec) -> Iterable[dict[str, int | Fraction]]:
     """Every binding of ``grid``: the product of its axes, names in sorted order.
 
@@ -340,7 +309,7 @@ def sorted_bindings(grid: GridSpec) -> Iterable[dict[str, int | Fraction]]:
 
     That order is the product of the sorted axes, so no binding is compared.
     """
-    return iter_grid({name: sorted(Fraction(v) for v in values) for name, values in grid.items()})
+    return iter_grid({name: sorted(map(exact, values)) for name, values in grid.items()})
 
 
 def verify_grid(
@@ -348,11 +317,13 @@ def verify_grid(
     grid: GridSpec | None = None,
     max_witnesses: int = 10,
 ) -> GridReport:
-    """Exhaustive deterministic sweep of one entry over a binding grid."""
+    """Exhaustive deterministic sweep of one entry over a binding grid, in one loop (:func:`check_grid`)."""
     entry = get_entry(entry_id)
     bindings = sorted_bindings(grid or entry.default_grid)
-    results = (verify_entry(entry_id, b) for b in bindings)
-    return GridReport.tally(entry.id, results, max_witnesses)
+    try:
+        return check_grid(entry.descriptor, bindings, entry.validity, max_witnesses)
+    except UnboundParameterError as exc:
+        raise UnboundParameterError(f"entry {entry.id} needs parameter {exc.args[0]}") from None
 
 
 # -- export --------------------------------------------------------------------

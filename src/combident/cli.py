@@ -25,22 +25,12 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .catalog import (
-    GridReport,
-    entry_ids,
-    export_catalog,
-    get_entry,
-    parse_values,
-    sorted_bindings,
-    verify_entry,
-    verify_grid,
-)
-from .descriptors import FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED
+from .catalog import entry_ids, export_catalog, get_entry, parse_values, sorted_bindings, verify_grid
+from .descriptors import FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED, check_grid
 from .dsl import parse_identity, print_identity
 from .errors import DslSyntaxError, EmptyGridError, ShapeError, UnknownEntryError
 from .integrals import _DPS, BetaArgs, beta_integral_exact, beta_integral_quadrature
 from .transforms import (
-    check_derived,
     frisch_transform,
     klamkin_transform,
     match_against_entry,
@@ -118,7 +108,7 @@ def cmd_verify(args) -> int:
                 grid[name] = values
         if args.sample is not None:
             bindings = _sample_grid(grid, args.sample, args.seed)
-            grid_report = GridReport.tally(entry.id, (verify_entry(entry.id, b) for b in bindings))
+            grid_report = check_grid(entry.descriptor, bindings, entry.validity)
         else:
             grid_report = verify_grid(entry.id, grid)
         counts = grid_report.counts
@@ -205,7 +195,8 @@ def cmd_derive(args) -> int:
             print(f"error: --{flag} applies to {owners} only", file=sys.stderr)
             return 2
     try:
-        source = open(args.input, "r", encoding="utf-8").read()
+        with open(args.input, "r", encoding="utf-8") as handle:
+            source = handle.read()
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
@@ -234,12 +225,11 @@ def cmd_derive(args) -> int:
             handle.write(text)
 
     # grid-verify the derived identity over its free parameters
-    results = [check_derived(derived, b) for b in sorted_bindings(grid)]
-    tallied = GridReport.tally(derived.provenance, results)
+    tallied = check_grid(derived_desc, sorted_bindings(grid), derived.validity)
     counts = tallied.counts
     if not counts[VERIFIED] and not counts[FAILED]:
         unexercised = " unexercised (every binding was skipped)"
-    elif not counts[FAILED] and all(r.lhs == 0 for r in results if r.status == VERIFIED):
+    elif not counts[FAILED] and tallied.vacuous == counts[VERIFIED]:
         unexercised = " unexercised (every verified binding is 0 == 0)"
     else:
         unexercised = ""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
-from typing import Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .affine import Affine, Bound
 from .errors import PoleError, PreconditionError, ShapeError, UnboundParameterError
@@ -180,6 +180,25 @@ class CheckResult(NamedTuple):
         return self.status != FAILED
 
 
+@dataclass(frozen=True)
+class GridReport:
+    """The outcome of checking many bindings: status counts and the first failures."""
+
+    entry_id: str
+    counts: dict[str, int]
+    witnesses: tuple[CheckResult, ...]
+    total: int
+    vacuous: int  # verified bindings whose sides are both 0
+
+    @property
+    def failed(self) -> int:
+        return self.counts.get(FAILED, 0)
+
+    @property
+    def verified(self) -> int:
+        return self.counts.get(VERIFIED, 0)
+
+
 def format_binding(binding: Mapping[str, Fraction]) -> str:
     return ", ".join(f"{name}={value}" for name, value in sorted(binding.items()))
 
@@ -228,12 +247,19 @@ def _polynomial(dense: list[int], common: int) -> Polynomial:
     return Polynomial.univariate("x", dense)
 
 
-def _same_polynomial(left: tuple[list[int], int], right: tuple[list[int], int]) -> bool:
-    """Whether two ``(dense, common)`` sides are one polynomial, compared in ints."""
-    (ldense, lcommon), (rdense, rcommon) = left, right
-    if lcommon == rcommon and len(ldense) == len(rdense):
-        return ldense == rdense
-    return all(u * rcommon == v * lcommon for u, v in zip_longest(ldense, rdense, fillvalue=0))
+def sides_agree(kernel_free: bool, left: tuple, right: tuple) -> bool:
+    """Whether the two sides that a generated check returned are one value, compared in ints.
+
+    Kernel-free sides are ``(num, den)`` pairs, compared by
+    cross-multiplication; any other sides are ``(dense, common)`` integer
+    x-coefficients over their common denominators.  Every denominator is > 0.
+    """
+    (lvalue, lden), (rvalue, rden) = left, right
+    if kernel_free:
+        return lvalue * rden == rvalue * lden
+    if lden == rden and len(lvalue) == len(rvalue):
+        return lvalue == rvalue
+    return all(u * rden == v * lden for u, v in zip_longest(lvalue, rvalue, fillvalue=0))
 
 
 def first_mismatch(lhs: Polynomial, rhs: Polynomial) -> str:
@@ -258,11 +284,9 @@ def check_two_sided(
     become ints.  One call of the descriptor's generated check
     (:meth:`IdentityDescriptor.check`) tests the sorts and ``validity`` and
     computes both sides on that copy, and the result keeps it.  The sides
-    are compared in ints: a kernel-free descriptor's two ``(num, den)``
-    pairs by cross-multiplication, any other's integer x-coefficients over
-    their common denominators.  A verified result builds one value, a
-    Fraction or a polynomial, and holds it as both ``lhs`` and ``rhs``.  A
-    declared parameter missing from the binding raises
+    are compared in ints (:func:`sides_agree`).  A verified result builds
+    one value, a Fraction or a polynomial, and holds it as both ``lhs`` and
+    ``rhs``.  A declared parameter missing from the binding raises
     :class:`UnboundParameterError`.
     """
     binding = exact_env(binding)
@@ -276,20 +300,61 @@ def check_two_sided(
     if type(sides) is str:
         return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=sides)
     left, right = sides
+    build = Fraction if desc.kernel_free else _polynomial
+    if sides_agree(desc.kernel_free, left, right):
+        value = build(*left)
+        return CheckResult(label, binding, VERIFIED, lhs=value, rhs=value)
+    lhs, rhs = build(*left), build(*right)
     if desc.kernel_free:
-        (lnum, lden), (rnum, rden) = left, right
-        if lnum * rden == rnum * lden:  # both denominators are > 0
-            value = Fraction(lnum, lden)
-            return CheckResult(label, binding, VERIFIED, lhs=value, rhs=value)
-        lhs, rhs = Fraction(lnum, lden), Fraction(rnum, rden)
         witness = f"lhs = {lhs}, rhs = {rhs} at {format_binding(binding)}"
     else:
-        if _same_polynomial(left, right):
-            value = _polynomial(*left)
-            return CheckResult(label, binding, VERIFIED, lhs=value, rhs=value)
-        lhs, rhs = _polynomial(*left), _polynomial(*right)
         witness = first_mismatch(lhs, rhs)
     return CheckResult(label, binding, FAILED, lhs=lhs, rhs=rhs, witness=witness)
+
+
+def check_grid(
+    desc: IdentityDescriptor,
+    bindings: Iterable[Mapping[str, Scalar]],
+    validity: ValidityPredicate | None = None,
+    max_witnesses: int = 10,
+) -> GridReport:
+    """Check every binding in one loop; count the statuses and keep the first failures.
+
+    Each binding must already be exact (:func:`exact_env`), as those of
+    :func:`catalog.iter_grid` are: the generated check runs on it directly
+    and the sides are compared in ints (:func:`sides_agree`), so no value is
+    built for a binding that verifies or is skipped.  Only a failure among
+    the first ``max_witnesses`` is checked again, by :func:`check_two_sided`,
+    for its witness.  A declared parameter missing from a binding raises
+    :class:`UnboundParameterError`.
+    """
+    check = desc.check(validity)
+    kernel_free = desc.kernel_free
+    verified = failed = pole = precondition = vacuous = 0
+    witnesses = []
+    for binding in bindings:
+        try:
+            sides = check(binding)
+        except PoleError:
+            pole += 1
+            continue
+        except PreconditionError:
+            precondition += 1
+            continue
+        if type(sides) is str:
+            precondition += 1
+        elif sides_agree(kernel_free, *sides):
+            verified += 1
+            value = sides[0][0]
+            if not (value if kernel_free else any(value)):
+                vacuous += 1
+        else:
+            failed += 1
+            if len(witnesses) < max_witnesses:
+                witnesses.append(check_two_sided(desc, binding, validity))
+    counts = {VERIFIED: verified, FAILED: failed, SKIPPED_POLE: pole, SKIPPED_PRECONDITION: precondition}
+    total = verified + failed + pole + precondition
+    return GridReport(desc.name, counts, tuple(witnesses), total, vacuous)
 
 
 # -- structural rewrites ----------------------------------------------------

@@ -21,7 +21,9 @@ Grammar (UTF-8, ``#`` line comments)::
                  plus a rational constant, e.g. "n - 2k + 1"
 
 The header names every parameter: a name in a block is a declared one or
-the index k, and k cannot appear in a bound.  Any other name, and k in a
+the index k, and k cannot appear in a bound.  Neither k nor a word of the
+grammar (``binom``, ``pow``, ``altpowsum``, ``floor``, ``min``, ``sum``,
+``x``) can be declared.  Any other name, and k in a
 bound, is a syntax error at that name's line and column.
 
 Printing produces normalized source; ``parse(print(d)) == d`` for every
@@ -71,6 +73,9 @@ _COMMENT, _NAME, _BAD = 1, 3, 5
 # the end token is repeated so that a peek of up to five tokens ahead, as at
 # "(1-x)^", never runs off the list
 _LOOKAHEAD = 6
+# names that the grammar reads as its own words: as parameters, x^x would be
+# the kernel x raised to a parameter
+_GRAMMAR_WORDS = frozenset(("binom", "pow", "altpowsum", "floor", "min", "sum", "x"))
 
 
 def _position(source: str, offset: int) -> tuple[int, int]:
@@ -164,6 +169,8 @@ class _Parser:
                 self.fail("expected parameter name", name_tok)
             if name_tok.text == "k":
                 self.fail("k is the reserved summation index", name_tok)
+            if name_tok.text in _GRAMMAR_WORDS:
+                self.fail(f"{name_tok.text} is a word of the grammar, not a parameter name", name_tok)
             self.expect(":")
             sort_tok = self.next()
             if sort_tok.text not in SORTS:

@@ -24,9 +24,6 @@ from typing import Callable, Mapping, Union
 
 from .affine import Affine, Bound
 from .descriptors import (
-    FAILED,
-    SKIPPED_POLE,
-    SKIPPED_PRECONDITION,
     CheckResult,
     IdentityDescriptor,
     KernelBlock,
@@ -35,6 +32,7 @@ from .descriptors import (
     ValidityPredicate,
     check_two_sided,
     format_binding,
+    sides_agree,
     transpose_descriptor,
 )
 from .errors import PoleError, PreconditionError, ShapeError
@@ -381,40 +379,44 @@ def match_against_entry(
     constant c, or ``c * (-1)^p`` for a parameter p that is an integer at
     every compared binding (a derivation may carry both sides by (-1)^n).
     Returns the set of factors seen.  Only summation entries can be matched
-    (:func:`summation_entry`).  The entry's two sides at a binding come from
-    one call of its generated check without validity; a binding it skips is
-    not compared.
+    (:func:`summation_entry`).  At each binding of the grid, the derived
+    identity's generated check runs under its validity and the entry's
+    without one, and their sides are compared in ints (:func:`sides_agree`);
+    a binding that either check skips is not compared.
     """
     from .catalog import iter_grid
 
     entry = summation_entry(entry_id)
+    # both are kernel-free, so each check returns two (num, den) pairs
+    derived_check = derived.descriptor.check(derived.validity)
     check = entry.descriptor.check()
-    bindings = list(iter_grid(grid or entry.default_grid))
     samples: list[tuple[Mapping, Fraction]] = []
     checked = 0
-    for binding in bindings:
-        derived_result = check_derived(derived, binding)
-        if derived_result.status in (SKIPPED_POLE, SKIPPED_PRECONDITION):
-            continue
-        if derived_result.status == FAILED:
-            return MatchReport(False, checked, (), f"derived identity fails at {format_binding(binding)}")
+    for binding in iter_grid(grid or entry.default_grid):
         try:
-            sides = check(derived_result.binding)
+            sides = derived_check(binding)
         except (PoleError, PreconditionError):
             continue
         if type(sides) is str:
             continue
-        (lnum, lden), (rnum, rden) = sides
-        cat_lhs, cat_rhs = Fraction(lnum, lden), Fraction(rnum, rden)
-        if cat_lhs != cat_rhs:
+        if not sides_agree(True, *sides):
+            return MatchReport(False, checked, (), f"derived identity fails at {format_binding(binding)}")
+        dnum, dden = sides[0]
+        try:
+            sides = check(binding)
+        except (PoleError, PreconditionError):
+            continue
+        if type(sides) is str:
+            continue
+        if not sides_agree(True, *sides):
             return MatchReport(False, checked, (), f"entry {entry_id} fails at {format_binding(binding)}")
-        der_lhs = derived_result.lhs
-        if (cat_lhs == 0) != (der_lhs == 0):
+        lnum, lden = sides[0]
+        if (lnum == 0) != (dnum == 0):
             return MatchReport(
                 False, checked, (), f"sides disagree at {format_binding(binding)}"
             )
-        if der_lhs != 0:
-            samples.append((binding, cat_lhs / der_lhs))
+        if dnum:
+            samples.append((binding, Fraction(lnum * dden, lden * dnum)))
         checked += 1
     if checked == 0:
         return MatchReport(False, 0, (), "no comparable bindings")

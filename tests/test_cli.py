@@ -1,19 +1,23 @@
 """Command-line interface: exit codes, determinism, end-to-end derivation."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from combident.catalog import macmahon_doubled
+from combident.cli import main
 from combident.dsl import print_identity
 
 GOLDEN_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all.json"
 
 
-def run_cli(*argv, check=False):
+def run_module(*argv, check=False):
+    """Run ``python -m combident`` in a new process, its output captured."""
     return subprocess.run(
         [sys.executable, "-m", "combident", *argv],
         check=check,
@@ -22,14 +26,28 @@ def run_cli(*argv, check=False):
     )
 
 
+def run_cli(*argv, check=False):
+    """Run ``cli.main`` in this process with its output captured, as :func:`run_module` reports it."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    result = subprocess.CompletedProcess(["combident", *argv], code, stdout.getvalue(), stderr.getvalue())
+    if check:
+        result.check_returncode()
+    return result
+
+
 class TestVerify:
     def test_frisch_grid_exits_zero(self):
-        result = run_cli("verify", "--id", "C03", "--n", "0..10", "--r", "1..5", "--s", "1..5")
+        result = run_module("verify", "--id", "C03", "--n", "0..10", "--r", "1..5", "--s", "1..5")
         assert result.returncode == 0
         assert "C03" in result.stdout
 
     def test_unknown_entry_exits_two(self):
-        result = run_cli("verify", "--id", "NOPE")
+        result = run_module("verify", "--id", "NOPE")
         assert result.returncode == 2
         assert "unknown entry" in result.stderr
 
@@ -50,7 +68,7 @@ class TestVerify:
         assert result.stdout == ""
 
     def test_usage_error_exits_two(self):
-        result = run_cli("verify", "--bogus-flag")
+        result = run_module("verify", "--bogus-flag")
         assert result.returncode == 2
 
     def test_override_of_an_absent_axis_exits_two(self):

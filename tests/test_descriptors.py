@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from combident import catalog, terms
 from combident.affine import Affine, Bound
 from combident.catalog import (
     entry_ids,
+    entry_to_dsl,
     get_entry,
     macmahon_doubled,
     sorted_bindings,
@@ -26,6 +28,7 @@ from combident.descriptors import (
     RangeConstraint,
     Side,
     ValidityPredicate,
+    check_grid,
     check_sorts,
     check_two_sided,
     eval_side,
@@ -33,6 +36,7 @@ from combident.descriptors import (
     format_binding,
     transpose_descriptor,
 )
+from combident.dsl import parse_identity
 from combident.errors import PoleError, PreconditionError, ShapeError, UnboundParameterError
 from combident.exact import binom_rational, binom_rational_pair
 from combident.poly import Polynomial
@@ -473,6 +477,43 @@ class TestGeneratedCheck:
                         continue
                     values += 1
         assert values > 300 and filenames == []
+
+
+class TestCheckGrid:
+    """The grid loop gives what a per-binding tally over check_two_sided gives."""
+
+    # (entry, text, mutant text): binom(n, 2k) agrees with binom(n, k) at n = 0 only
+    MUTANTS = (
+        ("C03", "binom(n, k)", "binom(n, 2k)"),
+        ("C01", "binom(n, k) * binom(k + r, s)", "binom(n, 2k) * binom(k + r, s)"),
+    )
+
+    @pytest.mark.parametrize("max_witnesses", [10, 3])
+    @pytest.mark.parametrize("entry_id, text, mutated", MUTANTS)
+    def test_a_failing_identity_reports_the_per_binding_tally(self, entry_id, text, mutated, max_witnesses):
+        entry = get_entry(entry_id)
+        source = entry_to_dsl(entry)
+        assert text in source
+        mutant = replace(parse_identity(source.replace(text, mutated, 1)), name=entry_id)
+        # s = 0 is outside the validity region s >= 1, so every status occurs
+        bindings = list(sorted_bindings({**entry.default_grid, "s": (0, *entry.default_grid["s"])}))
+        results = [check_two_sided(mutant, b, entry.validity) for b in bindings]
+        statuses = Counter(r.status for r in results)
+        assert min(statuses[s] for s in (VERIFIED, SKIPPED_POLE, SKIPPED_PRECONDITION)) > 0
+        failures = [r for r in results if r.status == FAILED]
+        assert len(failures) > 10
+        report = check_grid(mutant, bindings, entry.validity, max_witnesses)
+        assert report.counts == {s: statuses[s] for s in (VERIFIED, FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION)}
+        assert report.total == len(bindings)
+        assert report.witnesses == tuple(failures[:max_witnesses])
+        assert report.vacuous == 0
+
+    @pytest.mark.parametrize("entry_id, vacuous, verified", [("C10", 56, 108), ("C35", 5, 11), ("C32", 9, 24)])
+    def test_vacuous_bindings_are_the_verified_zeros(self, entry_id, vacuous, verified):
+        report = catalog.verify_grid(entry_id)
+        assert (report.vacuous, report.verified) == (vacuous, verified)
+        results = [verify_entry(entry_id, b) for b in sorted_bindings(get_entry(entry_id).default_grid)]
+        assert report.vacuous == sum(r.status == VERIFIED and r.lhs == 0 for r in results)
 
 
 class TestMemoizedBinomials:

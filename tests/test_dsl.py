@@ -65,6 +65,13 @@ class TestParse:
         with pytest.raises(DslSyntaxError):
             parse_identity("params k:nat;\nsum[k=0..n] 1 * x^k == sum[k=0..n] 1 * x^k\n")
 
+    @pytest.mark.parametrize("word", ["binom", "pow", "altpowsum", "floor", "min", "sum", "x"])
+    def test_a_word_of_the_grammar_is_no_parameter_name(self, word):
+        # declared, x would make x^x the kernel x raised to a parameter
+        with pytest.raises(DslSyntaxError) as info:
+            parse_identity(f"params n:nat,\n  {word}:nat;\nsum[k=0..n] 1 * x^k == sum[k=0..n] 1 * x^k\n")
+        assert str(info.value) == f"{word} is a word of the grammar, not a parameter name (line 2, column 3)"
+
     @pytest.mark.parametrize("numeral", ["½", "²"])
     def test_a_name_cannot_start_with_a_numeral(self, numeral):
         with pytest.raises(DslSyntaxError) as info:

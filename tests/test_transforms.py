@@ -2,16 +2,18 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-from combident import integrals
+from combident import catalog, integrals
 from combident.affine import Affine, Bound
 from combident.catalog import (
     entry_ids,
+    entry_to_dsl,
     get_entry,
     macmahon_doubled,
     sorted_bindings,
@@ -27,7 +29,7 @@ from combident.descriptors import (
     eval_side,
     rename_descriptor_parameters,
 )
-from combident.dsl import print_identity
+from combident.dsl import parse_identity, print_identity
 from combident.errors import NonIntegerExponentError, ShapeError, SingularExponentError
 from combident.integrals import (
     PACKAGED_FORMS,
@@ -420,10 +422,26 @@ class TestKlamkinIsFrischAfterReciprocal:
 
 class TestMatchAgainstEntry:
     @staticmethod
-    def constant_identity(value):
-        """The derived identity ``sum[k=0..0] value == sum[k=0..0] value``."""
-        side = Side((KernelBlock(Bound.of(0), Bound.of(0), const(value)),))
-        return DerivedIdentity(IdentityDescriptor((("n", "nat"),), side, side, f"constant {value}"))
+    def constant_identity(value, right=None):
+        """The derived identity ``sum[k=0..0] value == sum[k=0..0] right``, ``right`` ``value`` by default."""
+        left = Side((KernelBlock(Bound.of(0), Bound.of(0), const(value)),))
+        right = left if right is None else Side((KernelBlock(Bound.of(0), Bound.of(0), const(right)),))
+        return DerivedIdentity(IdentityDescriptor((("n", "nat"),), left, right, f"constant {value}"))
+
+    def test_a_failing_derived_identity_is_named_at_its_first_failure(self):
+        report = match_against_entry(self.constant_identity(1, right=2), "C39a")
+        assert (report.ok, report.checked, report.factors) == (False, 0, ())
+        assert report.detail == "derived identity fails at n=0"
+
+    def test_a_failing_entry_is_named_at_its_first_failure(self, monkeypatch):
+        # C39a's closed form with n + 2 for n + 1 still holds at n = 0, where both sides are 0
+        entry = get_entry("C39a")
+        source = entry_to_dsl(entry)
+        mutant = parse_identity(source.replace("n * (n + 1)", "n * (n + 2)", 1))
+        monkeypatch.setitem(catalog._ENTRIES, "C39a", replace(entry, descriptor=replace(mutant, name="C39a")))
+        report = match_against_entry(moment_transform(get_entry("F02").descriptor, 1), "C39a")
+        assert (report.ok, report.checked, report.factors) == (False, 1, ())
+        assert report.detail == "entry C39a fails at n=1"
 
     def test_zero_derived_side_against_nonzero_entry_is_a_mismatch(self):
         # C39a is (-1)^n n(n+1), nonzero from n = 1 on; 0 == 0 holds everywhere
