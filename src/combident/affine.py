@@ -8,11 +8,11 @@ constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import UnboundParameterError
+from .record import Record
 
 Scalar = Union[int, Fraction]
 
@@ -26,8 +26,7 @@ def _fraction(value: Scalar) -> Fraction:
     return _ZERO if value == 0 else Fraction(value)
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(Record):
     coeffs: tuple[tuple[str, int], ...] = ()
     const: Fraction = _ZERO
 
@@ -146,8 +145,7 @@ def _coerce(value) -> Affine:
     raise TypeError(f"cannot coerce {value!r} to Affine")
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(Record):
     """A summation bound: an affine form, optionally halved (floor) and capped.
 
     ``floor(n/2)`` is represented with ``half=True``; ``cap`` takes the

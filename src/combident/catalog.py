@@ -16,7 +16,6 @@ Waring, Rockett) so reports stay traceable without any external numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
@@ -34,6 +33,7 @@ from .descriptors import (
 )
 from .dsl import parse_identity
 from .errors import DslSyntaxError, EmptyGridError, UnboundParameterError, UnknownEntryError
+from .record import Record
 from .terms import exact
 
 GridSpec = Mapping[str, Sequence[Fraction]]
@@ -213,8 +213,7 @@ _TABLE: dict[str, tuple[str, str, dict[str, str], dict[str, int]]] = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     id: str
     title: str
     anchor: str
@@ -270,7 +269,7 @@ def get_entry(entry_id: str) -> CatalogEntry:
         title,
         anchor,
         {name: parse_values(spec) for name, spec in grid.items()},
-        replace(descriptor, name=entry_id),
+        descriptor.replace(name=entry_id),
         ValidityPredicate(
             tuple(RangeConstraint(Affine.var(name), bound) for name, bound in lower_bounds.items())
         ),
@@ -296,12 +295,7 @@ def iter_grid(grid: GridSpec) -> Iterable[dict[str, int | Fraction]]:
     Integral values are ints and the others Fractions (:func:`terms.exact`),
     so converting a binding for a check finds nothing to do.
     """
-    names = sorted(grid)
-    values = [tuple(map(exact, grid[name])) for name in names]
-    if not names or any(len(v) == 0 for v in values):
-        raise EmptyGridError(f"grid over {names} has no bindings")
-    for combo in iter_product(*values):
-        yield dict(zip(names, combo))
+    yield from _product({name: tuple(map(exact, values)) for name, values in grid.items()})
 
 
 def sorted_bindings(grid: GridSpec) -> Iterable[dict[str, int | Fraction]]:
@@ -309,7 +303,17 @@ def sorted_bindings(grid: GridSpec) -> Iterable[dict[str, int | Fraction]]:
 
     That order is the product of the sorted axes, so no binding is compared.
     """
-    return iter_grid({name: sorted(map(exact, values)) for name, values in grid.items()})
+    return _product({name: sorted(map(exact, values)) for name, values in grid.items()})
+
+
+def _product(axes: Mapping[str, Sequence[int | Fraction]]) -> Iterable[dict[str, int | Fraction]]:
+    """The bindings of already exact ``axes``, as :func:`iter_grid` yields them."""
+    names = sorted(axes)
+    values = [axes[name] for name in names]
+    if not names or any(len(v) == 0 for v in values):
+        raise EmptyGridError(f"grid over {names} has no bindings")
+    for combo in iter_product(*values):
+        yield dict(zip(names, combo))
 
 
 def verify_grid(
@@ -358,4 +362,4 @@ sum[k=0..2n] (-1)^k * binom(2n, k) * binom(2n, k) * binom(2n, k) * x^k
 
 def macmahon_doubled() -> IdentityDescriptor:
     """MacMahon's identity with the order doubled (kernel (1-x)^(2(n-k)))."""
-    return replace(parse_identity(_MACMAHON_DOUBLED), name="F05-doubled")
+    return parse_identity(_MACMAHON_DOUBLED).replace(name="F05-doubled")

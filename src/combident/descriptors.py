@@ -11,7 +11,6 @@ one-term ``k=0..0`` block, so one descriptor and one check cover them all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
@@ -20,6 +19,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 from .affine import Affine, Bound
 from .errors import PoleError, PreconditionError, ShapeError, UnboundParameterError
 from .poly import Polynomial
+from .record import Record
 from .terms import (
     TermExpr,
     compile_check,
@@ -44,8 +44,7 @@ _ZERO = Affine.of(0)
 _X = Polynomial.variable("x")
 
 
-@dataclass(frozen=True)
-class KernelBlock:
+class KernelBlock(Record):
     lo: Bound
     hi: Bound
     coef: TermExpr
@@ -54,19 +53,17 @@ class KernelBlock:
     one_plus_exp: Affine = _ZERO
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(Record):
     blocks: tuple[KernelBlock, ...]
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
+class IdentityDescriptor(Record, uncompared=("name",)):
     """A two-sided polynomial identity in x with named rational parameters."""
 
     params: tuple[tuple[str, str], ...]  # (name, sort)
     left: Side
     right: Side
-    name: str = field(default="", compare=False)
+    name: str = ""
 
     @cached_property
     def kernel_free(self) -> bool:
@@ -133,8 +130,7 @@ def check_sorts(desc_params, binding: Mapping[str, Scalar]) -> str | None:
 
 # -- validity predicates ----------------------------------------------------
 
-@dataclass(frozen=True)
-class RangeConstraint:
+class RangeConstraint(Record):
     """The validity condition ``expr >= bound``."""
 
     expr: Affine
@@ -147,8 +143,7 @@ class RangeConstraint:
         return f"{self.expr} >= {self.bound}"
 
 
-@dataclass(frozen=True)
-class ValidityPredicate:
+class ValidityPredicate(Record):
     constraints: tuple[RangeConstraint, ...] = ()
 
     def violation(self, binding: Mapping[str, Scalar]) -> str | None:
@@ -180,8 +175,7 @@ class CheckResult(NamedTuple):
         return self.status != FAILED
 
 
-@dataclass(frozen=True)
-class GridReport:
+class GridReport(Record):
     """The outcome of checking many bindings: status counts and the first failures."""
 
     entry_id: str

@@ -10,13 +10,13 @@ returned as 40-digit ``mpf`` values, so the two routes share no code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Union
 
 from .errors import NonIntegerExponentError, SingularExponentError
 from .exact import inv_binom
+from .record import Record
 
 if TYPE_CHECKING:
     import mpmath as mp
@@ -26,8 +26,7 @@ Scalar = Union[int, Fraction]
 _DPS = 40
 
 
-@dataclass(frozen=True)
-class BetaArgs:
+class BetaArgs(Record):
     """Exponent pair of the integrand y^a (1-y)^b."""
 
     a: Fraction

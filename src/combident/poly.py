@@ -7,9 +7,10 @@ graded-lexicographic order so equality is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
+
+from .record import Record
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -30,8 +31,7 @@ def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted((n, e) for n, e in exps.items() if e != 0))
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Immutable polynomial over Fraction in named indeterminates."""
 
     terms: tuple[tuple[Monomial, Fraction], ...]

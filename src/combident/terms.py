@@ -11,7 +11,6 @@ violations raise :class:`PreconditionError`, vanishing denominators raise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
@@ -19,35 +18,30 @@ from typing import Mapping, Union
 from .affine import Affine, Bound
 from .errors import PoleError, PreconditionError, ShapeError, UnboundParameterError
 from .exact import alternating_power_sum, binom_rational, binom_rational_pair
+from .record import Record
 
 Scalar = Union[int, Fraction]
 Env = Mapping[str, Scalar]
 
 
-class TermExpr:
+class TermExpr(Record):
     """Base class for summand expression nodes."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True)
 class Const(TermExpr):
     value: Fraction
 
 
-@dataclass(frozen=True)
 class AffineFactor(TermExpr):
     value: Affine
 
 
-@dataclass(frozen=True)
 class SignPow(TermExpr):
     """(-1) raised to an affine exponent (must be integer-valued)."""
 
     exponent: Affine
 
 
-@dataclass(frozen=True)
 class Power(TermExpr):
     """Affine base raised to a non-negative integer-valued affine exponent."""
 
@@ -55,7 +49,6 @@ class Power(TermExpr):
     exponent: Affine
 
 
-@dataclass(frozen=True)
 class Binom(TermExpr):
     """Binomial with affine indices; ``inverted`` marks a reciprocal factor."""
 
@@ -64,7 +57,6 @@ class Binom(TermExpr):
     inverted: bool = False
 
 
-@dataclass(frozen=True)
 class Quot(TermExpr):
     """Ratio of two affine forms, e.g. s/(k+s)."""
 
@@ -72,7 +64,6 @@ class Quot(TermExpr):
     denom: Affine
 
 
-@dataclass(frozen=True)
 class AltPowerSum(TermExpr):
     """``sum((-1)^p C(count,p) (shift+p)^power, p=0..count)``.
 
@@ -86,12 +77,10 @@ class AltPowerSum(TermExpr):
     power: Affine
 
 
-@dataclass(frozen=True)
 class Product(TermExpr):
     factors: tuple[TermExpr, ...]
 
 
-@dataclass(frozen=True)
 class TermSum(TermExpr):
     terms: tuple[TermExpr, ...]
 

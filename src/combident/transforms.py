@@ -18,7 +18,6 @@ stay evaluable at rational parameter bindings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
@@ -36,6 +35,7 @@ from .descriptors import (
     transpose_descriptor,
 )
 from .errors import PoleError, PreconditionError, ShapeError
+from .record import Record
 from .terms import (
     Const,
     Product,
@@ -56,8 +56,7 @@ K = Affine.var("k")
 ParamSpec = Union[str, int, Fraction]
 
 
-@dataclass(frozen=True)
-class DerivedIdentity:
+class DerivedIdentity(Record):
     """A derived equality of two finite sums over k: a kernel-free descriptor named by its provenance."""
 
     descriptor: IdentityDescriptor
@@ -346,8 +345,7 @@ def rewrite_descriptor(desc: IdentityDescriptor, rule: str) -> IdentityDescripto
 
 # -- matching derived output against catalog entries -----------------------------
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(Record):
     ok: bool
     checked: int
     factors: tuple[Fraction, ...]

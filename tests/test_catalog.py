@@ -4,7 +4,6 @@ import itertools
 import json
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -309,7 +308,7 @@ class TestMutants:
                 for i in range(_form_count(block.coef)):
                     total += 1
                     blocks = list(desc.left.blocks)
-                    blocks[b] = replace(block, coef=_shift_form(block.coef, i))
+                    blocks[b] = block.replace(coef=_shift_form(block.coef, i))
                     mutant = IdentityDescriptor(desc.params, Side(tuple(blocks)), desc.right, name=desc.name)
                     statuses = set()
                     for binding_ in sorted_bindings(entry.default_grid):

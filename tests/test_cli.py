@@ -318,11 +318,13 @@ class TestDerive:
         assert result.returncode == 2
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # only the integrals command needs mpmath, and it imports it itself
-    code = "import sys, combident.cli; print('mpmath' in sys.modules)"
+def test_cli_import_leaves_mpmath_dataclasses_and_inspect_unloaded():
+    # only the integrals command needs mpmath, and it imports it itself; the
+    # records are built without dataclasses, which would also load inspect
+    modules = ("mpmath", "dataclasses", "inspect")
+    code = f"import sys, combident.cli; print([m for m in {modules!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 class TestIntegrals:

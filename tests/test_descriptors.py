@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -494,7 +493,7 @@ class TestCheckGrid:
         entry = get_entry(entry_id)
         source = entry_to_dsl(entry)
         assert text in source
-        mutant = replace(parse_identity(source.replace(text, mutated, 1)), name=entry_id)
+        mutant = parse_identity(source.replace(text, mutated, 1)).replace(name=entry_id)
         # s = 0 is outside the validity region s >= 1, so every status occurs
         bindings = list(sorted_bindings({**entry.default_grid, "s": (0, *entry.default_grid["s"])}))
         results = [check_two_sided(mutant, b, entry.validity) for b in bindings]

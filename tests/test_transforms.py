@@ -2,7 +2,6 @@
 
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -438,7 +437,7 @@ class TestMatchAgainstEntry:
         entry = get_entry("C39a")
         source = entry_to_dsl(entry)
         mutant = parse_identity(source.replace("n * (n + 1)", "n * (n + 2)", 1))
-        monkeypatch.setitem(catalog._ENTRIES, "C39a", replace(entry, descriptor=replace(mutant, name="C39a")))
+        monkeypatch.setitem(catalog._ENTRIES, "C39a", entry.replace(descriptor=mutant.replace(name="C39a")))
         report = match_against_entry(moment_transform(get_entry("F02").descriptor, 1), "C39a")
         assert (report.ok, report.checked, report.factors) == (False, 1, ())
         assert report.detail == "entry C39a fails at n=1"
