@@ -8,7 +8,7 @@ whose closed forms are one-term ``k=0..0`` blocks.  The table gives each
 entry a title, a human anchor naming the classical identity it reproduces, a
 default verification grid in the ``--grid-*`` value syntax, and the lower
 bounds of its validity region.  An entry's file is parsed the first time the
-entry is asked for.
+entry is asked for, and its default grid is built the first time it is read.
 
 Anchors use the conventional names (Frisch, Klamkin, Simons, Dixon, MacMahon,
 Waring, Rockett) so reports stay traceable without any external numbering.
@@ -17,6 +17,7 @@ Waring, Rockett) so reports stay traceable without any external numbering.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -217,13 +218,18 @@ class CatalogEntry(Record):
     id: str
     title: str
     anchor: str
-    default_grid: dict[str, tuple[Fraction, ...]]
+    grid_spec: dict[str, str]  # axis -> values in the ``--grid-*`` syntax
     descriptor: IdentityDescriptor
     validity: ValidityPredicate
 
     @property
     def params(self) -> tuple[tuple[str, str], ...]:
         return self.descriptor.params
+
+    @cached_property
+    def default_grid(self) -> dict[str, tuple[Fraction, ...]]:
+        """The default grid, built on first use: a caller with its own grid never builds it."""
+        return {name: parse_values(spec) for name, spec in self.grid_spec.items()}
 
 
 def parse_values(spec: str) -> tuple[Fraction, ...]:
@@ -268,7 +274,7 @@ def get_entry(entry_id: str) -> CatalogEntry:
         entry_id,
         title,
         anchor,
-        {name: parse_values(spec) for name, spec in grid.items()},
+        grid,
         descriptor.replace(name=entry_id),
         ValidityPredicate(
             tuple(RangeConstraint(Affine.var(name), bound) for name, bound in lower_bounds.items())

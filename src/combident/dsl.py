@@ -64,12 +64,13 @@ class Token(NamedTuple):
     offset: int
 
 
-# each match is the whitespace before one token, then the token in one of five groups
+# each match is the whitespace before one token, then the token in one of five
+# groups, the commonest first; only a comment and a bad character can start alike
 _TOKEN = re.compile(
-    r"[ \t\r\n]*(?:(#[^\n]*)|(\d+)|([^\W\d]\w*)|(\.\.|==|\^-1|[][(),;:^*/+=-])|([^ \t\r\n]))"
+    r"[ \t\r\n]*(?:(\.\.|==|\^-1|[][(),;:^*/+=-])|([^\W\d]\w*)|(\d+)|(#[^\n]*)|([^ \t\r\n]))"
 )
-_KINDS = (None, "comment", "int", "name", "punct", "bad")
-_COMMENT, _NAME, _BAD = 1, 3, 5
+_KINDS = (None, "punct", "name", "int", "comment", "bad")
+_NAME, _COMMENT, _BAD = 2, 4, 5
 # the end token is repeated so that a peek of up to five tokens ahead, as at
 # "(1-x)^", never runs off the list
 _LOOKAHEAD = 6
@@ -85,19 +86,19 @@ def _position(source: str, offset: int) -> tuple[int, int]:
 
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
+    append, new = tokens.append, tuple.__new__  # a Token without its Python-level __new__
     end = len(source)
     for match in _TOKEN.finditer(source):
         group = match.lastindex
-        start = match.start(group)
         if group == _COMMENT:
             if match.end() == end:
-                end = start  # the end of input sits where a final comment starts
+                end = match.start(group)  # the end of input sits where a final comment starts
             continue
         text = match.group(group)
         # a name starts with a letter or "_", not with a numeral such as "½" or "²"
         if group == _BAD or group == _NAME and not (text[0].isalpha() or text[0] == "_"):
-            raise DslSyntaxError(f"unexpected character {text[0]!r}", *_position(source, start))
-        tokens.append(Token(_KINDS[group], text, start))
+            raise DslSyntaxError(f"unexpected character {text[0]!r}", *_position(source, match.start(group)))
+        append(new(Token, (_KINDS[group], text, match.start(group))))
     tokens += [Token("end", "", end)] * _LOOKAHEAD
     return tokens
 
@@ -109,7 +110,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
-        self.params: list[tuple[str, str]] = []
+        self.params: dict[str, str] = {}  # name -> sort, in declaration order
         self.in_bound = False
 
     # basic machinery
@@ -155,7 +156,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != "end":
             self.fail(f"trailing input starting at {tok.text!r}", tok)
-        return IdentityDescriptor(params=tuple(self.params), left=left, right=right)
+        return IdentityDescriptor(params=tuple(self.params.items()), left=left, right=right)
 
     def header(self):
         tok = self.next()
@@ -175,9 +176,9 @@ class _Parser:
             sort_tok = self.next()
             if sort_tok.text not in SORTS:
                 self.fail(f"unknown sort {sort_tok.text!r}", sort_tok)
-            if any(name_tok.text == n for n, _ in self.params):
+            if name_tok.text in self.params:
                 self.fail(f"duplicate parameter {name_tok.text!r}", name_tok)
-            self.params.append((name_tok.text, sort_tok.text))
+            self.params[name_tok.text] = sort_tok.text
             if self.accept(";"):
                 return
             self.expect(",")
@@ -314,11 +315,13 @@ class _Parser:
 
     def name(self, tok: Token) -> str:
         """The text of the name token ``tok``: a declared parameter, or k outside a bound."""
-        if tok.text == "k" and self.in_bound:
-            self.fail("the summation index k cannot appear in a bound", tok)
-        if tok.text != "k" and all(tok.text != n for n, _ in self.params):
-            self.fail(f"undeclared parameter {tok.text!r}", tok)
-        return tok.text
+        text = tok.text
+        if text not in self.params:
+            if text != "k":
+                self.fail(f"undeclared parameter {text!r}", tok)
+            if self.in_bound:
+                self.fail("the summation index k cannot appear in a bound", tok)
+        return text
 
     def factor(self) -> TermExpr:
         tok = self.peek()

@@ -153,8 +153,10 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 #
 # Names that are integral (sorts ``nat`` and ``int``) are read as ints.  A
 # k-free form over only those names with an integer constant is static: its
-# int value is computed once per call, with no D, no remainder test and no
-# rational branch, and the pair of a static form is over 1.
+# int value is computed once per call, with no D and no remainder test, and
+# the pair of a static form is over 1.  A binomial over a static upper index
+# is ``comb`` inline; any other, and every inverted one, is one call of the
+# memoized ``_binom_pair`` or ``_ibinom_pair``.
 #
 # One kind of function is generated: a check (:func:`compile_check`) per
 # identity and validity.  The declared parameters are every name it reads
@@ -262,6 +264,15 @@ def _binom_pair(num: int, den: int, j: int) -> Pair:
     return binom_rational_pair(num, den, j)
 
 
+@lru_cache(maxsize=4096)
+def _ibinom_pair(num: int, den: int, j: int) -> Pair:
+    """1 / binom(num/den, j) as a pair with ``den > 0``; memoized like :func:`_binom_pair`."""
+    b, d = _binom_pair(num, den, j)
+    if not b:
+        raise _no_reciprocal(num, den, j)
+    return (d, b) if b > 0 else (-d, -b)
+
+
 def _not_an_integer(name: str, value: Scalar) -> str:
     return f"{name} = {value} is not an integer"
 
@@ -313,7 +324,7 @@ _NAMESPACE = {
         for f in (
             _not_integer, _bound_not_integer, _exponent_not_integer, _negative_exponent,
             _negative_power, _negative_count, _negative_sum_power, _no_reciprocal, _vanishes,
-            _binom_int, _binom_pair, _not_an_integer, _negative, add_term,
+            _binom_int, _binom_pair, _ibinom_pair, _not_an_integer, _negative, add_term,
         )
     },
 }
@@ -411,15 +422,18 @@ class _Source:
 
     def split(self, form: Affine) -> tuple[int, Affine]:
         """``(c, rest)`` with ``form == c * k + rest``."""
-        c = form.coefficient("k")
-        if not c:
-            return 0, form
-        return c, Affine(tuple((n, v) for n, v in form.coeffs if n != "k"), form.const)
+        for name, c in form.coeffs:
+            if name == "k":
+                return c, Affine(tuple(p for p in form.coeffs if p[0] != "k"), form.const)
+        return 0, form
 
     def static(self, rest: Affine) -> str | None:
         """Identifier or literal of a static k-free form's int value, computed once per call; else None."""
-        if rest.const.denominator != 1 or any(name not in self.integral for name, _ in rest.coeffs):
+        if rest.const.denominator != 1:
             return None
+        for name, _ in rest.coeffs:
+            if name not in self.integral:
+                return None
         if rest.is_constant():
             return str(rest.const.numerator)
         key = _key(rest)
@@ -555,18 +569,17 @@ class _Source:
         raise TypeError(f"unknown term node {expr!r}")
 
     def binom(self, expr: Binom, depth: int) -> tuple[str, str]:
-        """Lower index first; then math.comb on an integral upper index, else ``_binom_pair``."""
+        """Lower index first; then ``comb`` on a static upper index, else one memoized pair call."""
         lower = expr.lower
         j = self.assign(depth, self.integer(lower, depth, "_not_integer", "lower index"), "j")
-        num, den = self.fresh("b"), self.fresh("d")
-        c, rest = self.split(expr.upper)
-        static = self.static(rest)
-        if static is not None:
-            u = _linear(c, "k", static)
-        else:
-            quotient, remainder = self.quotient(rest)
-            u = _linear(c, "k", quotient)
-        if static is not None and self.nonnegative(expr.upper):
+        num = self.fresh("b")
+        u, over = self.value(expr.upper)
+        if expr.inverted or over != "1":
+            den = self.fresh("d")
+            pair = "_ibinom_pair" if expr.inverted else "_binom_pair"
+            self.emit(depth, f"{num}, {den} = {pair}({u}, {over}, {j})")
+            return num, den
+        if self.nonnegative(expr.upper):
             # counting: comb is 0 above u, and so is a negative lower index
             counting = f"comb({u}, {j})" if self.nonnegative(lower) else f"comb({u}, {j}) if {j} >= 0 else 0"
         else:
@@ -576,20 +589,8 @@ class _Source:
                 test = f"({u} := {test})"
             signs = f"{test} >= 0" if self.nonnegative(lower) else f"{test} >= 0 <= {j}"
             counting = f"comb({u}, {j}) if {signs} else _binom_int({u}, {j})"
-        if static is not None:
-            self.emit(depth, f"{num} = {counting}")
-            den = "1"
-        else:
-            rational = f"_binom_pair({self.numerator(expr.upper)}, D, {j})"
-            self.emit(depth, f"{num}, {den} = {rational} if {remainder} else ({counting}, 1)")
-        if expr.inverted:
-            self.emit(depth, f"if not {num}: raise _no_reciprocal({', '.join(self.value(expr.upper))}, {j})")
-            if den == "1":
-                den = self.fresh("d")
-                self.emit(depth, f"{num}, {den} = (1, {num}) if {num} > 0 else (-1, -{num})")
-            else:
-                self.emit(depth, f"{num}, {den} = ({den}, {num}) if {num} > 0 else (-{den}, -{num})")
-        return num, den
+        self.emit(depth, f"{num} = {counting}")
+        return num, "1"
 
     def bound(self, bound: Bound, depth: int) -> str:
         """Source of a summation bound, which cannot name the index k."""

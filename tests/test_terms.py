@@ -15,6 +15,9 @@ from combident.catalog import entry_ids, get_entry
 from combident.errors import PoleError, PreconditionError, UnboundParameterError
 from combident.exact import binom_int, binom_rational
 from combident.terms import (
+    Binom,
+    _binom_pair,
+    _ibinom_pair,
     af,
     altpowsum,
     _forms,
@@ -252,6 +255,22 @@ class TestIntegerNumerators:
                     block, = side.blocks
                     assert Fraction(*pair) == evaluate_sum(block.lo, block.hi, block.coef, b), b
 
+    def test_one_pair_call_per_non_counting_binomial(self):
+        # C05's counting binomials are its two binom(n, k); each other one,
+        # over a rat upper index or inverted, is one memoized call and no divmod
+        desc = get_entry("C05").descriptor
+        rats = {name for name, sort in desc.params if sort == "rat"}
+        binoms = [t for side in (desc.left, desc.right) for b in side.blocks for t in b.coef.factors if isinstance(t, Binom)]
+        non_counting = [b for b in binoms if b.inverted or any(name in rats for name, _ in b.upper.coeffs)]
+        globals_ = [i.argval for i in dis.get_instructions(desc.check()) if i.opname == "LOAD_GLOBAL"]
+        assert len(non_counting) == 4 and len(binoms) == 6
+        assert globals_.count("_binom_pair") + globals_.count("_ibinom_pair") == len(non_counting)
+        assert globals_.count("_ibinom_pair") == sum(b.inverted for b in binoms)
+        assert "divmod" not in globals_
+        # C03's binom(n, k) counts over n >= 0 and k >= 0: a bare comb, no fallback
+        globals_ = [i.argval for i in dis.get_instructions(get_entry("C03").descriptor.check()) if i.opname == "LOAD_GLOBAL"]
+        assert globals_.count("comb") == 1 and "_binom_int" not in globals_
+
     def test_non_integer_lower_index_over_a_common_denominator(self):
         message = "lower index k + s must be an integer, got 8/3"
         term = binom(N + R, K + S)
@@ -281,6 +300,37 @@ def summed(lo, hi, term, binding):
     value = evaluate_sum(lo, hi, term, binding)
     assert Fraction(*left_pair(_one_block_check(lo, hi, term), binding)) == value
     return value
+
+
+class TestMemoizedBinomials:
+    """``_binom_pair`` and ``_ibinom_pair`` against :func:`evaluate` of ``binom(u, j)`` and its reciprocal."""
+
+    @staticmethod
+    def agree(num, den, j):
+        u = Affine.var("u")
+        binding = {"u": Fraction(num, den)}
+        for pair, inverted in ((_binom_pair, False), (_ibinom_pair, True)):
+            expected = _outcome(lambda: evaluate(Binom(u, Affine.of(j), inverted), binding))
+            got = _outcome(lambda: pair(num, den, j))
+            if isinstance(expected, Fraction):
+                assert type(got[0]) is int and type(got[1]) is int and got[1] > 0
+                assert Fraction(*got) == expected, (num, den, j, inverted)
+                continue
+            assert got == expected, (num, den, j, inverted)
+            # a call that raises is not cached: it raises again, and is no hit
+            hits = pair.cache_info().hits
+            assert _outcome(lambda: pair(num, den, j)) == expected
+            assert pair.cache_info().hits == hits
+
+    @pytest.mark.parametrize("num, den", [(6, 2), (7, 2), (-9, 3), (-7, 2), (0, 5), (4, 2), (-1, 1)])
+    @pytest.mark.parametrize("j", [-2, -1, 0, 1, 2, 3, 4])
+    def test_unreduced_denominators_negative_indices_and_zeros(self, num, den, j):
+        self.agree(num, den, j)
+
+    @given(st.integers(-12, 12), st.integers(1, 6), st.integers(-3, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_any_upper_index(self, num, den, j):
+        self.agree(num, den, j)
 
 
 class TestSums:
