@@ -64,8 +64,7 @@ class Token(NamedTuple):
     offset: int
 
 
-# each match is the whitespace before one token, then the token in one of five
-# groups, the commonest first; only a comment and a bad character can start alike
+# each match is whitespace, then one token in one of five groups, the commonest first (comment before bad)
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:(\.\.|==|\^-1|[][(),;:^*/+=-])|([^\W\d]\w*)|(\d+)|(#[^\n]*)|([^ \t\r\n]))"
 )
@@ -315,13 +314,11 @@ class _Parser:
 
     def name(self, tok: Token) -> str:
         """The text of the name token ``tok``: a declared parameter, or k outside a bound."""
-        text = tok.text
-        if text not in self.params:
-            if text != "k":
-                self.fail(f"undeclared parameter {text!r}", tok)
-            if self.in_bound:
-                self.fail("the summation index k cannot appear in a bound", tok)
-        return text
+        if tok.text == "k" and self.in_bound:
+            self.fail("the summation index k cannot appear in a bound", tok)
+        if tok.text != "k" and tok.text not in self.params:
+            self.fail(f"undeclared parameter {tok.text!r}", tok)
+        return tok.text
 
     def factor(self) -> TermExpr:
         tok = self.peek()

@@ -154,9 +154,8 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 # Names that are integral (sorts ``nat`` and ``int``) are read as ints.  A
 # k-free form over only those names with an integer constant is static: its
 # int value is computed once per call, with no D and no remainder test, and
-# the pair of a static form is over 1.  A binomial over a static upper index
-# is ``comb`` inline; any other, and every inverted one, is one call of the
-# memoized ``_binom_pair`` or ``_ibinom_pair``.
+# the pair of a static form is over 1.  A binomial over a static upper index is
+# inline ``comb``; any other, and every inverted one, is one memoized call.
 #
 # One kind of function is generated: a check (:func:`compile_check`) per
 # identity and validity.  The declared parameters are every name it reads
@@ -323,7 +322,7 @@ _NAMESPACE = {
         f.__name__: f
         for f in (
             _not_integer, _bound_not_integer, _exponent_not_integer, _negative_exponent,
-            _negative_power, _negative_count, _negative_sum_power, _no_reciprocal, _vanishes,
+            _negative_power, _negative_count, _negative_sum_power, _vanishes,
             _binom_int, _binom_pair, _ibinom_pair, _not_an_integer, _negative, add_term,
         )
     },
@@ -429,11 +428,8 @@ class _Source:
 
     def static(self, rest: Affine) -> str | None:
         """Identifier or literal of a static k-free form's int value, computed once per call; else None."""
-        if rest.const.denominator != 1:
+        if rest.const.denominator != 1 or not self.integral.issuperset(dict(rest.coeffs)):
             return None
-        for name, _ in rest.coeffs:
-            if name not in self.integral:
-                return None
         if rest.is_constant():
             return str(rest.const.numerator)
         key = _key(rest)
@@ -583,11 +579,8 @@ class _Source:
             # counting: comb is 0 above u, and so is a negative lower index
             counting = f"comb({u}, {j})" if self.nonnegative(lower) else f"comb({u}, {j}) if {j} >= 0 else 0"
         else:
-            test = u
-            if not (u.isidentifier() or _is_literal(u)):
-                u = self.fresh("u")
-                test = f"({u} := {test})"
-            signs = f"{test} >= 0" if self.nonnegative(lower) else f"{test} >= 0 <= {j}"
+            u = self.assign(depth, u, "u")
+            signs = f"{u} >= 0" if self.nonnegative(lower) else f"{u} >= 0 <= {j}"
             counting = f"comb({u}, {j}) if {signs} else _binom_int({u}, {j})"
         self.emit(depth, f"{num} = {counting}")
         return num, "1"
