@@ -12,8 +12,7 @@ one-term ``k=0..0`` block, so one descriptor and one check cover them all.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import zip_longest
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .affine import Affine, Bound
@@ -234,26 +233,41 @@ def _kernel(a: int, b: int, c: int) -> Polynomial:
     return _X**a * (1 - _X) ** b * (1 + _X) ** c
 
 
-def _polynomial(dense: list[int], common: int) -> Polynomial:
-    """The polynomial in x with the coefficients ``dense`` over ``common``, lowest power first."""
-    if common != 1:
-        dense = [Fraction(v, common) if v else 0 for v in dense]
-    return Polynomial.univariate("x", dense)
+def _coefficients(value: int, width: int) -> list[int]:
+    """The integer polynomial whose value at ``2^width`` is ``value``, lowest power first.
+
+    Its coefficients are the balanced base-2^width digits of ``value``, so
+    each must be less than ``2^(width-1)`` in absolute value, as every
+    coefficient of a side of :func:`terms.pack_sides` is.  No nonzero value
+    has such digits in base 2.
+    """
+    if width < 2 and value:
+        raise ValueError(f"balanced base-2 digits cannot encode {value}")
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    while value:
+        digit = ((value + half) & mask) - half
+        digits.append(digit)
+        value = (value - digit) >> width
+    return digits
 
 
-def sides_agree(kernel_free: bool, left: tuple, right: tuple) -> bool:
+def _polynomial(value: int, common: int, width: int) -> Polynomial:
+    """The polynomial in x of a side packed at ``x = 2^width``, over ``common``."""
+    return Polynomial.univariate("x", [Fraction(v, common) if v else 0 for v in _coefficients(value, width)])
+
+
+def sides_agree(left: tuple, right: tuple) -> bool:
     """Whether the two sides that a generated check returned are one value, compared in ints.
 
-    Kernel-free sides are ``(num, den)`` pairs, compared by
-    cross-multiplication; any other sides are ``(dense, common)`` integer
-    x-coefficients over their common denominators.  Every denominator is > 0.
+    Each side is ``(value, den)`` with ``den > 0``: a kernel-free side's
+    sum, or a kernel side's polynomial packed at ``x = 2^B``
+    (:func:`terms.pack_sides`), where the values of the two sides are
+    equal over their denominators iff the polynomials are.  So one
+    cross-multiplication compares every identity.
     """
     (lvalue, lden), (rvalue, rden) = left, right
-    if kernel_free:
-        return lvalue * rden == rvalue * lden
-    if lden == rden and len(lvalue) == len(rvalue):
-        return lvalue == rvalue
-    return all(u * rden == v * lden for u, v in zip_longest(lvalue, rvalue, fillvalue=0))
+    return lvalue * rden == rvalue * lden
 
 
 def first_mismatch(lhs: Polynomial, rhs: Polynomial) -> str:
@@ -279,8 +293,9 @@ def check_two_sided(
     (:meth:`IdentityDescriptor.check`) tests the sorts and ``validity`` and
     computes both sides on that copy, and the result keeps it.  The sides
     are compared in ints (:func:`sides_agree`).  A verified result builds
-    one value, a Fraction or a polynomial, and holds it as both ``lhs`` and
-    ``rhs``.  A declared parameter missing from the binding raises
+    one value, a Fraction or a polynomial decoded from its packed value
+    (:func:`_coefficients`), and holds it as both ``lhs`` and ``rhs``.  A
+    declared parameter missing from the binding raises
     :class:`UnboundParameterError`.
     """
     binding = exact_env(binding)
@@ -293,9 +308,9 @@ def check_two_sided(
         return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=str(exc))
     if type(sides) is str:
         return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=sides)
-    left, right = sides
-    build = Fraction if desc.kernel_free else _polynomial
-    if sides_agree(desc.kernel_free, left, right):
+    left, right = sides[0], sides[1]
+    build = Fraction if desc.kernel_free else partial(_polynomial, width=sides[2])
+    if sides_agree(left, right):
         value = build(*left)
         return CheckResult(label, binding, VERIFIED, lhs=value, rhs=value)
     lhs, rhs = build(*left), build(*right)
@@ -323,7 +338,6 @@ def check_grid(
     :class:`UnboundParameterError`.
     """
     check = desc.check(validity)
-    kernel_free = desc.kernel_free
     verified = failed = pole = precondition = vacuous = 0
     witnesses = []
     for binding in bindings:
@@ -337,10 +351,9 @@ def check_grid(
             continue
         if type(sides) is str:
             precondition += 1
-        elif sides_agree(kernel_free, *sides):
+        elif sides_agree(sides[0], sides[1]):
             verified += 1
-            value = sides[0][0]
-            if not (value if kernel_free else any(value)):
+            if not sides[0][0]:
                 vacuous += 1
         else:
             failed += 1

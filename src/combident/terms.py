@@ -265,8 +265,12 @@ def _binom_pair(num: int, den: int, j: int) -> Pair:
 
 @lru_cache(maxsize=4096)
 def _ibinom_pair(num: int, den: int, j: int) -> Pair:
-    """1 / binom(num/den, j) as a pair with ``den > 0``; memoized like :func:`_binom_pair`."""
-    b, d = _binom_pair(num, den, j)
+    """1 / binom(num/den, j) as a pair with ``den > 0``; memoized like :func:`_binom_pair`.
+
+    The binomial comes from the uncached body of :func:`_binom_pair`, so an
+    inverted binomial is stored in this cache only.
+    """
+    b, d = _binom_pair.__wrapped__(num, den, j)
     if not b:
         raise _no_reciprocal(num, den, j)
     return (d, b) if b > 0 else (-d, -b)
@@ -280,38 +284,71 @@ def _negative(name: str, value: Scalar) -> str:
     return f"{name} = {value} is negative"
 
 
-@lru_cache(maxsize=4096)
-def _kernel_coefficients(b: int, c: int) -> tuple[int, ...]:
-    """Integer coefficients of ``(1-x)^b (1+x)^c``, lowest power first."""
-    coeffs = [(-1) ** i * math.comb(b, i) for i in range(b + 1)]
-    for _ in range(c):
-        coeffs = [lo + hi for lo, hi in zip(coeffs + [0], [0] + coeffs)]
-    return tuple(coeffs)
+def _over_common(terms: list) -> tuple[list, int, int]:
+    """One side's terms ``(num, den, a, b, c)`` over their common denominator.
 
-
-def add_term(dense: list[int], common: int, num: int, den: int, a: int, b: int, c: int) -> int:
-    """Add ``num/den * x^a (1-x)^b (1+x)^c`` to ``dense``; return its new common denominator.
-
-    ``dense`` holds integer x-coefficients, lowest power first, over
-    ``common``.  A term is reduced before it is added, so ``common`` stays
-    the lcm of the reduced terms' denominators.
+    ``common`` is the lcm of the denominators as given.  Returns the
+    nonzero terms as ``(b, c, a, w)`` with integer weights ``w`` over
+    ``common``, in descending order, then ``common``, then a bound on the
+    absolute value of every x-coefficient of the side over ``common``:
+    ``sum(|w| 2^(b+c))``, since the coefficients of ``(1-x)^b (1+x)^c`` sum
+    in absolute value to ``2^(b+c)`` and ``x^a`` only shifts them.
     """
-    if not num:
-        return common
-    if den != 1:
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-        if common % den:
-            scale = den // math.gcd(common, den)
-            dense[:] = [v * scale for v in dense]
-            common *= scale
-    num *= common // den
-    kernel = _kernel_coefficients(b, c)
-    end = a + len(kernel)
-    if end > len(dense):
-        dense.extend([0] * (end - len(dense)))
-    dense[a:end] = [v + num * w for v, w in zip(dense[a:end], kernel)]
-    return common
+    common = math.lcm(*[den for _, den, _, _, _ in terms])
+    weighted = [(b, c, a, num * (common // den)) for num, den, a, b, c in terms if num]
+    weighted.sort(reverse=True)
+    return weighted, common, sum(abs(w) << (b + c) for b, c, _, w in weighted)
+
+
+def _horner(terms: list, width: int) -> int:
+    """``sum(w X^a (1-X)^b (1+X)^c)`` over ``terms`` ``(b, c, a, w)``, exactly at ``X = 2^width``.
+
+    ``terms`` come in descending order (:func:`_over_common`).  Horner's
+    rule runs in ``(1-X)`` over the runs of one b, and in ``(1+X)`` within
+    a run, so each step is a shift and an add.
+    """
+    total = inner = b0 = c0 = 0
+    if terms:
+        b0, c0 = terms[0][:2]
+    for b, c, a, w in terms:
+        if b != b0:
+            for _ in range(c0):
+                inner += inner << width
+            total += inner
+            for _ in range(b0 - b):
+                total -= total << width
+            inner, b0, c0 = 0, b, c
+        elif c != c0:
+            for _ in range(c0 - c):
+                inner += inner << width
+            c0 = c
+        inner += w << a * width
+    for _ in range(c0):
+        inner += inner << width
+    total += inner
+    for _ in range(b0):
+        total -= total << width
+    return total
+
+
+def pack_sides(left: list, right: list) -> tuple[Pair, Pair, int]:
+    """Both sides of a kernel identity as exact ints at ``x = X = 2^B``.
+
+    ``left`` and ``right`` hold each term ``num/den * x^a (1-x)^b (1+x)^c``
+    as ``(num, den, a, b, c)`` with ``den > 0``.  Returns ``(value, common)``
+    for each side, its polynomial over its common denominator evaluated at
+    X, and the width B.  With each side's coefficients bounded by
+    ``bound_l`` and ``bound_r`` (:func:`_over_common`), every coefficient of
+    ``rcommon * left - lcommon * right`` is at most
+    ``rcommon * bound_l + lcommon * bound_r`` in absolute value, which B
+    makes less than ``2^(B-1)``.  So the sides agree iff
+    ``lvalue * rcommon == rvalue * lcommon``, a side is 0 iff its value is,
+    and each value's balanced base-2^B digits are its coefficients.
+    """
+    left, lcommon, lbound = _over_common(left)
+    right, rcommon, rbound = _over_common(right)
+    width = (rcommon * lbound + lcommon * rbound).bit_length() + 1
+    return (_horner(left, width), lcommon), (_horner(right, width), rcommon), width
 
 
 _NAMESPACE = {
@@ -323,7 +360,7 @@ _NAMESPACE = {
         for f in (
             _not_integer, _bound_not_integer, _exponent_not_integer, _negative_exponent,
             _negative_power, _negative_count, _negative_sum_power, _vanishes,
-            _binom_int, _binom_pair, _ibinom_pair, _not_an_integer, _negative, add_term,
+            _binom_int, _binom_pair, _ibinom_pair, _not_an_integer, _negative, pack_sides,
         )
     },
 }
@@ -668,10 +705,10 @@ def _emit_side(src: _Source, blocks: tuple, kernel_free: bool) -> str:
     """Emit the k-loops of one side's blocks; return the source of the side's value.
 
     A kernel-free side adds its terms' pairs into ``total`` over ``common``.
-    Any other side adds ``num/den * x^a (1-x)^b (1+x)^c`` for every term to
-    ``dense`` over ``common`` (:func:`add_term`).
+    Any other side keeps every term ``num/den * x^a (1-x)^b (1+x)^c`` as
+    ``(num, den, a, b, c)`` in ``terms``, for :func:`pack_sides`.
     """
-    src.emit(1, "total, common = 0, 1" if kernel_free else "dense, common = [], 1")
+    src.emit(1, "total, common = 0, 1" if kernel_free else "terms = []")
     for lo, hi, coef, kernel in blocks:
         start, stop = src.bound(lo, 1), src.bound(hi, 1)
         if not (_is_literal(start) and int(start) >= 0):
@@ -681,14 +718,14 @@ def _emit_side(src: _Source, blocks: tuple, kernel_free: bool) -> str:
         num, den = src.term(coef, 2)
         if not kernel_free:
             exponents = ", ".join(src.kernel_exponent(f, what, 2) for f, what in zip(kernel, _KERNEL_LABELS))
-            src.emit(2, f"common = add_term(dense, common, {num}, {den}, {exponents})")
+            src.emit(2, f"terms.append(({num}, {den}, {exponents}))")
         elif den == "1":
             src.emit(2, f"total += {_group(num)} * common")
         else:
             num, den = src.assign(2, num, "n"), src.assign(2, den, "d")
             src.emit(2, f"if {den} == common: total += {num}")
             src.emit(2, f"else: total, common = total * {den} + {num} * common, common * {den}")
-    return "(total, common)" if kernel_free else "(dense, common)"
+    return "(total, common)" if kernel_free else "terms"
 
 
 def compile_check(
@@ -716,9 +753,10 @@ def compile_check(
       ``"n = -1 is negative"``; a missing name raises
       :class:`UnboundParameterError`;
     - returns the ``text`` of the first constraint that fails;
-    - otherwise returns the two sides' values over one D: ``(num, den)``
-      pairs for a ``kernel_free`` identity, else ``(dense, common)`` integer
-      x-coefficients over their common denominators (:func:`add_term`).
+    - otherwise returns the two sides' values over one D as ``(num, den)``
+      pairs: for a ``kernel_free`` identity the two sums, else the sides
+      evaluated exactly at ``x = 2^B`` with the width B as a third item
+      (:func:`pack_sides`).
 
     An error inside a side is raised with the type and message that
     :func:`evaluate` gives it.  The ``nat`` and ``int`` names are ints past
@@ -746,7 +784,7 @@ def compile_check(
     lhs = _emit_side(src, left, kernel_free)
     src.emit(1, f"lhs = {lhs}")
     rhs = _emit_side(src, right, kernel_free)
-    src.emit(1, f"return lhs, {rhs}")
+    src.emit(1, f"return lhs, {rhs}" if kernel_free else f"return pack_sides(lhs, {rhs})")
     return src.compile("check(env)", filename, reads)
 
 

@@ -397,7 +397,7 @@ def match_against_entry(
             continue
         if type(sides) is str:
             continue
-        if not sides_agree(True, *sides):
+        if not sides_agree(*sides):
             return MatchReport(False, checked, (), f"derived identity fails at {format_binding(binding)}")
         dnum, dden = sides[0]
         try:
@@ -406,7 +406,7 @@ def match_against_entry(
             continue
         if type(sides) is str:
             continue
-        if not sides_agree(True, *sides):
+        if not sides_agree(*sides):
             return MatchReport(False, checked, (), f"entry {entry_id} fails at {format_binding(binding)}")
         lnum, lden = sides[0]
         if (lnum == 0) != (dnum == 0):

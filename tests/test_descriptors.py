@@ -1,12 +1,15 @@
 """Two-sided identity checking: sides, statuses, transposition."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from combident import catalog, terms
+from combident import catalog, descriptors, terms
 from combident.affine import Affine, Bound
 from combident.catalog import (
     entry_ids,
@@ -31,6 +34,7 @@ from combident.descriptors import (
     check_sorts,
     check_two_sided,
     eval_side,
+    sides_agree,
     first_mismatch,
     format_binding,
     transpose_descriptor,
@@ -39,7 +43,7 @@ from combident.dsl import parse_identity
 from combident.errors import PoleError, PreconditionError, ShapeError, UnboundParameterError
 from combident.exact import binom_rational, binom_rational_pair
 from combident.poly import Polynomial
-from combident.terms import af, binom, const, evaluate_sum, exact_env, ibinom, prod
+from combident.terms import af, binom, const, evaluate_sum, exact_env, ibinom, pack_sides, prod
 from combident.transforms import (
     check_derived,
     frisch_transform,
@@ -422,9 +426,9 @@ class TestGeneratedCheck:
         assert outcomes == {"(1+x) exponent k + r is not an integer": 3, FAILED: 3}
 
     def test_rational_kernel_bindings_agree_with_the_reference(self):
-        # the dense expansion in ints over one common denominator against the
-        # reference polynomial of Fraction terms, which shares no code with
-        # it; terms over denominators other than 1 rescale the dense list
+        # the sides packed in ints over their common denominators, and
+        # decoded into a polynomial, against the reference polynomial of
+        # Fraction terms, which shares no code with them
         rationals = (Fraction(7, 2), Fraction(5, 3), Fraction(-7, 6))
         cases = [
             ("C01", [binding(n=n, r=r, s=s) for n in range(5) for r in rationals for s in (1, 2)]),
@@ -513,6 +517,179 @@ class TestCheckGrid:
         assert (report.vacuous, report.verified) == (vacuous, verified)
         results = [verify_entry(entry_id, b) for b in sorted_bindings(get_entry(entry_id).default_grid)]
         assert report.vacuous == sum(r.status == VERIFIED and r.lhs == 0 for r in results)
+
+
+def _kernel_sides(left, right) -> IdentityDescriptor:
+    """A descriptor without parameters whose sides hold one-term blocks ``p/q x^a (1-x)^b (1+x)^c``.
+
+    Each side is a list of ``(p, q, a, b, c)``; an empty side is 0.
+    """
+    def side(terms):
+        return Side(tuple(
+            KernelBlock(Bound.of(0), Bound.of(0), const(p, q), Affine.of(a), Affine.of(b), Affine.of(c))
+            for p, q, a, b, c in terms or [(0, 1, 0, 0, 0)]
+        ))
+
+    return IdentityDescriptor((), side(left), side(right), "packed")
+
+
+def _convolved(terms) -> list[Fraction]:
+    """The x-coefficients of ``sum(p/q x^a (1-x)^b (1+x)^c)``, lowest first, without trailing zeros.
+
+    Plain Fraction convolution, sharing no code with the packer.
+    """
+    coefficients = []
+    for p, q, a, b, c in terms:
+        kernel = [Fraction(p, q)]
+        for factor in [(1, -1)] * b + [(1, 1)] * c:
+            kernel = [
+                sum(kernel[i - j] * f for j, f in enumerate(factor) if 0 <= i - j < len(kernel))
+                for i in range(len(kernel) + 1)
+            ]
+        coefficients += [Fraction(0)] * (a + len(kernel) - len(coefficients))
+        for i, v in enumerate(kernel):
+            coefficients[a + i] += v
+    while coefficients and not coefficients[-1]:
+        coefficients.pop()
+    return coefficients
+
+
+def _decoded(pair, width) -> list[Fraction]:
+    value, common = pair
+    return [Fraction(v, common) for v in descriptors._coefficients(value, width)]
+
+
+def _polynomial_of(terms) -> Polynomial:
+    return Polynomial.univariate("x", _convolved(terms))
+
+
+_TERM = st.tuples(
+    st.integers(-(2**200), 2**200),
+    st.integers(1, 2**40),
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.integers(0, 12),
+)
+
+
+@st.composite
+def _rewritten(draw, terms):
+    """``terms`` rewritten into an equal sum: terms split, kernels expanded by one factor, the order permuted."""
+    out = []
+    for p, q, a, b, c in terms:
+        how = draw(st.sampled_from(("keep", "split", "scale", "one_minus", "one_plus")))
+        if how == "split":
+            part = draw(st.integers(-(2**200), 2**200))
+            out += [(part, q, a, b, c), (p - part, q, a, b, c)]
+        elif how == "scale":  # an unreduced pair
+            m = draw(st.integers(2, 2**20))
+            out.append((p * m, q * m, a, b, c))
+        elif how == "one_minus" and b:  # (1-x)^b = (1-x)^(b-1) - x (1-x)^(b-1)
+            out += [(p, q, a, b - 1, c), (-p, q, a + 1, b - 1, c)]
+        elif how == "one_plus" and c:  # (1+x)^c = (1+x)^(c-1) + x (1+x)^(c-1)
+            out += [(p, q, a, b, c - 1), (p, q, a + 1, b, c - 1)]
+        else:
+            out.append((p, q, a, b, c))
+    return draw(st.permutations(out))
+
+
+@st.composite
+def _side_pairs(draw):
+    """Two term lists: independent, equal by construction, or equal but for 1 in one coefficient."""
+    left = draw(st.lists(_TERM, max_size=6))
+    kind = draw(st.sampled_from(("independent", "equal", "off_by_one")))
+    if kind == "independent":
+        return left, draw(st.lists(_TERM, max_size=6))
+    right = draw(_rewritten(left))
+    if kind == "off_by_one":
+        right.append((draw(st.sampled_from((1, -1))), 1, draw(st.integers(0, 24)), 0, 0))
+    return left, right
+
+
+class TestPackedSides:
+    """Kernel sides evaluated at x = 2^B (terms.pack_sides): the width rule and the decoding."""
+
+    # (left, right) as (p, q, a, b, c) terms whose difference vanishes at a
+    # narrower X than the rule gives
+    NARROW = [
+        ([(2, 1, 0, 0, 0)], [(1, 1, 1, 0, 0)]),  # 2 and x meet at X = 2; B - 1 decodes 2 as x - 2
+        ([(1, 1, 1, 0, 0)], [(2, 1, 0, 0, 0)]),
+        ([(1, 1, 0, 0, 0)] * 8, [(1, 1, 1, 0, 0)]),  # eight 1s and x meet at X = 8, a max in place of the sum
+        ([], [(2, 1, 0, 0, 0), (-1, 1, 1, 0, 0)]),  # 0 and 2 - x meet at X = 2, a bound of one side
+        ([(2, 1, 0, 0, 0), (-1, 1, 1, 0, 0)], []),
+        ([(3, 2, 0, 0, 0)], [(3, 4, 0, 0, 1)]),  # 3/2 and 3/4 (1+x) meet at x = 1, over two denominators
+    ]
+
+    @pytest.mark.parametrize("left, right", NARROW)
+    def test_sides_that_meet_at_a_narrower_x_fail(self, left, right):
+        desc = _kernel_sides(left, right)
+        result = check_two_sided(desc, {})
+        assert result.status == FAILED
+        assert (result.lhs, result.rhs) == (_polynomial_of(left), _polynomial_of(right))
+        assert result.lhs != result.rhs
+        assert check_grid(desc, [{}]).counts[FAILED] == 1
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 64, 200])
+    def test_extreme_coefficients_round_trip(self, m):
+        # one side alone: B is one more than the bit length of its bound,
+        # so a coefficient of 2^m - 1 is 2^(B-1) - 1
+        top = 2**m - 1
+        for sign in (1, -1):
+            (pair, empty, width) = pack_sides([(sign * top, 1, 3, 0, 0)], [])
+            assert width == m + 1 and empty == (0, 1)
+            assert _decoded(pair, width) == [0, 0, 0, sign * top]
+        # and digits at the extremes of width B in any pattern
+        for width in (1, 2, 3, m + 1):
+            top = 2 ** (width - 1) - 1
+            digits = [top, -top, 0, -top, 1, top, -1, top] if top else [0, 0, 0, 0]
+            value = sum(d << (width * i) for i, d in enumerate(digits))
+            expected = digits[:]
+            while expected and not expected[-1]:
+                expected.pop()
+            assert descriptors._coefficients(value, width) == expected
+
+    @given(_side_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_packed_sides_agree_with_a_fraction_convolution(self, sides):
+        left, right = sides
+        expected_left, expected_right = _convolved(left), _convolved(right)
+        lpair, rpair, width = pack_sides(left, right)
+        # plain booleans: a wrong width decodes into long lists, and a diff of those is slow
+        agree = sides_agree(lpair, rpair) == (expected_left == expected_right)
+        vacuous = (not lpair[0], not rpair[0]) == (not expected_left, not expected_right)
+        decoded = _decoded(lpair, width) == expected_left and _decoded(rpair, width) == expected_right
+        assert lpair[1] > 0 and rpair[1] > 0
+        assert agree and vacuous and decoded, (agree, vacuous, decoded, width)
+
+    EXPAND = json.loads((Path(__file__).parents[1] / "perfbench" / "grids.json").read_text())["expand"]
+
+    # status counts (verified, failed, pole, precondition) and vacuous bindings on the expand grids
+    @pytest.mark.parametrize("entry_id, counts, vacuous", [
+        ("C01", (63, 0, 21, 0), 0),
+        ("C02", (84, 0, 0, 0), 0),
+        ("F01", (21, 0, 0, 0), 0),
+        ("F02", (21, 0, 0, 0), 0),
+        ("F03", (42, 0, 0, 0), 0),
+        ("F04", (20, 0, 0, 0), 0),
+        ("F05", (21, 0, 0, 0), 0),
+    ])
+    def test_expand_grid_reports_are_pinned(self, entry_id, counts, vacuous):
+        grid = {axis: tuple(Fraction(v) for v in values) for axis, values in self.EXPAND[entry_id].items()}
+        report = catalog.verify_grid(entry_id, grid)
+        statuses = (VERIFIED, FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION)
+        assert tuple(report.counts[s] for s in statuses) == counts
+        assert report.vacuous == vacuous
+
+    @pytest.mark.parametrize("entry_id, values", [
+        ("C01", {"n": 60, "r": Fraction(7, 2), "s": 2}),
+        ("F03", {"n": 60, "u": Fraction(5, 3)}),
+    ])
+    def test_a_wide_binding_agrees_with_the_reference(self, entry_id, values):
+        entry = get_entry(entry_id)
+        width = entry.descriptor.check(entry.validity)(exact_env(values))[2]
+        assert width > 500
+        [result] = _agree(entry.descriptor, [values], entry.validity)
+        assert result[0] == VERIFIED and len(result[2].terms) == 61
 
 
 class TestMemoizedBinomials:

@@ -332,6 +332,15 @@ class TestMemoizedBinomials:
     def test_any_upper_index(self, num, den, j):
         self.agree(num, den, j)
 
+    def test_an_inverted_miss_is_stored_in_its_own_cache_only(self):
+        # upper indices no other test asks for, so each call below is a miss
+        before, inverted = _binom_pair.cache_info(), _ibinom_pair.cache_info()
+        for num in range(1_000_003, 1_000_013):
+            assert Fraction(*_ibinom_pair(num, 7, 3)) == 1 / binom_rational(Fraction(num, 7), 3)
+        after = _ibinom_pair.cache_info()
+        assert (after.misses, after.currsize) == (inverted.misses + 10, inverted.currsize + 10)
+        assert _binom_pair.cache_info() == before
+
 
 class TestSums:
     def test_geometric_left_side(self):
