@@ -34,6 +34,7 @@ from .transforms import (
     frisch_transform,
     klamkin_transform,
     match_against_entry,
+    match_grid,
     moment_transform,
     summation_entry,
 )
@@ -201,8 +202,8 @@ def cmd_derive(args) -> int:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     desc = parse_identity(source)
-    if args.match:
-        summation_entry(args.match)  # an unknown or polynomial entry fails before anything is printed
+    # an unknown or polynomial entry fails before anything is derived or printed
+    entry = summation_entry(args.match) if args.match else None
 
     if args.scheme == "frisch":
         derived = frisch_transform(desc, direction=args.direction)
@@ -213,6 +214,8 @@ def cmd_derive(args) -> int:
             print("error: --m is required for the moment scheme", file=sys.stderr)
             return 2
         derived = moment_transform(desc, args.m, variant=args.variant)
+    if entry:
+        match_grid(derived, entry)  # and so does a derived parameter that the entry's grid lacks
 
     derived_desc = derived.descriptor
     grid = _derive_grid(derived_desc, args)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import TYPE_CHECKING, Union
 
 from .errors import NonIntegerExponentError, SingularExponentError
@@ -52,9 +53,11 @@ def beta_integral_exact(args: BetaArgs) -> Fraction:
 #: the rest are guard bits for the recurrence and the weights near the ends.
 _PREC = 160
 _ONE = 1 << _PREC
-#: Newton steps in floats from the Chebyshev guess; the float root only seeds
-#: the fixed-point polish, so this cap needs no convergence test of its own.
+#: Newton steps in floats from the Chebyshev guess, at most: the float root
+#: only seeds the fixed-point polish, so they stop once a step is below
+#: _SEED_STOP, the spacing of floats just above 1 (3 or 4 steps at 64 nodes).
 _SEED_STEPS = 8
+_SEED_STOP = 2.0**-52
 #: Newton steps in fixed point.  A float seed is good to about 1e-16 and each
 #: step squares the error, so two or three steps suffice.
 _POLISH_STEPS = 4
@@ -91,12 +94,54 @@ def _legendre_fixed(n: int, x: int) -> tuple[int, int]:
     return p, (n * ((x * p >> _PREC) - p_prev) << _PREC) // ((x * x >> _PREC) - _ONE)
 
 
-#: ``nodes -> (pairs, middle)``, filled by ``gauss_legendre_rule``: ``(x, w)``
-#: for the node x > 1/2 of each mirrored pair and its weight, and the weight of
-#: an odd rule's middle node (0 for an even rule), as ints scaled by 2^_PREC.
-#: They are the 40-digit values the rule returns, so the quadrature sums over
-#: exactly the published rule.
-_FIXED_RULES: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+class _PairRows:
+    """Power rows over the mirrored node pairs x > 1/2 and y = 1 - x of one rule.
+
+    Each pair shares a weight w.  ``products[e]`` holds ``w (xy)^e`` and
+    ``sums[e]`` holds ``x^e + y^e`` for every pair, as ints scaled by
+    2^(2 _PREC) and 2^_PREC: each power is truncated to 2^-_PREC once from
+    its exact value, and w multiplies the truncated ``(xy)^e`` exactly.
+    ``middle`` is the weight of an odd rule's middle node (0 for an even
+    rule).  :meth:`extend` adds rows as far as the highest exponent asked
+    for, one pair at a time: the exact powers start from one ``pow`` per
+    base and then take one multiplication per exponent.  They are dropped
+    with the pair, because keeping each pair's top powers between calls
+    raised the peak memory of a process by about 0.25 MB.
+    """
+
+    def __init__(self, pairs: list[tuple[int, int]], middle: int) -> None:
+        self.middle = middle
+        self._pairs = [(w, x, _ONE - x, x * (_ONE - x)) for x, w in pairs]
+        self.products = [tuple(w << _PREC for _, w in pairs)]
+        self.sums = [(2 << _PREC,) * len(pairs)]
+
+    def extend(self, top: int) -> None:
+        """Add the rows up to exponent ``top``."""
+        exponents = range(len(self.sums), top + 1)
+        products = [[] for _ in exponents]
+        sums = [[] for _ in exponents]
+        last = exponents.start - 1
+        for w, x, y, xy in self._pairs:
+            px, py, pxy = x**last, y**last, xy**last
+            for e, product_row, sum_row in zip(exponents, products, sums):
+                px, py, pxy = px * x, py * y, pxy * xy
+                product_row.append(w * (pxy >> (2 * e - 1) * _PREC))
+                sum_row.append(px + py >> (e - 1) * _PREC)
+        self.products += map(tuple, products)
+        self.sums += map(tuple, sums)
+
+
+#: ``nodes -> rows``, filled by ``gauss_legendre_rule`` from the 40-digit nodes
+#: and weights it returns, so the quadrature sums over exactly the published rule.
+_FIXED_RULES: dict[int, _PairRows] = {}
+
+
+def _mpf(man: int, exp: int) -> mp.mpf:
+    """``man * 2^exp`` rounded to _DPS digits, as ``mp.mpf((man, exp))`` gives it at that precision."""
+    import mpmath as mp  # imported on first use: most commands never need it
+
+    libmp = mp.libmp
+    return mp.make_mpf(libmp.from_man_exp(man, exp, libmp.dps_to_prec(_DPS), libmp.round_nearest))
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +149,8 @@ def gauss_legendre_rule(nodes: int) -> tuple[tuple, tuple]:
     """Nodes and weights on [0, 1] at 40 digits, nodes in decreasing order.
 
     Each non-negative root x of ``P_n`` on [-1, 1] is found by Newton in
-    floats from a Chebyshev guess, then polished by Newton in fixed point
+    floats from a Chebyshev guess, stopped once a step is below 2^-52 (at
+    most ``_SEED_STEPS`` steps), then polished by Newton in fixed point
     (ints scaled by 2^160) until a step falls below 2^-73, about 1e-22:
     convergence is quadratic, so the error after that step is below the
     working precision.  A root that does not get there in ``_POLISH_STEPS``
@@ -120,7 +166,10 @@ def gauss_legendre_rule(nodes: int) -> tuple[tuple, tuple]:
         seed = _cos(math.pi * (i - 0.25) / (nodes + 0.5))
         for _ in range(_SEED_STEPS):
             p, dp = _legendre(nodes, seed)
-            seed -= p / dp
+            step = p / dp
+            seed -= step
+            if abs(step) < _SEED_STOP:
+                break
         x = int(math.ldexp(seed, _PREC))
         for _ in range(_POLISH_STEPS):
             p, dp = _legendre_fixed(nodes, x)
@@ -134,36 +183,19 @@ def gauss_legendre_rule(nodes: int) -> tuple[tuple, tuple]:
         # the [-1, 1] weight 2 / ((1 - x^2) P_n'(x)^2), halved for [0, 1]
         roots.append((x, (1 << 4 * _PREC) // ((_ONE - (x * x >> _PREC)) * dp * dp)))
     mirror = roots[: nodes // 2][::-1]  # an odd rule's middle root 0 is its own mirror
-    import mpmath as mp  # imported on first use: most commands never need it
-
-    with mp.workdps(_DPS):
-        # (1 +- x) / 2 is exact at scale 2^(_PREC + 1); mpf rounds it to 40 digits
-        xs = [mp.mpf((_ONE + x, -_PREC - 1)) for x, _ in roots]
-        xs += [mp.mpf((_ONE - x, -_PREC - 1)) for x, _ in mirror]
-        ws = [mp.mpf((w, -_PREC)) for _, w in roots + mirror]
+    # (1 +- x) / 2 is exact at scale 2^(_PREC + 1); _mpf rounds it to 40 digits
+    xs = [_mpf(_ONE + x, -_PREC - 1) for x, _ in roots]
+    xs += [_mpf(_ONE - x, -_PREC - 1) for x, _ in mirror]
+    ws = [_mpf(w, -_PREC) for _, w in roots + mirror]
     from mpmath.libmp import to_fixed
 
     def fixed(value) -> int:
         return to_fixed(value._mpf_, _PREC)
 
     half = nodes // 2
-    pairs = tuple((fixed(x), fixed(w)) for x, w in zip(xs[:half], ws))
-    _FIXED_RULES[nodes] = pairs, fixed(ws[half]) if nodes % 2 else 0
+    pairs = [(fixed(x), fixed(w)) for x, w in zip(xs[:half], ws)]
+    _FIXED_RULES[nodes] = _PairRows(pairs, fixed(ws[half]) if nodes % 2 else 0)
     return tuple(xs), tuple(ws)
-
-
-@lru_cache(maxsize=None)
-def _pair_powers(nodes: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(xy)^e`` and ``x^e + y^e`` for each mirrored pair x, y = 1 - x of the rule.
-
-    Both are ints scaled by 2^_PREC, each truncated once from its exact value.
-    """
-    products, sums = [], []
-    for x, _ in _FIXED_RULES[nodes][0]:
-        y = _ONE - x
-        products.append(((x * y) ** e << _PREC) >> 2 * e * _PREC)
-        sums.append(((x**e + y**e) << _PREC) >> e * _PREC)
-    return tuple(products), tuple(sums)
 
 
 def beta_integral_quadrature(args: BetaArgs, nodes: int = 64) -> mp.mpf:
@@ -178,29 +210,24 @@ def beta_integral_quadrature(args: BetaArgs, nodes: int = 64) -> mp.mpf:
 
     The sum runs in fixed point (ints scaled by 2^160) over the mirrored node
     pairs x and y = 1 - x of the cached rule, which share a weight w: each
-    pair adds ``w (xy)^min(a,b) (x^|a-b| + y^|a-b|)``, read from the cached
-    power tables of :func:`_pair_powers`, and one floor shift ends the sum;
-    an odd rule's middle node 1/2 adds ``w 2^-(a+b)``.
+    pair adds ``w (xy)^min(a,b) (x^|a-b| + y^|a-b|)``, read from the rule's
+    rows (:class:`_PairRows`), and one floor shift ends the sum; an odd
+    rule's middle node 1/2 adds ``w 2^-(a+b)``.
     """
     a, b = args.a, args.b
-    if a < 0 or b < 0:
+    if a.numerator < 0 or b.numerator < 0:
         raise SingularExponentError(f"quadrature needs non-negative exponents, got ({a}, {b})")
     if a.denominator != 1 or b.denominator != 1:
         raise NonIntegerExponentError(f"quadrature needs integer exponents, got ({a}, {b})")
-    low, gap, degree = int(min(a, b)), int(abs(a - b)), int(a + b)
+    a, b = a.numerator, b.numerator
+    low, gap = (a, b - a) if a <= b else (b, a - b)
     if nodes not in _FIXED_RULES:
         gauss_legendre_rule(nodes)
-    pairs, middle = _FIXED_RULES[nodes]
-    products, _ = _pair_powers(nodes, low)
-    _, sums = _pair_powers(nodes, gap)
-    total = 0
-    for (_, w), p, s in zip(pairs, products, sums):
-        total += w * p * s
-    total = (total >> 2 * _PREC) + (middle >> degree)
-    import mpmath as mp
-
-    with mp.workdps(_DPS):
-        return mp.mpf((total, -_PREC))
+    rows = _FIXED_RULES[nodes]
+    if len(rows.sums) <= max(low, gap):
+        rows.extend(max(low, gap))
+    total = (sum(map(mul, rows.products[low], rows.sums[gap])) >> 2 * _PREC) + (rows.middle >> a + b)
+    return _mpf(total, -_PREC)
 
 
 def _form_upper_weight(r: int, k: int, s: int, n: int):

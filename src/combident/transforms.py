@@ -19,6 +19,7 @@ stay evaluable at rational parameter bindings.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Mapping, Union
 
 from .affine import Affine, Bound
@@ -366,6 +367,21 @@ def summation_entry(entry_id: str):
     return entry
 
 
+def match_grid(derived: DerivedIdentity, entry, grid: Mapping | None = None) -> Mapping:
+    """The grid a match of ``derived`` against ``entry`` runs on: ``grid``, or the entry's default grid.
+
+    A parameter of the derived identity that the grid has no axis for raises
+    :class:`ShapeError`, naming the first such parameter in declaration order.
+    """
+    grid = grid or entry.default_grid
+    for name, _ in derived.descriptor.params:
+        if name not in grid:
+            raise ShapeError(
+                f"the derived identity's parameter {name!r} is not an axis of entry {entry.id}'s grid"
+            )
+    return grid
+
+
 def match_against_entry(
     derived: DerivedIdentity, entry_id: str, grid: Mapping | None = None
 ) -> MatchReport:
@@ -375,22 +391,28 @@ def match_against_entry(
     binding, so a binding where exactly one of them is 0 is a mismatch.  The
     match is ok only when the factors reproduce the entry: they are one
     constant c, or ``c * (-1)^p`` for a parameter p that is an integer at
-    every compared binding (a derivation may carry both sides by (-1)^n).
-    Returns the set of factors seen.  Only summation entries can be matched
-    (:func:`summation_entry`).  At each binding of the grid, the derived
-    identity's generated check runs under its validity and the entry's
-    without one, and their sides are compared in ints (:func:`sides_agree`);
-    a binding that either check skips is not compared.
+    every compared binding whose sides are nonzero (a derivation may carry
+    both sides by (-1)^n).  Returns the set of factors seen.  Only summation
+    entries can be matched (:func:`summation_entry`), on a grid with an axis
+    for every parameter of the derived identity (:func:`match_grid`).  At
+    each binding of the grid, the derived identity's generated check runs
+    under its validity and the entry's without one, and their sides are
+    compared in ints (:func:`sides_agree`); a binding that either check
+    skips is not compared.  A binding's factor ``(lnum dden) / (lden dnum)``
+    is reduced in ints and looked up among the distinct factors seen so
+    far, so one ``Fraction`` is built per distinct factor, not per binding.
     """
     from .catalog import iter_grid
 
     entry = summation_entry(entry_id)
+    grid = match_grid(derived, entry, grid)
     # both are kernel-free, so each check returns two (num, den) pairs
     derived_check = derived.descriptor.check(derived.validity)
     check = entry.descriptor.check()
-    samples: list[tuple[Mapping, Fraction]] = []
+    seen: dict[tuple[int, int], int] = {}  # each distinct factor, reduced, and its index
+    samples: list[tuple[Mapping, int]] = []  # per binding with nonzero sides, its factor's index
     checked = 0
-    for binding in iter_grid(grid or entry.default_grid):
+    for binding in iter_grid(grid):
         try:
             sides = derived_check(binding)
         except (PoleError, PreconditionError):
@@ -414,24 +436,34 @@ def match_against_entry(
                 False, checked, (), f"sides disagree at {format_binding(binding)}"
             )
         if dnum:
-            samples.append((binding, Fraction(lnum * dden, lden * dnum)))
+            num, den = lnum * dden, lden * dnum
+            divisor = gcd(num, den) if den > 0 else -gcd(num, den)
+            samples.append((binding, seen.setdefault((num // divisor, den // divisor), len(seen))))
         checked += 1
     if checked == 0:
         return MatchReport(False, 0, (), "no comparable bindings")
-    factors = tuple(sorted({factor for _, factor in samples}))
-    if not _unit_form(samples):
+    distinct = [Fraction(num, den) for num, den in seen]
+    factors = tuple(sorted(distinct))
+    if len(distinct) > 1 and not _unit_form(samples, distinct):
         return MatchReport(False, checked, factors, "factors are neither c nor c * (-1)^p")
     return MatchReport(True, checked, factors)
 
 
-def _unit_form(samples: list[tuple[Mapping, Fraction]]) -> bool:
-    """True when the per-binding factors are one constant c, or ``c * (-1)^p`` for a parameter p."""
-    if len({factor for _, factor in samples}) <= 1:
-        return True
+def _unit_form(samples: list[tuple[Mapping, int]], factors: list[Fraction]) -> bool:
+    """True when the samples' factors are ``c * (-1)^p`` for a parameter p.
+
+    A sample is a binding and the index of its factor in ``factors``.  p
+    qualifies when it is an integer at every sampled binding; the values of
+    a grid's bindings are exact, so an integer is an ``int``.
+    """
     for name in sorted(samples[0][0]):
-        values = [Fraction(binding[name]) for binding, _ in samples]
-        if all(v.denominator == 1 for v in values):
-            signed = {factor if v.numerator % 2 == 0 else -factor for v, (_, factor) in zip(values, samples)}
-            if len(signed) == 1:
+        parities = set()
+        for binding, index in samples:
+            value = binding[name]
+            if type(value) is not int:
+                break
+            parities.add((index, value & 1))
+        else:
+            if len({-factors[index] if odd else factors[index] for index, odd in parities}) == 1:
                 return True
     return False

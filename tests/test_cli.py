@@ -195,6 +195,18 @@ class TestDerive:
         assert result.stderr == "error: unknown entry 'C99'\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("entry_id", ["C03", "C39a"])
+    def test_match_whose_grid_lacks_a_derived_parameter_exits_two(self, exported, entry_id):
+        # F03's Frisch identity has the parameter u, which neither entry's grid has
+        result = run_cli(
+            "derive", "--scheme", "frisch", "--input", str(exported / "F03.dsl"), "--match", entry_id,
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"error: the derived identity's parameter 'u' is not an axis of entry {entry_id}'s grid\n"
+        )
+        assert result.stdout == ""
+
     def test_override_of_an_absent_axis_exits_two(self, exported):
         result = run_cli(
             "derive", "--scheme", "frisch", "--input", str(exported / "F03.dsl"),
@@ -362,6 +374,21 @@ class TestIntegrals:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["worst_pair"] == [3, 3]
         assert report["status"] == "FAIL" and report["within_tolerance"] is False
+
+    @pytest.mark.parametrize(
+        "nodes, max_exp, max_error, worst_pair",
+        [
+            ("64", "20", "1.43492962747e-42", [0, 10]),
+            ("31", "30", "2.1523944412e-42", [0, 26]),
+            ("11", "10", "5.73971850987e-42", [0, 2]),
+        ],
+    )
+    def test_report_pins_the_worst_error(self, tmp_path, nodes, max_exp, max_error, worst_pair):
+        out = tmp_path / "integrals.json"
+        result = run_cli("integrals", "--nodes", nodes, "--max-exp", max_exp, "--out", str(out))
+        assert result.returncode == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert (report["max_error"], report["worst_pair"]) == (max_error, worst_pair)
 
     @pytest.mark.parametrize("flag, value", [("--max-exp", "-1"), ("--nodes", "0")])
     def test_out_of_range_size_exits_two(self, flag, value):

@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from combident import catalog, integrals
+from combident import catalog, integrals, transforms
 from combident.affine import Affine, Bound
 from combident.catalog import (
     entry_ids,
@@ -37,7 +37,7 @@ from combident.integrals import (
     beta_integral_quadrature,
     gauss_legendre_rule,
 )
-from combident.terms import const, evaluate_sum
+from combident.terms import af, const, evaluate_sum, prod, sign
 from combident.transforms import (
     DerivedIdentity,
     check_derived,
@@ -65,6 +65,9 @@ MOMENT_ACCEPTED = {
     "F05": ("direct", "swapped"),
     "doubled": MOMENT_VARIANTS,
 }
+
+
+N = Affine.var("n")
 
 
 def binding(**values):
@@ -181,6 +184,26 @@ class TestBetaIntegrals:
                     assert abs(estimate - reference) <= RULE_TOLERANCE, (a, b)
 
 
+    @pytest.mark.parametrize("n", [5, 11, 64])
+    def test_pair_rows_equal_directly_truncated_powers(self, n):
+        # the rows are built forward; the reference raises each pair to each power afresh
+        from mpmath.libmp import to_fixed
+
+        prec = integrals._PREC
+        one = 1 << prec
+        xs, ws = gauss_legendre_rule(n)
+        pairs = [(to_fixed(x._mpf_, prec), to_fixed(w._mpf_, prec)) for x, w in zip(xs[: n // 2], ws)]
+        at_once, stepwise = integrals._PairRows(pairs, 0), integrals._PairRows(pairs, 0)
+        at_once.extend(40)
+        for top in (3, 1, 17, 40):
+            stepwise.extend(top)
+        assert integrals._FIXED_RULES[n].products[0] == at_once.products[0]
+        for e in range(41):
+            products = tuple(w * (((x * (one - x)) ** e << prec) >> 2 * e * prec) for x, w in pairs)
+            sums = tuple(((x**e + (one - x) ** e) << prec) >> e * prec for x, _ in pairs)
+            assert at_once.products[e] == stepwise.products[e] == products, e
+            assert at_once.sums[e] == stepwise.sums[e] == sums, e
+
 def assert_rule_close(rule, nodes, weights):
     xs, ws = rule
     assert len(xs) == len(nodes) and len(ws) == len(weights)
@@ -230,6 +253,25 @@ class TestGaussLegendreRule:
         monkeypatch.setattr(integrals, "_POLISH_STEPS", 1)
         with pytest.raises(ArithmeticError, match="did not converge"):
             gauss_legendre_rule.__wrapped__(5)
+
+    def test_seed_stops_early_and_publishes_the_same_rule(self, monkeypatch):
+        # the float root only seeds the polish: all _SEED_STEPS steps give the same 40 digits
+        calls = Counter()
+        legendre = integrals._legendre
+
+        def counted(n, x):
+            calls[integrals._SEED_STOP] += 1
+            return legendre(n, x)
+
+        monkeypatch.setattr(integrals, "_legendre", counted)
+        monkeypatch.setattr(integrals, "_FIXED_RULES", {})
+        sizes = [*range(1, 33), 64, 129]
+        early = {n: gauss_legendre_rule.__wrapped__(n) for n in sizes}
+        monkeypatch.setattr(integrals, "_SEED_STOP", 0.0)
+        for n in sizes:
+            xs, ws = gauss_legendre_rule.__wrapped__(n)
+            assert [v._mpf_ for v in xs + ws] == [v._mpf_ for v in early[n][0] + early[n][1]], n
+        assert 2 * calls[2.0**-52] < calls[0.0]
 
     def test_needs_a_node(self):
         with pytest.raises(ValueError):
@@ -453,6 +495,77 @@ class TestMatchAgainstEntry:
         report = match_against_entry(self.constant_identity(1), "C35")
         assert not report.ok
         assert report.detail == "sides disagree at n=1"
+
+    @staticmethod
+    def scaled(entry_id, factor):
+        """The entry's identity with every summand of both sides times ``factor``, as a derived identity."""
+        desc = get_entry(entry_id).descriptor
+
+        def scale(side):
+            return Side(tuple(block.replace(coef=prod(factor, block.coef)) for block in side.blocks))
+
+        return DerivedIdentity(IdentityDescriptor(desc.params, scale(desc.left), scale(desc.right), "scaled"))
+
+    @staticmethod
+    def reference_factors(derived, entry_id):
+        """The compared bindings of a match and each nonzero one's factor, recomputed in Fractions."""
+        entry = get_entry(entry_id)
+        checked, samples = 0, []
+        for b in sorted_bindings(entry.default_grid):
+            mine = check_two_sided(derived.descriptor, b, derived.validity)
+            theirs = check_two_sided(entry.descriptor, b)
+            if mine.status != VERIFIED or theirs.status != VERIFIED:
+                continue
+            checked += 1
+            if mine.lhs:
+                samples.append((b, theirs.lhs / mine.lhs))
+        return checked, samples
+
+    @pytest.mark.parametrize(
+        "factor, inverse, distinct, ok",
+        [
+            (const(2), lambda b: Fraction(1, 2), 1, True),
+            (sign(N), lambda b: Fraction((-1) ** b["n"]), 2, True),
+            (prod(const(2), sign(N)), lambda b: Fraction((-1) ** b["n"], 2), 2, True),
+            (af(N + 1), lambda b: Fraction(1, b["n"] + 1), 9, False),
+        ],
+        ids=["2", "(-1)^n", "2*(-1)^n", "n+1"],
+    )
+    def test_factors_agree_with_a_fraction_recomputation(self, factor, inverse, distinct, ok):
+        derived = self.scaled("C05", factor)
+        report = match_against_entry(derived, "C05")
+        checked, samples = self.reference_factors(derived, "C05")
+        assert checked == 756 and len(samples) > 600
+        assert all(f == inverse(b) for b, f in samples)
+        assert report.checked == checked
+        assert report.factors == tuple(sorted({f for _, f in samples}))
+        assert len(report.factors) == distinct
+        assert report.ok is ok
+        assert report.detail == ("" if ok else "factors are neither c nor c * (-1)^p")
+
+    def test_a_match_builds_one_fraction_per_distinct_factor(self, monkeypatch):
+        derived = frisch_transform(get_entry("F03").descriptor)
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(transforms, "Fraction", counting)
+        report = match_against_entry(derived, "C05")
+        assert (report.ok, report.checked, report.factors) == (True, 756, (1,))
+        assert len(built) == 1
+
+    def test_a_derived_parameter_missing_from_the_grid_is_named(self):
+        # F03's Frisch identity declares n, u, r, s: C03's grid lacks u, C39a's has n only,
+        # and the first missing parameter in declaration order is named
+        derived = frisch_transform(get_entry("F03").descriptor)
+        for entry_id in ("C03", "C39a"):
+            message = rf"^the derived identity's parameter 'u' is not an axis of entry {entry_id}'s grid$"
+            with pytest.raises(ShapeError, match=message):
+                match_against_entry(derived, entry_id)
+        with pytest.raises(ShapeError, match="parameter 's'"):
+            match_against_entry(derived, "C05", {"n": [0], "u": [1], "r": [2]})
 
     def test_entry_with_kernels_is_rejected(self):
         derived = moment_transform(get_entry("F02").descriptor, 1, "direct")
