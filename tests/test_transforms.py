@@ -183,7 +183,6 @@ class TestBetaIntegrals:
                     reference = mp.fsum(w * xp[a] * yp[b] for w, xp, yp in zip(ws, x_powers, y_powers))
                     assert abs(estimate - reference) <= RULE_TOLERANCE, (a, b)
 
-
     @pytest.mark.parametrize("n", [5, 11, 64])
     def test_pair_rows_equal_directly_truncated_powers(self, n):
         # the rows are built forward; the reference raises each pair to each power afresh
@@ -203,6 +202,7 @@ class TestBetaIntegrals:
             sums = tuple(((x**e + (one - x) ** e) << prec) >> e * prec for x, _ in pairs)
             assert at_once.products[e] == stepwise.products[e] == products, e
             assert at_once.sums[e] == stepwise.sums[e] == sums, e
+
 
 def assert_rule_close(rule, nodes, weights):
     xs, ws = rule
