@@ -232,16 +232,36 @@ class CatalogEntry(Record):
         return {name: parse_values(spec) for name, spec in self.grid_spec.items()}
 
 
-def parse_values(spec: str) -> tuple[Fraction, ...]:
-    """Parse a grid axis: ``0..10`` or a comma list like ``1,2,7/2``."""
+def parse_value(text: str, where: str) -> Fraction:
+    """One rational value such as ``7/2``; anything else raises ``ValueError`` naming ``where`` and ``text``."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ValueError(f"{where}: {text.strip()!r} is not a number") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{where}: {text.strip()!r} has a zero denominator") from None
+
+
+def parse_values(spec: str, option: str = "grid axis") -> tuple[Fraction, ...]:
+    """Parse a grid axis: ``0..10`` or a comma list like ``1,2,7/2``.
+
+    A malformed spec raises ``ValueError`` naming ``option`` (say ``--n``)
+    and the spec.
+    """
+    where = f"{option} {spec!r}"
     spec = spec.strip()
     if ".." in spec:
-        lo_text, hi_text = spec.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        bounds = []
+        for text in spec.split("..", 1):
+            try:
+                bounds.append(int(text))
+            except ValueError:
+                raise ValueError(f"{where}: {text.strip()!r} is not an integer") from None
+        lo, hi = bounds
         if hi < lo:
-            raise ValueError(f"empty range {spec!r}")
+            raise ValueError(f"{where}: empty range")
         return tuple(Fraction(v) for v in range(lo, hi + 1))
-    return tuple(Fraction(part.strip()) for part in spec.split(","))
+    return tuple(parse_value(part, where) for part in spec.split(","))
 
 
 _ENTRIES: dict[str, CatalogEntry] = {}
@@ -295,31 +315,32 @@ def verify_entry(entry_id: str, binding: Mapping[str, Fraction]) -> CheckResult:
         raise UnboundParameterError(f"entry {entry.id} needs parameter {exc.args[0]}") from None
 
 
-def iter_grid(grid: GridSpec) -> Iterable[dict[str, int | Fraction]]:
-    """Every binding of ``grid``: the product of its axes, names in sorted order.
+def exact_grid(grid: GridSpec, ordered: bool = False) -> dict[str, tuple[int | Fraction, ...]]:
+    """``grid`` with its names sorted and its values exact (:func:`terms.exact`), for :func:`check_grid`.
 
-    Integral values are ints and the others Fractions (:func:`terms.exact`),
-    so converting a binding for a check finds nothing to do.
+    Integral values become ints and the others Fractions.  With
+    ``ordered``, each axis is sorted by value, so the product of the axes
+    lists the bindings ordered by value, axis by axis in name order, and no
+    binding is compared.  A grid with no axis, or with an empty one, raises
+    :class:`EmptyGridError`.
     """
-    yield from _product({name: tuple(map(exact, values)) for name, values in grid.items()})
+    names = sorted(grid)
+    if not names or any(len(grid[name]) == 0 for name in names):
+        raise EmptyGridError(f"grid over {names} has no bindings")
+    return {name: tuple(sorted(map(exact, grid[name])) if ordered else map(exact, grid[name])) for name in names}
+
+
+def iter_grid(grid: GridSpec) -> Iterable[dict[str, int | Fraction]]:
+    """Every binding of ``grid`` as a dict: the product of its axes, names in sorted order, values exact."""
+    axes = exact_grid(grid)
+    for row in iter_product(*axes.values()):
+        yield dict(zip(axes, row))
 
 
 def sorted_bindings(grid: GridSpec) -> Iterable[dict[str, int | Fraction]]:
-    """The bindings of ``grid`` ordered by value, axis by axis in name order.
-
-    That order is the product of the sorted axes, so no binding is compared.
-    """
-    return _product({name: sorted(map(exact, values)) for name, values in grid.items()})
-
-
-def _product(axes: Mapping[str, Sequence[int | Fraction]]) -> Iterable[dict[str, int | Fraction]]:
-    """The bindings of already exact ``axes``, as :func:`iter_grid` yields them."""
-    names = sorted(axes)
-    values = [axes[name] for name in names]
-    if not names or any(len(v) == 0 for v in values):
-        raise EmptyGridError(f"grid over {names} has no bindings")
-    for combo in iter_product(*values):
-        yield dict(zip(names, combo))
+    """The bindings of ``grid`` as dicts, ordered by value (:func:`exact_grid`)."""
+    axes = exact_grid(grid, ordered=True)
+    return (dict(zip(axes, row)) for row in iter_product(*axes.values()))
 
 
 def verify_grid(
@@ -327,11 +348,11 @@ def verify_grid(
     grid: GridSpec | None = None,
     max_witnesses: int = 10,
 ) -> GridReport:
-    """Exhaustive deterministic sweep of one entry over a binding grid, in one loop (:func:`check_grid`)."""
+    """Exhaustive deterministic sweep of one entry over a binding grid ordered by value, in one loop (:func:`check_grid`)."""
     entry = get_entry(entry_id)
-    bindings = sorted_bindings(grid or entry.default_grid)
+    axes = exact_grid(grid or entry.default_grid, ordered=True)
     try:
-        return check_grid(entry.descriptor, bindings, entry.validity, max_witnesses)
+        return check_grid(entry.descriptor, axes, entry.validity, max_witnesses)
     except UnboundParameterError as exc:
         raise UnboundParameterError(f"entry {entry.id} needs parameter {exc.args[0]}") from None
 

@@ -23,13 +23,14 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 from . import __version__
-from .catalog import entry_ids, export_catalog, get_entry, parse_values, sorted_bindings, verify_grid
+from .catalog import entry_ids, exact_grid, export_catalog, get_entry, parse_value, parse_values, verify_grid
 from .descriptors import FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED, check_grid
 from .dsl import parse_identity, print_identity
 from .errors import DslSyntaxError, EmptyGridError, ShapeError, UnknownEntryError
-from .integrals import _DPS, BetaArgs, beta_integral_exact, beta_integral_quadrature
+from .integrals import _DPS, BetaArgs, beta_integral_exact, beta_integral_quadrature, quadrature_rows
 from .transforms import (
     frisch_transform,
     klamkin_transform,
@@ -48,7 +49,7 @@ def _grid_overrides(args, axes, prefix: str = "") -> dict[str, tuple[Fraction, .
     for name in GRID_PARAMS:
         spec = getattr(args, f"{prefix}{name}", None)
         if spec is not None:
-            overrides[name] = parse_values(spec)
+            overrides[name] = parse_values(spec, f"--{prefix.replace('_', '-')}{name}")
     unused = set(overrides) - set(axes)
     if unused:
         raise ValueError(
@@ -57,12 +58,13 @@ def _grid_overrides(args, axes, prefix: str = "") -> dict[str, tuple[Fraction, .
     return overrides
 
 
-def _sample_grid(grid, count: int, seed: int):
-    bindings = list(sorted_bindings(grid))
-    if count >= len(bindings):
-        return bindings
+def _sample_rows(axes, count: int, seed: int) -> list[tuple]:
+    """``count`` rows of the exact grid ``axes`` drawn by ``seed``, or every row in order when there are no more."""
+    rows = list(product(*axes.values()))
+    if count >= len(rows):
+        return rows
     rng = random.Random(seed)
-    return rng.sample(bindings, count)
+    return rng.sample(rows, count)
 
 
 def _write_report(path: str, report: dict) -> None:
@@ -108,8 +110,9 @@ def cmd_verify(args) -> int:
             if name in grid:
                 grid[name] = values
         if args.sample is not None:
-            bindings = _sample_grid(grid, args.sample, args.seed)
-            grid_report = check_grid(entry.descriptor, bindings, entry.validity)
+            axes = exact_grid(grid, ordered=True)
+            rows = _sample_rows(axes, args.sample, args.seed)
+            grid_report = check_grid(entry.descriptor, axes, entry.validity, rows=rows)
         else:
             grid_report = verify_grid(entry.id, grid)
         counts = grid_report.counts
@@ -228,7 +231,7 @@ def cmd_derive(args) -> int:
             handle.write(text)
 
     # grid-verify the derived identity over its free parameters
-    tallied = check_grid(derived_desc, sorted_bindings(grid), derived.validity)
+    tallied = check_grid(derived_desc, exact_grid(grid, ordered=True), derived.validity)
     counts = tallied.counts
     if not counts[VERIFIED] and not counts[FAILED]:
         unexercised = " unexercised (every binding was skipped)"
@@ -293,14 +296,14 @@ def cmd_integrals(args) -> int:
         raise ValueError(f"--nodes must be at least 1, got {args.nodes}")
     pairs = []
     if args.pair:
-        a_text, b_text = args.pair
-        pairs.append((Fraction(a_text), Fraction(b_text)))
+        pairs.append(tuple(parse_value(text, "--pair") for text in args.pair))
     else:
         pairs = [
             (Fraction(a), Fraction(b))
             for a in range(args.max_exp + 1)
             for b in range(args.max_exp + 1)
         ]
+        quadrature_rows(args.nodes, args.max_exp)  # every row at once: a = 0 asks for b = 0..N in turn
     worst = mp.mpf(0)
     worst_pair = None
     skipped = 0

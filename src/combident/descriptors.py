@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Iterable, Mapping, NamedTuple, Union
+from itertools import product
+from math import prod
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .affine import Affine, Bound
 from .errors import PoleError, PreconditionError, ShapeError, UnboundParameterError
@@ -77,15 +79,22 @@ class IdentityDescriptor(Record, uncompared=("name",)):
         return tuple((b.lo, b.hi, b.coef, (b.x_exp, b.one_minus_exp, b.one_plus_exp)) for b in side.blocks)
 
     @cached_property
+    def names(self) -> tuple[str, ...]:
+        """The declared names in sorted order: the order a generated check takes their values in."""
+        return tuple(sorted(name for name, _ in self.params))
+
+    @cached_property
     def _checks(self) -> dict[int, tuple]:
         return {}
 
     def check(self, validity: ValidityPredicate | None = None):
         """The generated check (:func:`terms.compile_check`) under ``validity``, compiled on first use.
 
-        Keyed by the identity of ``validity``, so a binding hashes neither
-        it nor the descriptor; each entry keeps its validity alive, so an id
-        is never reused while it is a key.
+        It takes the values of :attr:`names`, positionally, and each must
+        already fit its sort (:func:`check_sorts`).  Keyed by the identity
+        of ``validity``, so a binding hashes neither it nor the descriptor;
+        each entry keeps its validity alive, so an id is never reused while
+        it is a key.
         """
         entry = self._checks.get(id(validity))
         if entry is None:
@@ -112,19 +121,64 @@ ParamBinding = dict[str, Scalar]
 def check_sorts(desc_params, binding: Mapping[str, Scalar]) -> str | None:
     """Return a violation message, or None when the binding fits the sorts.
 
-    The reference for the sort tests of a generated check
-    (:meth:`IdentityDescriptor.check`), which does not call it; it is kept
-    for the test that compares the two.
+    The one test of the sorts: a generated check (:meth:`IdentityDescriptor.check`)
+    runs only on values that passed it.  Names are tested in declaration
+    order, so an earlier name's violation wins over a later name's absence,
+    which raises :class:`UnboundParameterError`.  ``binding`` must be exact
+    (:func:`terms.exact_env`).
     """
     for name, sort in desc_params:
         if name not in binding:
             raise UnboundParameterError(name)
-        value = binding[name]
-        if sort in ("nat", "int") and value.denominator != 1:
-            return f"{name} = {value} is not an integer"
-        if sort == "nat" and value < 0:
-            return f"{name} = {value} is negative"
+        issue = _sort_violation(name, sort, binding[name])
+        if issue is not None:
+            return issue
     return None
+
+
+def _sort_violation(name: str, sort: str, value: Scalar) -> str | None:
+    """How the exact ``value`` of ``name`` fails ``sort``, or None when it fits."""
+    if sort in ("nat", "int") and value.denominator != 1:
+        return f"{name} = {value} is not an integer"
+    if sort == "nat" and value < 0:
+        return f"{name} = {value} is negative"
+    return None
+
+
+# -- grids ------------------------------------------------------------------
+#
+# A grid maps each name to its exact values in the order they run
+# (:func:`catalog.exact_grid`).  Its bindings are the product of its axes with
+# the names sorted, the last name varying fastest, and a row is one binding's
+# values in that order, so a row over a descriptor's declared names is the
+# argument tuple of its generated check.
+
+def unfit_values(params, grid: Mapping[str, Sequence[Scalar]]) -> list[tuple]:
+    """Per axis of ``grid``, names sorted, the values that fail the sort ``params`` gives its name.
+
+    Each value of an integral axis is tested once, by the test
+    :func:`check_sorts` makes; a ``rat`` axis, or one that ``params`` does
+    not declare, has no unfit value.  A declared name that has no axis
+    raises :class:`UnboundParameterError`, the first one in declaration
+    order.
+    """
+    sorts = dict(params)
+    for name in sorts:
+        if name not in grid:
+            raise UnboundParameterError(name)
+    unfit = []
+    for name in sorted(grid):
+        sort = sorts.get(name, "rat")
+        unfit.append(() if sort == "rat" else tuple([v for v in grid[name] if _sort_violation(name, sort, v)]))
+    return unfit
+
+
+def row_arguments(desc: IdentityDescriptor, names: Sequence[str]) -> Callable[[tuple], tuple]:
+    """The function that takes ``desc``'s check arguments out of a row over ``names``: ``tuple`` when the row is them."""
+    if tuple(names) == desc.names:
+        return tuple
+    positions = [names.index(name) for name in desc.names]
+    return lambda row: tuple([row[i] for i in positions])
 
 
 # -- validity predicates ----------------------------------------------------
@@ -289,19 +343,24 @@ def check_two_sided(
     """Verify one binding; evaluation errors become skip statuses.
 
     The binding is converted once, by :func:`exact_env`: integral values
-    become ints.  One call of the descriptor's generated check
-    (:meth:`IdentityDescriptor.check`) tests the sorts and ``validity`` and
-    computes both sides on that copy, and the result keeps it.  The sides
-    are compared in ints (:func:`sides_agree`).  A verified result builds
-    one value, a Fraction or a polynomial decoded from its packed value
-    (:func:`_coefficients`), and holds it as both ``lhs`` and ``rhs``.  A
-    declared parameter missing from the binding raises
-    :class:`UnboundParameterError`.
+    become ints, and the result keeps that copy.  :func:`check_sorts` tests
+    it first: a declared parameter missing from the binding raises
+    :class:`UnboundParameterError`, and a value of the wrong sort is
+    ``skipped_precondition``.  Then one call of the descriptor's generated
+    check (:meth:`IdentityDescriptor.check`) tests ``validity`` and computes
+    both sides, which are compared in ints (:func:`sides_agree`).  A
+    verified result builds one value, a Fraction or a polynomial decoded
+    from its packed value (:func:`_coefficients`), and holds it as both
+    ``lhs`` and ``rhs``.
     """
     binding = exact_env(binding)
     label = desc.name or "descriptor"
+    check = desc.check(validity)
+    issue = check_sorts(desc.params, binding)
+    if issue is not None:
+        return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=issue)
     try:
-        sides = desc.check(validity)(binding)
+        sides = check(*[binding[name] for name in desc.names])
     except PoleError as exc:
         return CheckResult(label, binding, SKIPPED_POLE, witness=str(exc))
     except PreconditionError as exc:
@@ -323,26 +382,45 @@ def check_two_sided(
 
 def check_grid(
     desc: IdentityDescriptor,
-    bindings: Iterable[Mapping[str, Scalar]],
+    grid: Mapping[str, Sequence[Scalar]],
     validity: ValidityPredicate | None = None,
     max_witnesses: int = 10,
+    rows: Iterable[tuple] | None = None,
 ) -> GridReport:
-    """Check every binding in one loop; count the statuses and keep the first failures.
+    """Check every binding of ``grid`` in one loop; count the statuses and keep the first failures.
 
-    Each binding must already be exact (:func:`exact_env`), as those of
-    :func:`catalog.iter_grid` are: the generated check runs on it directly
-    and the sides are compared in ints (:func:`sides_agree`), so no value is
+    ``grid`` maps each name to its exact values (:func:`catalog.exact_grid`).
+    The bindings are its rows in product order, or ``rows`` when given:
+    value tuples over the sorted names, drawn from the axes (a sample).
+    Before any binding runs, a declared name without an axis raises
+    :class:`UnboundParameterError`, and every axis value is tested against
+    its sort once (:func:`unfit_values`).  A binding with an unfit value is
+    counted ``skipped_precondition`` and no check runs on it.  On every
+    other binding the generated check runs once on the row's values and
+    the sides are compared in ints (:func:`sides_agree`), so no value is
     built for a binding that verifies or is skipped.  Only a failure among
     the first ``max_witnesses`` is checked again, by :func:`check_two_sided`,
-    for its witness.  A declared parameter missing from a binding raises
-    :class:`UnboundParameterError`.
+    for its witness.
     """
+    names = sorted(grid)
+    unfit = unfit_values(desc.params, grid)
+    if rows is None:
+        axes = [tuple(v for v in grid[name] if v not in bad) if bad else grid[name] for name, bad in zip(names, unfit)]
+        rows = product(*axes)
+        precondition = prod(len(grid[name]) for name in names) - prod(map(len, axes))
+    elif any(unfit):
+        rows = list(rows)
+        fit = [row for row in rows if not any(v in bad for v, bad in zip(row, unfit))]
+        rows, precondition = fit, len(rows) - len(fit)
+    else:
+        precondition = 0
+    pick = row_arguments(desc, names)
     check = desc.check(validity)
-    verified = failed = pole = precondition = vacuous = 0
+    verified = failed = pole = vacuous = 0
     witnesses = []
-    for binding in bindings:
+    for row in rows:
         try:
-            sides = check(binding)
+            sides = check(*pick(row))
         except PoleError:
             pole += 1
             continue
@@ -358,7 +436,7 @@ def check_grid(
         else:
             failed += 1
             if len(witnesses) < max_witnesses:
-                witnesses.append(check_two_sided(desc, binding, validity))
+                witnesses.append(check_two_sided(desc, dict(zip(names, row)), validity))
     counts = {VERIFIED: verified, FAILED: failed, SKIPPED_POLE: pole, SKIPPED_PRECONDITION: precondition}
     total = verified + failed + pole + precondition
     return GridReport(desc.name, counts, tuple(witnesses), total, vacuous)

@@ -198,6 +198,21 @@ def gauss_legendre_rule(nodes: int) -> tuple[tuple, tuple]:
     return tuple(xs), tuple(ws)
 
 
+def quadrature_rows(nodes: int, top: int) -> _PairRows:
+    """The rows of the ``nodes``-point rule up to exponent at least ``top``, built as needed.
+
+    A run that will ask for every exponent up to ``top`` calls this first:
+    the rows are then extended once, not once per new exponent in the order
+    the run asks for them.
+    """
+    if nodes not in _FIXED_RULES:
+        gauss_legendre_rule(nodes)
+    rows = _FIXED_RULES[nodes]
+    if len(rows.sums) <= top:
+        rows.extend(top)
+    return rows
+
+
 def beta_integral_quadrature(args: BetaArgs, nodes: int = 64) -> mp.mpf:
     """Gauss-Legendre estimate of the Beta integral for integer exponents.
 
@@ -221,11 +236,7 @@ def beta_integral_quadrature(args: BetaArgs, nodes: int = 64) -> mp.mpf:
         raise NonIntegerExponentError(f"quadrature needs integer exponents, got ({a}, {b})")
     a, b = a.numerator, b.numerator
     low, gap = (a, b - a) if a <= b else (b, a - b)
-    if nodes not in _FIXED_RULES:
-        gauss_legendre_rule(nodes)
-    rows = _FIXED_RULES[nodes]
-    if len(rows.sums) <= max(low, gap):
-        rows.extend(max(low, gap))
+    rows = quadrature_rows(nodes, max(low, gap))
     total = (sum(map(mul, rows.products[low], rows.sums[gap])) >> 2 * _PREC) + (rows.middle >> a + b)
     return _mpf(total, -_PREC)
 

@@ -138,20 +138,22 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 # -- exact evaluation -------------------------------------------------------
 #
 # Every check runs code generated once into the Python source of one
-# function, which ``compile()`` turns into code.  The function reads an
-# environment of ints and Fractions (see :func:`exact_env`), writes every
-# parameter as an integer numerator over one common denominator D (the lcm
-# of the parameters' denominators and of the affine constants'), and
-# computes each term as an unreduced integer pair ``(num, den)`` with
+# function, which ``compile()`` turns into code.  The function takes the
+# declared parameters' values as positional arguments in sorted-name order,
+# ints and Fractions that already fit their sorts (see :func:`compile_check`),
+# writes every parameter as an integer numerator over one common denominator
+# D (the lcm of the parameters' denominators and of the affine constants'),
+# and computes each term as an unreduced integer pair ``(num, den)`` with
 # ``den > 0``.  No Fraction and no float appears inside a term.
 #
-# The source holds only ints, generated identifiers and ``repr()``'d
-# parameter names.  Error labels and forms reach it through the namespace
-# the code runs in.  The k-free part of every affine form is computed once
-# per call; integer uses of a form also take its ``divmod`` by D there, so
-# inside the k-loop an integer check is one test of a remainder.
+# The source holds only ints and generated identifiers.  Error labels and
+# forms reach it through the namespace the code runs in.  The k-free part of
+# every affine form is computed once per call; integer uses of a form also
+# take its ``divmod`` by D there, so inside the k-loop an integer check is one
+# test of a remainder.  Within one block's loop, a value that two factors
+# share (the same binomial, sign or check) is computed once.
 #
-# Names that are integral (sorts ``nat`` and ``int``) are read as ints.  A
+# Names that are integral (sorts ``nat`` and ``int``) arrive as ints.  A
 # k-free form over only those names with an integer constant is static: its
 # int value is computed once per call, with no D and no remainder test, and
 # the pair of a static form is over 1.  A binomial over a static upper index is
@@ -159,9 +161,10 @@ def altpowsum(count: Affine, shift: Union[Affine, int], power_: Union[Affine, in
 #
 # One kind of function is generated: a check (:func:`compile_check`) per
 # identity and validity.  The declared parameters are every name it reads
-# besides the index k, and k never appears in a bound.  Its prologue reads
-# them all and tests a binding's sorts and validity, and it then computes
-# both sides of the identity over one D.
+# besides the index k, and k never appears in a bound.  Its prologue tests a
+# binding's validity, and it then computes both sides of the identity over
+# one D.  A binding's sorts are tested by its caller, once per grid axis
+# value (:func:`descriptors.check_sorts`).
 #
 # :func:`evaluate` is the reference the generated code is tested against, and
 # what value queries run: a walk of one term's tree in Fractions that raises
@@ -182,7 +185,7 @@ def exact(value: object) -> Scalar:
 
 
 def exact_env(binding: Mapping[str, object]) -> dict[str, Scalar]:
-    """A copy of ``binding`` with every value :func:`exact`; compiled functions read ints and Fractions only."""
+    """A copy of ``binding`` with every value :func:`exact`."""
     env = dict(binding)
     for name, v in env.items():
         if type(v) is not int:
@@ -276,14 +279,6 @@ def _ibinom_pair(num: int, den: int, j: int) -> Pair:
     return (d, b) if b > 0 else (-d, -b)
 
 
-def _not_an_integer(name: str, value: Scalar) -> str:
-    return f"{name} = {value} is not an integer"
-
-
-def _negative(name: str, value: Scalar) -> str:
-    return f"{name} = {value} is negative"
-
-
 def _over_common(terms: list) -> tuple[list, int, int]:
     """One side's terms ``(num, den, a, b, c)`` over their common denominator.
 
@@ -354,13 +349,12 @@ def pack_sides(left: list, right: list) -> tuple[Pair, Pair, int]:
 _NAMESPACE = {
     "comb": math.comb,
     "lcm": math.lcm,
-    "UnboundParameterError": UnboundParameterError,
     **{
         f.__name__: f
         for f in (
             _not_integer, _bound_not_integer, _exponent_not_integer, _negative_exponent,
             _negative_power, _negative_count, _negative_sum_power, _vanishes,
-            _binom_int, _binom_pair, _ibinom_pair, _not_an_integer, _negative, pack_sides,
+            _binom_int, _binom_pair, _ibinom_pair, pack_sides,
         )
     },
 }
@@ -404,9 +398,11 @@ class _Source:
     A form that names k is split into ``c * k + rest``: k is the index of a
     block's loop, an int, and ``rest`` is computed once per call.  ``names``
     are the declared parameters, the only other names a form may use.  The
-    names in ``integral`` are read as ints (see the comment above), and
+    names in ``integral`` arrive as ints (see the comment above), and
     those in ``naturals`` are known to be ints >= 0, so tests of a sign that
-    cannot be negative are left out.
+    cannot be negative are left out.  ``shared`` maps the source of each
+    value and check emitted for the current block to its identifiers, so a
+    repeat reuses them; :meth:`start_block` empties it.
     """
 
     def __init__(self, names: list[str], integral: frozenset[str], naturals: frozenset[str]):
@@ -423,6 +419,7 @@ class _Source:
         self.den_lcm = 1
         self.namespace: dict = {}
         self.sites: dict[tuple, str] = {}
+        self.shared: dict[str, object] = {}
         self.lines: list[str] = []
         self.count = 0
 
@@ -446,13 +443,24 @@ class _Source:
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
 
+    def start_block(self) -> None:
+        """Forget the values of the previous block: its loop's names are stale after it."""
+        self.shared = {}
+
+    def guard(self, depth: int, line: str) -> None:
+        """Emit the check ``line``, an ``if ...: raise ...``, unless this block already has."""
+        if line not in self.shared:
+            self.shared[line] = None
+            self.emit(depth, line)
+
     def assign(self, depth: int, source: str, prefix: str = "t") -> str:
-        """``source`` as an identifier or a literal, assigning it if it is neither."""
+        """``source`` as an identifier or a literal, assigned once per block if it is neither."""
         if source.isidentifier() or _is_literal(source):
             return source
-        name = self.fresh(prefix)
-        self.emit(depth, f"{name} = {source}")
-        return name
+        if source not in self.shared:
+            self.shared[source] = self.fresh(prefix)
+            self.emit(depth, f"{self.shared[source]} = {source}")
+        return self.shared[source]
 
     # -- affine forms
 
@@ -522,7 +530,7 @@ class _Source:
             return _linear(c, "k", static)
         quotient, remainder = self.quotient(rest)
         numerator = self.numerator(form)
-        self.emit(depth, f"if {remainder}: raise {error}({self.site(what, form)}, {numerator}, D)")
+        self.guard(depth, f"if {remainder}: raise {error}({self.site(what, form)}, {numerator}, D)")
         return _linear(c, "k", quotient)
 
     def nonnegative(self, form: Affine) -> bool:
@@ -534,7 +542,7 @@ class _Source:
         if self.nonnegative(form):
             return _group(value)
         value = self.assign(depth, value, "e")
-        self.emit(depth, f"if {value} < 0: raise {negative.format(value)}")
+        self.guard(depth, f"if {value} < 0: raise {negative.format(value)}")
         return value
 
     # -- terms
@@ -605,13 +613,13 @@ class _Source:
         """Lower index first; then ``comb`` on a static upper index, else one memoized pair call."""
         lower = expr.lower
         j = self.assign(depth, self.integer(lower, depth, "_not_integer", "lower index"), "j")
-        num = self.fresh("b")
         u, over = self.value(expr.upper)
         if expr.inverted or over != "1":
-            den = self.fresh("d")
-            pair = "_ibinom_pair" if expr.inverted else "_binom_pair"
-            self.emit(depth, f"{num}, {den} = {pair}({u}, {over}, {j})")
-            return num, den
+            call = f"{'_ibinom_pair' if expr.inverted else '_binom_pair'}({u}, {over}, {j})"
+            if call not in self.shared:
+                self.shared[call] = self.fresh("b"), self.fresh("d")
+                self.emit(depth, f"{', '.join(self.shared[call])} = {call}")
+            return self.shared[call]
         if self.nonnegative(expr.upper):
             # counting: comb is 0 above u, and so is a negative lower index
             counting = f"comb({u}, {j})" if self.nonnegative(lower) else f"comb({u}, {j}) if {j} >= 0 else 0"
@@ -619,8 +627,7 @@ class _Source:
             u = self.assign(depth, u, "u")
             signs = f"{u} >= 0" if self.nonnegative(lower) else f"{u} >= 0 <= {j}"
             counting = f"comb({u}, {j}) if {signs} else _binom_int({u}, {j})"
-        self.emit(depth, f"{num} = {counting}")
-        return num, "1"
+        return self.assign(depth, counting, "b"), "1"
 
     def bound(self, bound: Bound, depth: int) -> str:
         """Source of a summation bound, which cannot name the index k."""
@@ -653,16 +660,16 @@ class _Source:
         return self.params[name]
 
     def plain(self, form: Affine) -> str:
-        """Source of ``form`` over the values read from the environment, with no D."""
+        """Source of ``form`` over the parameters' values, with no D."""
         parts = [_linear(c, "v" + self.param(n), "0") for n, c in form.coeffs]
         if form.const:
             const = form.const
             parts.append(str(const.numerator) if const.denominator == 1 else self.ref(const))
         return " + ".join(parts) or "0"
 
-    def compile(self, signature: str, filename: str, reads: list[str]):
-        """Compile ``def signature:`` whose prologue is ``reads`` and then the k-free forms."""
-        prologue = list(reads)
+    def compile(self, signature: str, filename: str, tests: list[str]):
+        """Compile ``def signature:`` whose prologue is ``tests`` and then the k-free forms."""
+        prologue = list(tests)
         values = {f"v{p}" for p in self.params.values()}
         for name, rest in self.statics.values():
             if name not in values:
@@ -710,6 +717,7 @@ def _emit_side(src: _Source, blocks: tuple, kernel_free: bool) -> str:
     """
     src.emit(1, "total, common = 0, 1" if kernel_free else "terms = []")
     for lo, hi, coef, kernel in blocks:
+        src.start_block()
         start, stop = src.bound(lo, 1), src.bound(hi, 1)
         if not (_is_literal(start) and int(start) >= 0):
             start = f"max(0, {start})"
@@ -745,13 +753,14 @@ def compile_check(
     (not read when ``kernel_free``).  ``filename`` names the function in
     tracebacks and profiles.  A form may name only the declared parameters
     and, outside a bound, the index k; any other name, or k in a bound,
-    raises :class:`ShapeError` here.  Called with an :func:`exact_env`
-    environment, the function:
+    raises :class:`ShapeError` here.
 
-    - reads every declared name in order and tests its sort right after
-      reading it, returning ``"n = 7/2 is not an integer"`` or
-      ``"n = -1 is negative"``; a missing name raises
-      :class:`UnboundParameterError`;
+    The function takes one value per declared name, positionally, in sorted
+    name order.  Each must be exact (:func:`exact`) and fit its name's sort:
+    a ``nat`` or ``int`` value is an int, and a ``nat`` one is >= 0.  The
+    caller tests that (:func:`descriptors.check_sorts`); the function does
+    not.  It:
+
     - returns the ``text`` of the first constraint that fails;
     - otherwise returns the two sides' values over one D as ``(num, den)``
       pairs: for a ``kernel_free`` identity the two sums, else the sides
@@ -759,33 +768,20 @@ def compile_check(
       (:func:`pack_sides`).
 
     An error inside a side is raised with the type and message that
-    :func:`evaluate` gives it.  The ``nat`` and ``int`` names are ints past
-    the sort tests, so the function reads them as ints.
+    :func:`evaluate` gives it.
     """
     integral = frozenset(name for name, sort in params if sort in ("nat", "int"))
-    # past the tests, a nat name is >= 0, and so is an integral name bounded below by 0 or more
+    # a nat name is >= 0, and so is an integral name bounded below by 0 or more
     naturals = {name for name, sort in params if sort == "nat"}
     naturals.update(_lone_name(form) for form, bound, _ in constraints if bound >= 0 and _lone_name(form) in integral)
     src = _Source([name for name, _ in params], integral, frozenset(naturals))
-    tested = []  # read and tested in order; a missing name raises
-    for name, sort in params:
-        v = "v" + src.param(name)
-        tested.append(f"{v} = env[{name!r}]")
-        if sort in ("nat", "int"):
-            tested.append(f"if type({v}) is not int: return _not_an_integer({name!r}, {v})")
-        if sort == "nat":
-            tested.append(f"if {v} < 0: return _negative({name!r}, {v})")
-    for form, bound, text in constraints:
-        tested.append(f"if {src.plain(form)} < {bound}: return {src.ref(text)}")
-    reads = []
-    if tested:
-        reads = ["try:"] + ["    " + line for line in tested]
-        reads += ["except KeyError as exc:", "    raise UnboundParameterError(exc.args[0]) from None"]
+    tests = [f"if {src.plain(form)} < {bound}: return {src.ref(text)}" for form, bound, text in constraints]
     lhs = _emit_side(src, left, kernel_free)
     src.emit(1, f"lhs = {lhs}")
     rhs = _emit_side(src, right, kernel_free)
     src.emit(1, f"return lhs, {rhs}" if kernel_free else f"return pack_sides(lhs, {rhs})")
-    return src.compile("check(env)", filename, reads)
+    arguments = ", ".join("v" + src.param(name) for name in sorted(name for name, _ in params))
+    return src.compile(f"check({arguments})", filename, tests)
 
 
 # -- the reference interpreter ----------------------------------------------
@@ -900,8 +896,8 @@ def evaluate(expr: TermExpr, env: Env) -> Fraction:
 
     The reference interpreter: a walk of the tree in Fractions.  It raises
     what a generated check raises at the same term and binding, with the
-    same message.  Like a check, it reports a parameter missing from ``env``
-    before any other error, naming the first one in reading order.
+    same message.  It reports a parameter missing from ``env`` before any
+    other error, naming the first one in reading order.
     """
     env = exact_env(env)
     _require(_forms(expr), env)

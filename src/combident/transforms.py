@@ -19,8 +19,9 @@ stay evaluable at rational parameter bindings.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .affine import Affine, Bound
 from .descriptors import (
@@ -32,8 +33,10 @@ from .descriptors import (
     ValidityPredicate,
     check_two_sided,
     format_binding,
+    row_arguments,
     sides_agree,
     transpose_descriptor,
+    unfit_values,
 )
 from .errors import PoleError, PreconditionError, ShapeError
 from .record import Record
@@ -394,72 +397,91 @@ def match_against_entry(
     every compared binding whose sides are nonzero (a derivation may carry
     both sides by (-1)^n).  Returns the set of factors seen.  Only summation
     entries can be matched (:func:`summation_entry`), on a grid with an axis
-    for every parameter of the derived identity (:func:`match_grid`).  At
-    each binding of the grid, the derived identity's generated check runs
-    under its validity and the entry's without one, and their sides are
-    compared in ints (:func:`sides_agree`); a binding that either check
-    skips is not compared.  A binding's factor ``(lnum dden) / (lden dnum)``
+    for every parameter of the derived identity (:func:`match_grid`) and of
+    the entry, whose lack raises :class:`UnboundParameterError` before any
+    binding runs.  The bindings are those of :func:`catalog.iter_grid`, as
+    value rows.  Each axis value is tested once against each identity's
+    sorts (:func:`descriptors.unfit_values`).  At each binding the derived
+    identity's generated check runs under its validity, and then the
+    entry's without one, each on its own parameters' values; a binding
+    where an identity's sorts fail counts as skipped by its check.  Their
+    sides are compared in ints (:func:`sides_agree`); a binding that either
+    check skips is not compared.  A binding's factor ``(lnum dden) / (lden dnum)``
     is reduced in ints and looked up among the distinct factors seen so
     far, so one ``Fraction`` is built per distinct factor, not per binding.
     """
-    from .catalog import iter_grid
+    from .catalog import exact_grid
 
     entry = summation_entry(entry_id)
-    grid = match_grid(derived, entry, grid)
+    grid = exact_grid(match_grid(derived, entry, grid))
+    names = list(grid)
+    derived_desc, entry_desc = derived.descriptor, entry.descriptor
+    derived_unfit = unfit_values(derived_desc.params, grid)
+    entry_unfit = unfit_values(entry_desc.params, grid)
+    # a binding the derived sorts reject is never compared; one the entry's
+    # reject is, once the derived identity has been checked there
+    axes = [tuple(v for v in grid[name] if v not in bad) if bad else grid[name] for name, bad in zip(names, derived_unfit)]
+    screen = any(entry_unfit)
     # both are kernel-free, so each check returns two (num, den) pairs
-    derived_check = derived.descriptor.check(derived.validity)
-    check = entry.descriptor.check()
+    derived_check, derived_pick = derived_desc.check(derived.validity), row_arguments(derived_desc, names)
+    check, pick = entry_desc.check(), row_arguments(entry_desc, names)
     seen: dict[tuple[int, int], int] = {}  # each distinct factor, reduced, and its index
-    samples: list[tuple[Mapping, int]] = []  # per binding with nonzero sides, its factor's index
+    samples: list[tuple[tuple, int]] = []  # per row with nonzero sides, its factor's index
     checked = 0
-    for binding in iter_grid(grid):
+    for row in product(*axes):
         try:
-            sides = derived_check(binding)
+            sides = derived_check(*derived_pick(row))
         except (PoleError, PreconditionError):
             continue
         if type(sides) is str:
             continue
         if not sides_agree(*sides):
-            return MatchReport(False, checked, (), f"derived identity fails at {format_binding(binding)}")
+            return MatchReport(False, checked, (), f"derived identity fails at {_format_row(names, row)}")
         dnum, dden = sides[0]
+        if screen and any(v in bad for v, bad in zip(row, entry_unfit)):
+            continue
         try:
-            sides = check(binding)
+            sides = check(*pick(row))
         except (PoleError, PreconditionError):
             continue
         if type(sides) is str:
             continue
         if not sides_agree(*sides):
-            return MatchReport(False, checked, (), f"entry {entry_id} fails at {format_binding(binding)}")
+            return MatchReport(False, checked, (), f"entry {entry_id} fails at {_format_row(names, row)}")
         lnum, lden = sides[0]
         if (lnum == 0) != (dnum == 0):
             return MatchReport(
-                False, checked, (), f"sides disagree at {format_binding(binding)}"
+                False, checked, (), f"sides disagree at {_format_row(names, row)}"
             )
         if dnum:
             num, den = lnum * dden, lden * dnum
             divisor = gcd(num, den) if den > 0 else -gcd(num, den)
-            samples.append((binding, seen.setdefault((num // divisor, den // divisor), len(seen))))
+            samples.append((row, seen.setdefault((num // divisor, den // divisor), len(seen))))
         checked += 1
     if checked == 0:
         return MatchReport(False, 0, (), "no comparable bindings")
     distinct = [Fraction(num, den) for num, den in seen]
     factors = tuple(sorted(distinct))
-    if len(distinct) > 1 and not _unit_form(samples, distinct):
+    if len(distinct) > 1 and not _unit_form(names, samples, distinct):
         return MatchReport(False, checked, factors, "factors are neither c nor c * (-1)^p")
     return MatchReport(True, checked, factors)
 
 
-def _unit_form(samples: list[tuple[Mapping, int]], factors: list[Fraction]) -> bool:
+def _format_row(names: Sequence[str], row: tuple) -> str:
+    return format_binding(dict(zip(names, row)))
+
+
+def _unit_form(names: Sequence[str], samples: list[tuple[tuple, int]], factors: list[Fraction]) -> bool:
     """True when the samples' factors are ``c * (-1)^p`` for a parameter p.
 
-    A sample is a binding and the index of its factor in ``factors``.  p
-    qualifies when it is an integer at every sampled binding; the values of
-    a grid's bindings are exact, so an integer is an ``int``.
+    A sample is a row of values over ``names`` and the index of its factor
+    in ``factors``.  p qualifies when it is an integer at every sampled
+    row; the values of a grid's rows are exact, so an integer is an ``int``.
     """
-    for name in sorted(samples[0][0]):
+    for position in range(len(names)):
         parities = set()
-        for binding, index in samples:
-            value = binding[name]
+        for row, index in samples:
+            value = row[position]
             if type(value) is not int:
                 break
             parities.add((index, value & 1))

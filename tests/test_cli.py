@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from combident import integrals
 from combident.catalog import macmahon_doubled
 from combident.cli import main
 from combident.dsl import print_identity
@@ -77,6 +78,21 @@ class TestVerify:
         assert "axis m" in result.stderr
         # an axis that some selected entry has is still accepted
         assert run_cli("verify", "--id", "C03,C20", "--m", "0..1", "--n", "0..2").returncode == 0
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--r", "1/0", "--r '1/0': '1/0' has a zero denominator"),
+            ("--r", "2, 1/0", "--r '2, 1/0': '1/0' has a zero denominator"),
+            ("--r", "2,,3", "--r '2,,3': '' is not a number"),
+            ("--n", "0..x", "--n '0..x': 'x' is not an integer"),
+            ("--n", "5..2", "--n '5..2': empty range"),
+        ],
+    )
+    def test_a_malformed_value_names_its_option(self, flag, value, message):
+        result = run_cli("verify", "--id", "C03", flag, value)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: {message}\n"
 
     def test_negative_sample_is_a_usage_error(self):
         result = run_cli("verify", "--id", "C03", "--sample", "-1")
@@ -206,6 +222,11 @@ class TestDerive:
             f"error: the derived identity's parameter 'u' is not an axis of entry {entry_id}'s grid\n"
         )
         assert result.stdout == ""
+
+    def test_a_zero_denominator_in_a_grid_value_exits_two(self, exported):
+        result = run_cli("derive", "--scheme", "frisch", "--input", str(exported / "F03.dsl"), "--grid-u", "1/0")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: --grid-u '1/0': '1/0' has a zero denominator\n"
 
     def test_override_of_an_absent_axis_exits_two(self, exported):
         result = run_cli(
@@ -389,6 +410,28 @@ class TestIntegrals:
         assert result.returncode == 0
         report = json.loads(out.read_text(encoding="utf-8"))
         assert (report["max_error"], report["worst_pair"]) == (max_error, worst_pair)
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [(("1/0", "0"), "'1/0' has a zero denominator"), (("0", "x"), "'x' is not a number")],
+    )
+    def test_a_malformed_pair_exits_two(self, pair, message):
+        result = run_cli("integrals", "--pair", *pair)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: --pair: {message}\n"
+
+    def test_a_sweep_extends_the_rule_once(self, monkeypatch):
+        # pairs come as a = 0, b = 0..N first, so extending on demand restarted at every b
+        # a cold rule; afterwards both the cache and _FIXED_RULES hold one for 64 nodes
+        monkeypatch.delitem(integrals._FIXED_RULES, 64, raising=False)
+        integrals.gauss_legendre_rule.cache_clear()
+        extends = []
+        extend = integrals._PairRows.extend
+        monkeypatch.setattr(integrals._PairRows, "extend", lambda rows, top: extends.append(top) or extend(rows, top))
+        result = run_cli("integrals", "--max-exp", "20")
+        assert result.returncode == 0
+        assert extends == [20]
+        assert result.stdout.splitlines()[-1].startswith("checked 441 exponent pairs")
 
     @pytest.mark.parametrize("flag, value", [("--max-exp", "-1"), ("--nodes", "0")])
     def test_out_of_range_size_exits_two(self, flag, value):

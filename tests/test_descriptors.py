@@ -1,9 +1,11 @@
 """Two-sided identity checking: sides, statuses, transposition."""
 
+import dis
 import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,10 +16,12 @@ from combident.affine import Affine, Bound
 from combident.catalog import (
     entry_ids,
     entry_to_dsl,
+    exact_grid,
     get_entry,
     macmahon_doubled,
     sorted_bindings,
     verify_entry,
+    verify_grid,
 )
 from combident.descriptors import (
     FAILED,
@@ -499,13 +503,14 @@ class TestCheckGrid:
         assert text in source
         mutant = parse_identity(source.replace(text, mutated, 1)).replace(name=entry_id)
         # s = 0 is outside the validity region s >= 1, so every status occurs
-        bindings = list(sorted_bindings({**entry.default_grid, "s": (0, *entry.default_grid["s"])}))
+        grid = {**entry.default_grid, "s": (0, *entry.default_grid["s"])}
+        bindings = list(sorted_bindings(grid))
         results = [check_two_sided(mutant, b, entry.validity) for b in bindings]
         statuses = Counter(r.status for r in results)
         assert min(statuses[s] for s in (VERIFIED, SKIPPED_POLE, SKIPPED_PRECONDITION)) > 0
         failures = [r for r in results if r.status == FAILED]
         assert len(failures) > 10
-        report = check_grid(mutant, bindings, entry.validity, max_witnesses)
+        report = check_grid(mutant, exact_grid(grid, ordered=True), entry.validity, max_witnesses)
         assert report.counts == {s: statuses[s] for s in (VERIFIED, FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION)}
         assert report.total == len(bindings)
         assert report.witnesses == tuple(failures[:max_witnesses])
@@ -517,6 +522,131 @@ class TestCheckGrid:
         assert (report.vacuous, report.verified) == (vacuous, verified)
         results = [verify_entry(entry_id, b) for b in sorted_bindings(get_entry(entry_id).default_grid)]
         assert report.vacuous == sum(r.status == VERIFIED and r.lhs == 0 for r in results)
+
+
+class TestGridProtocol:
+    """A grid runs as value rows: its names and sorts are tested per grid, not per binding."""
+
+    @staticmethod
+    def count_calls(monkeypatch) -> list[tuple]:
+        """The values of every call of a generated check from now on."""
+        calls = []
+        compiled = IdentityDescriptor.check
+
+        def check(self, validity=None):
+            function = compiled(self, validity)
+
+            def counted(*values):
+                calls.append(values)
+                return function(*values)
+
+            return counted
+
+        monkeypatch.setattr(IdentityDescriptor, "check", check)
+        return calls
+
+    def test_a_grid_without_a_declared_name_raises_before_any_check(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        c03 = get_entry("C03")
+        # at n = 7/2 every binding fails its sort, which once hid the missing s
+        for grid in ({"n": (0, 1, 2), "r": (2,)}, {"n": (Fraction(7, 2),), "r": (2,)}):
+            with pytest.raises(UnboundParameterError, match="^'s'$"):
+                check_grid(c03.descriptor, exact_grid(grid), c03.validity)
+            with pytest.raises(UnboundParameterError, match="entry C03 needs parameter s"):
+                verify_grid("C03", grid)
+        # a match needs an axis for each parameter of the entry too: C05's r comes first
+        derived = moment_transform(get_entry("F02").descriptor, 1)
+        with pytest.raises(UnboundParameterError, match="^'r'$"):
+            match_against_entry(derived, "C05", {"n": (0, 1)})
+        assert calls == []
+        assert verify_grid("C03", {"n": (0, 1, 2), "r": (2,), "s": (1,)}).verified == 3 == len(calls)
+
+    # (entry, grid, counts (verified, failed, pole, precondition), vacuous): each
+    # grid has values that fail a sort; the counts are those of checks that
+    # tested the sorts of every binding
+    BAD_SORTS = [
+        ("C03", {"n": (-1, 0, 1, 2, Fraction(7, 2), 5), "r": (1, Fraction(3, 2), 2), "s": (Fraction(1, 2), 0, 1, 2, -2)},
+         (20, 0, 4, 66), 0),
+        ("C20", {"n": (Fraction(-1, 2), 0, 3, 4), "m": (-1, 0, 2, Fraction(5, 2)), "r": (2, Fraction(9, 2)), "s": (1, Fraction(3, 2), 2)},
+         (24, 0, 0, 72), 4),
+        ("F03", {"n": (-2, 0, 3, Fraction(1, 3)), "u": (0, Fraction(7, 3), -1)}, (6, 0, 0, 6), 0),
+    ]
+
+    @pytest.mark.parametrize("entry_id, grid, counts, vacuous", BAD_SORTS)
+    def test_bad_sort_values_give_the_per_binding_counts(self, entry_id, grid, counts, vacuous):
+        statuses = (VERIFIED, FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION)
+        report = verify_grid(entry_id, grid)
+        assert tuple(report.counts[s] for s in statuses) == counts
+        assert report.vacuous == vacuous and report.total == len(list(sorted_bindings(grid)))
+        tally = Counter(verify_entry(entry_id, b).status for b in sorted_bindings(grid))
+        assert report.counts == {s: tally[s] for s in statuses}
+        # a sample of the same rows, in a random order, as verify --sample passes them
+        entry, axes = get_entry(entry_id), exact_grid(grid, ordered=True)
+        every = list(product(*axes.values()))
+        rows = random.Random(11).sample(every, min(40, len(every)))
+        sampled = check_grid(entry.descriptor, axes, entry.validity, rows=rows)
+        tally = Counter(verify_entry(entry_id, dict(zip(axes, row))).status for row in rows)
+        assert sampled.counts == {s: tally[s] for s in statuses} and sampled.total == len(rows)
+        assert tally[SKIPPED_PRECONDITION] and tally[VERIFIED]
+
+    def test_witnesses_skip_the_bindings_of_unfit_values(self):
+        entry = get_entry("C03")
+        mutant = parse_identity(entry_to_dsl(entry).replace("binom(n, k)", "binom(n, 2k)", 1)).replace(name="C03")
+        grid = {"n": (-1, 0, 1, 2, 3, Fraction(7, 2), 4, 5), "r": (1, 2, Fraction(3, 2)), "s": (Fraction(1, 2), 0, 1, 2)}
+        report = check_grid(mutant, exact_grid(grid, ordered=True), entry.validity, 5)
+        assert report.counts == {VERIFIED: 5, FAILED: 25, SKIPPED_POLE: 6, SKIPPED_PRECONDITION: 60}
+        assert [w.binding for w in report.witnesses] == [
+            {"n": 1, "r": r, "s": s} for r, s in ((1, 1), (Fraction(3, 2), 1), (Fraction(3, 2), 2), (2, 1), (2, 2))
+        ]
+
+    def test_check_two_sided_keeps_its_sort_witnesses(self):
+        c03 = get_entry("C03")
+        cases = [
+            (binding(n=Fraction(7, 2), r=1, s=Fraction(1, 2)), "n = 7/2 is not an integer"),
+            (binding(n=-1, r=1, s=Fraction(1, 2)), "n = -1 is negative"),
+            (binding(n=2, r=Fraction(1, 3), s=Fraction(1, 2)), "s = 1/2 is not an integer"),
+            (binding(n=2, r=1, s=-2), "s >= 1"),
+            (binding(n=Fraction(6, 2), r=1, s=-3), "s >= 1"),
+        ]
+        for b, witness in cases:
+            result = check_two_sided(c03.descriptor, b, c03.validity)
+            assert (result.status, result.witness, result.binding) == (SKIPPED_PRECONDITION, witness, exact_env(b))
+        derived = frisch_transform(get_entry("F03").descriptor)  # n, u, r, s
+        cases = [
+            (binding(n=-3, u=0, r=2, s=Fraction(1, 2)), "n = -3 is negative"),
+            (binding(n=2, u=Fraction(1, 2), r=2, s=Fraction(1, 2)), "s = 1/2 is not an integer"),
+            (binding(n=2, u=1, r=2, s=0), "s >= 1"),
+        ]
+        for b, witness in cases:
+            assert check_derived(derived, b).witness == witness
+
+    def test_generated_checks_read_no_environment_and_test_no_sort(self):
+        for desc, validity, _ in _check_cases():
+            check = desc.check(validity)
+            code = check.__code__
+            assert code.co_varnames[:code.co_argcount] == tuple(
+                f"vp{[name for name, _ in desc.params].index(name)}" for name in desc.names
+            ), desc.name
+            instructions = list(dis.get_instructions(check))
+            globals_ = {i.argval for i in instructions if i.opname == "LOAD_GLOBAL"}
+            assert not globals_ & {"type", "KeyError", "UnboundParameterError"}, desc.name
+            # no subscript, and no try: the 3.11 exception-table push and the older setup
+            assert not {i.opname for i in instructions} & {"BINARY_SUBSCR", "PUSH_EXC_INFO", "SETUP_FINALLY"}, desc.name
+
+    def test_the_generated_source_shrinks(self, monkeypatch):
+        sources = []
+
+        def spy(source, filename, mode):
+            sources.append(source)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(terms, "compile", spy, raising=False)
+        monkeypatch.setattr(catalog, "_ENTRIES", {})
+        for entry_id in entry_ids():
+            get_entry(entry_id).descriptor.check(get_entry(entry_id).validity)
+        # 60,055 characters in 1,717 lines while each check read and tested its own names
+        assert len(sources) == 49
+        assert sum(map(len, sources)) < 45_000 and sum(s.count("\n") + 1 for s in sources) < 1_400
 
 
 def _kernel_sides(left, right) -> IdentityDescriptor:
@@ -627,7 +757,7 @@ class TestPackedSides:
         assert result.status == FAILED
         assert (result.lhs, result.rhs) == (_polynomial_of(left), _polynomial_of(right))
         assert result.lhs != result.rhs
-        assert check_grid(desc, [{}]).counts[FAILED] == 1
+        assert check_grid(desc, {}).counts[FAILED] == 1
 
     @pytest.mark.parametrize("m", [1, 2, 7, 64, 200])
     def test_extreme_coefficients_round_trip(self, m):
@@ -686,7 +816,8 @@ class TestPackedSides:
     ])
     def test_a_wide_binding_agrees_with_the_reference(self, entry_id, values):
         entry = get_entry(entry_id)
-        width = entry.descriptor.check(entry.validity)(exact_env(values))[2]
+        desc = entry.descriptor
+        width = desc.check(entry.validity)(*[exact_env(values)[name] for name in desc.names])[2]
         assert width > 500
         [result] = _agree(entry.descriptor, [values], entry.validity)
         assert result[0] == VERIFIED and len(result[2].terms) == 61

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from combident.affine import Affine, Bound
 from combident.catalog import entry_ids, get_entry
+from combident.descriptors import check_sorts
 from combident.errors import PoleError, PreconditionError, UnboundParameterError
 from combident.exact import binom_int, binom_rational
 from combident.terms import (
@@ -52,14 +53,14 @@ def names(*forms) -> list[str]:
 
 
 def _one_block_check(lo, hi, term):
-    """A generated check whose left side is ``sum[k=lo..hi] term`` and whose right side is empty.
+    """The declared parameters and a generated check whose left side is ``sum[k=lo..hi] term`` and whose right side is empty.
 
     It declares the bounds' names and then the term's, in the order
     :func:`evaluate` looks them up, all ``rat``: any of them may be rational.
     """
     bounds = [f for b in (lo, hi) for f in (b.base, b.cap) if f is not None]
     params = tuple((name, "rat") for name in names(*bounds, *_forms(term)))
-    return compile_check(params, (), ((lo, hi, term, None),), (), "<one-block check>", kernel_free=True)
+    return params, compile_check(params, (), ((lo, hi, term, None),), (), "<one-block check>", kernel_free=True)
 
 
 @functools.cache
@@ -68,9 +69,18 @@ def _one_term_check(term):
     return _one_block_check(Bound(J), Bound(J), term)
 
 
-def left_pair(check, binding) -> tuple[int, int]:
-    """The ``(num, den)`` of ``check``'s left side at ``binding``."""
-    return check(exact_env(binding))[0]
+def left_pair(compiled, binding) -> tuple[int, int]:
+    """The ``(num, den)`` of the left side of a :func:`_one_block_check` at ``binding``.
+
+    The check is called as :func:`descriptors.check_two_sided` calls one:
+    :func:`check_sorts` first, which raises :class:`UnboundParameterError`
+    for the first declared name that ``binding`` lacks, then the exact
+    values in sorted-name order.
+    """
+    params, check = compiled
+    values = exact_env(binding)
+    assert check_sorts(params, values) is None  # every name is rat
+    return check(*[values[name] for name, _ in sorted(params)])[0]
 
 
 def term_pair(term, binding) -> tuple[int, int]:
@@ -251,7 +261,7 @@ class TestIntegerNumerators:
         for r in (Fraction(7, 2), Fraction(-5, 3), 3):
             for n, s in ((4, 2), (6, 3)):
                 b = {"n": n, "r": r, "s": s}
-                for pair, side in zip(check(exact_env(b)), (desc.left, desc.right)):
+                for pair, side in zip(check(*[exact_env(b)[name] for name in desc.names]), (desc.left, desc.right)):
                     block, = side.blocks
                     assert Fraction(*pair) == evaluate_sum(block.lo, block.hi, block.coef, b), b
 
@@ -270,6 +280,14 @@ class TestIntegerNumerators:
         # C03's binom(n, k) counts over n >= 0 and k >= 0: a bare comb, no fallback
         globals_ = [i.argval for i in dis.get_instructions(get_entry("C03").descriptor.check()) if i.opname == "LOAD_GLOBAL"]
         assert globals_.count("comb") == 1 and "_binom_int" not in globals_
+
+    def test_a_block_computes_a_repeated_value_once(self):
+        # F05's left summand is (-1)^k binom(n, k)^3, and C12's holds binom(k + r, s)^-1 twice
+        for entry_id, name, left_calls in (("F05", "comb", 1), ("C12", "_ibinom_pair", 1)):
+            instructions = list(dis.get_instructions(get_entry(entry_id).descriptor.check()))
+            end = next(i for i, ins in enumerate(instructions) if ins.opname == "STORE_FAST" and ins.argval == "lhs")
+            left = [ins.argval for ins in instructions[:end] if ins.opname == "LOAD_GLOBAL"]
+            assert left.count(name) == left_calls, entry_id
 
     def test_non_integer_lower_index_over_a_common_denominator(self):
         message = "lower index k + s must be an integer, got 8/3"

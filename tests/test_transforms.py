@@ -567,6 +567,49 @@ class TestMatchAgainstEntry:
         with pytest.raises(ShapeError, match="parameter 's'"):
             match_against_entry(derived, "C05", {"n": [0], "u": [1], "r": [2]})
 
+    @pytest.mark.parametrize(
+        "derived, entry_id, fixed, ok, checked",
+        [
+            (frisch_transform(get_entry("F03").descriptor, r=3, s=2), "C05", {"r": (3,), "s": (2,)}, True, 54),
+            # every r of C05's grid against the derived identity's r = 3: many factors
+            (frisch_transform(get_entry("F03").descriptor, r=3, s=2), "C05", {"s": (2,)}, False, 270),
+            (klamkin_transform(get_entry("F03").descriptor, r=Fraction(29, 2), s=1), "C18", {"r": (Fraction(29, 2),), "s": (1,)}, True, 45),
+        ],
+        ids=["frisch r=3 s=2", "frisch every r", "klamkin r=29/2 s=1"],
+    )
+    def test_a_derived_identity_over_fewer_axes_compares_every_binding(self, derived, entry_id, fixed, ok, checked):
+        # the derived identity declares n and u only; the grid also has r and s
+        assert [name for name, _ in derived.descriptor.params] == ["n", "u"]
+        grid = {**get_entry(entry_id).default_grid, **fixed}
+        report = match_against_entry(derived, entry_id, grid)
+        assert (report.ok, report.checked) == (ok, checked)
+        reference = 0
+        for b in sorted_bindings(grid):
+            mine = check_two_sided(derived.descriptor, b, derived.validity)
+            theirs = check_two_sided(get_entry(entry_id).descriptor, b)
+            reference += mine.status == VERIFIED and theirs.status == VERIFIED
+        assert reference == checked
+
+    def test_a_value_only_the_entry_rejects_is_checked_on_the_derived_side(self):
+        # these derived identities declare n an int; C39a declares it nat, so n < 0 is
+        # never compared, but a derived identity that fails there still fails the match
+        def declared_int(left, right):
+            return DerivedIdentity(IdentityDescriptor((("n", "int"),), left, right, "int n"))
+
+        one, two = (Side((KernelBlock(Bound.of(0), Bound.of(0), const(v)),)) for v in (1, 2))
+        c39a = get_entry("C39a").descriptor
+        cases = [
+            (declared_int(one, two), (-1, 0), "derived identity fails at n=-1"),
+            (declared_int(one, one), (-1, 0), "sides disagree at n=0"),
+            (declared_int(c39a.left, c39a.right), range(-3, 6), "derived identity fails at n=-3"),
+        ]
+        for derived, values, detail in cases:
+            report = match_against_entry(derived, "C39a", {"n": tuple(Fraction(v) for v in values)})
+            assert (report.ok, report.checked, report.detail) == (False, 0, detail)
+        report = match_against_entry(declared_int(c39a.left, c39a.right), "C39a", {"n": tuple(Fraction(v) for v in range(-1, 6))})
+        # n = -1 verifies 0 == 0 on the derived side and is not compared
+        assert (report.ok, report.checked) == (True, 6)
+
     def test_entry_with_kernels_is_rejected(self):
         derived = moment_transform(get_entry("F02").descriptor, 1, "direct")
         for entry_id in ("F01", "C01"):
