@@ -325,7 +325,7 @@ def exact_grid(grid: GridSpec, ordered: bool = False) -> dict[str, tuple[int | F
     :class:`EmptyGridError`.
     """
     names = sorted(grid)
-    if not names or any(len(grid[name]) == 0 for name in names):
+    if not names or 0 in map(len, grid.values()):
         raise EmptyGridError(f"grid over {names} has no bindings")
     return {name: tuple(sorted(map(exact, grid[name])) if ordered else map(exact, grid[name])) for name in names}
 

@@ -153,8 +153,8 @@ def _sort_violation(name: str, sort: str, value: Scalar) -> str | None:
 # values in that order, so a row over a descriptor's declared names is the
 # argument tuple of its generated check.
 
-def unfit_values(params, grid: Mapping[str, Sequence[Scalar]]) -> list[tuple]:
-    """Per axis of ``grid``, names sorted, the values that fail the sort ``params`` gives its name.
+def unfit_values(params, grid: Mapping[str, Sequence[Scalar]]) -> dict[str, list]:
+    """The values of ``grid``'s axes that fail the sorts ``params`` declares, by name; a name with none is left out.
 
     Each value of an integral axis is tested once, by the test
     :func:`check_sorts` makes; a ``rat`` axis, or one that ``params`` does
@@ -162,15 +162,20 @@ def unfit_values(params, grid: Mapping[str, Sequence[Scalar]]) -> list[tuple]:
     raises :class:`UnboundParameterError`, the first one in declaration
     order.
     """
-    sorts = dict(params)
-    for name in sorts:
+    unfit = {}
+    for name, sort in params:
         if name not in grid:
             raise UnboundParameterError(name)
-    unfit = []
-    for name in sorted(grid):
-        sort = sorts.get(name, "rat")
-        unfit.append(() if sort == "rat" else tuple([v for v in grid[name] if _sort_violation(name, sort, v)]))
+        if sort != "rat":
+            bad = [v for v in grid[name] if _sort_violation(name, sort, v)]
+            if bad:
+                unfit[name] = bad
     return unfit
+
+
+def fit_axes(grid: Mapping[str, Sequence[Scalar]], unfit: Mapping[str, list]) -> list[Sequence[Scalar]]:
+    """The axes of ``grid``, names sorted, without the values ``unfit`` lists for them (:func:`unfit_values`)."""
+    return [tuple(v for v in grid[name] if v not in unfit[name]) if name in unfit else grid[name] for name in sorted(grid)]
 
 
 def row_arguments(desc: IdentityDescriptor, names: Sequence[str]) -> Callable[[tuple], tuple]:
@@ -404,16 +409,17 @@ def check_grid(
     """
     names = sorted(grid)
     unfit = unfit_values(desc.params, grid)
+    precondition = 0
     if rows is None:
-        axes = [tuple(v for v in grid[name] if v not in bad) if bad else grid[name] for name, bad in zip(names, unfit)]
+        axes = [grid[name] for name in names]
+        if unfit:
+            fit = fit_axes(grid, unfit)
+            axes, precondition = fit, prod(map(len, axes)) - prod(map(len, fit))
         rows = product(*axes)
-        precondition = prod(len(grid[name]) for name in names) - prod(map(len, axes))
-    elif any(unfit):
-        rows = list(rows)
-        fit = [row for row in rows if not any(v in bad for v, bad in zip(row, unfit))]
+    elif unfit:
+        rows, per_axis = list(rows), [unfit.get(name, ()) for name in names]
+        fit = [row for row in rows if not any(v in bad for v, bad in zip(row, per_axis))]
         rows, precondition = fit, len(rows) - len(fit)
-    else:
-        precondition = 0
     pick = row_arguments(desc, names)
     check = desc.check(validity)
     verified = failed = pole = vacuous = 0

@@ -32,6 +32,7 @@ from .descriptors import (
     Side,
     ValidityPredicate,
     check_two_sided,
+    fit_axes,
     format_binding,
     row_arguments,
     sides_agree,
@@ -420,8 +421,8 @@ def match_against_entry(
     entry_unfit = unfit_values(entry_desc.params, grid)
     # a binding the derived sorts reject is never compared; one the entry's
     # reject is, once the derived identity has been checked there
-    axes = [tuple(v for v in grid[name] if v not in bad) if bad else grid[name] for name, bad in zip(names, derived_unfit)]
-    screen = any(entry_unfit)
+    axes = fit_axes(grid, derived_unfit)
+    screen = [entry_unfit.get(name, ()) for name in names] if entry_unfit else None
     # both are kernel-free, so each check returns two (num, den) pairs
     derived_check, derived_pick = derived_desc.check(derived.validity), row_arguments(derived_desc, names)
     check, pick = entry_desc.check(), row_arguments(entry_desc, names)
@@ -438,7 +439,7 @@ def match_against_entry(
         if not sides_agree(*sides):
             return MatchReport(False, checked, (), f"derived identity fails at {_format_row(names, row)}")
         dnum, dden = sides[0]
-        if screen and any(v in bad for v, bad in zip(row, entry_unfit)):
+        if screen and any(v in bad for v, bad in zip(row, screen)):
             continue
         try:
             sides = check(*pick(row))
