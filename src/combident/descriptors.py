@@ -130,9 +130,9 @@ def check_sorts(desc_params, binding: Mapping[str, Scalar]) -> str | None:
     for name, sort in desc_params:
         if name not in binding:
             raise UnboundParameterError(name)
-        issue = _sort_violation(name, sort, binding[name])
-        if issue is not None:
-            return issue
+        violation = _sort_violation(name, sort, binding[name])
+        if violation is not None:
+            return violation
     return None
 
 
@@ -361,9 +361,9 @@ def check_two_sided(
     binding = exact_env(binding)
     label = desc.name or "descriptor"
     check = desc.check(validity)
-    issue = check_sorts(desc.params, binding)
-    if issue is not None:
-        return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=issue)
+    violation = check_sorts(desc.params, binding)
+    if violation is not None:
+        return CheckResult(label, binding, SKIPPED_PRECONDITION, witness=violation)
     try:
         sides = check(*[binding[name] for name in desc.names])
     except PoleError as exc:
