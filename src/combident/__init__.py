@@ -46,7 +46,6 @@ from .exact import (
     Rational,
     binom_int,
     binom_rational,
-    inv_binom,
     r_stirling2,
     stirling2,
 )

@@ -32,8 +32,8 @@ from .descriptors import (
     check_grid,
     check_two_sided,
 )
-from .dsl import parse_identity
-from .errors import DslSyntaxError, EmptyGridError, UnboundParameterError, UnknownEntryError
+from .dsl import parse_file, parse_identity
+from .errors import EmptyGridError, UnboundParameterError, UnknownEntryError
 from .record import Record
 from .terms import exact
 
@@ -285,11 +285,7 @@ def get_entry(entry_id: str) -> CatalogEntry:
         title, anchor, grid, lower_bounds = _TABLE[entry_id]
     except KeyError:
         raise UnknownEntryError(entry_id) from None
-    path = _source_path(entry_id)
-    try:
-        descriptor = parse_identity(path.read_text(encoding="utf-8"))
-    except DslSyntaxError as exc:
-        raise type(exc)(f"{path}: {exc.message}", exc.line, exc.column) from None
+    descriptor = parse_file(_source_path(entry_id))
     entry = CatalogEntry(
         entry_id,
         title,

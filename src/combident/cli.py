@@ -28,10 +28,11 @@ from itertools import product
 from . import __version__
 from .catalog import entry_ids, exact_grid, export_catalog, get_entry, parse_value, parse_values, verify_grid
 from .descriptors import FAILED, SKIPPED_POLE, SKIPPED_PRECONDITION, VERIFIED, check_grid
-from .dsl import parse_identity, print_identity
-from .errors import DslSyntaxError, EmptyGridError, ShapeError, UnknownEntryError
+from .dsl import parse_file, print_identity
+from .errors import EmptyGridError, ShapeError, UnknownEntryError
 from .integrals import _DPS, BetaArgs, beta_integral_exact, beta_integral_quadrature, quadrature_rows
 from .transforms import (
+    PRELUDES,
     frisch_transform,
     klamkin_transform,
     match_against_entry,
@@ -198,13 +199,7 @@ def cmd_derive(args) -> int:
         elif args.scheme not in schemes:
             print(f"error: --{flag} applies to {owners} only", file=sys.stderr)
             return 2
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return 2
-    desc = parse_identity(source)
+    desc = parse_file(args.input)
     # an unknown or polynomial entry fails before anything is derived or printed
     entry = summation_entry(args.match) if args.match else None
 
@@ -403,12 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--scheme", choices=("frisch", "klamkin", "moment"), required=True)
     derive.add_argument("--input", required=True, help="identity source file")
     derive.add_argument(
-        "--direction", choices=("forward", "transposed"), default=None,
+        "--direction", choices=tuple(PRELUDES["direction"]), default=None,
         help="frisch and klamkin schemes (default forward)",
     )
     derive.add_argument(
         "--variant",
-        choices=("direct", "swapped", "reflected", "swapped_reflected"),
+        choices=tuple(PRELUDES["variant"]),
         default=None,
         help="moment scheme variant (default direct)",
     )
@@ -445,10 +440,7 @@ def main(argv=None) -> int:
     except UnknownEntryError as exc:
         print(f"error: unknown entry {exc.args[0]!r}", file=sys.stderr)
         return 2
-    except DslSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ShapeError, EmptyGridError, ValueError) as exc:
+    except (ShapeError, EmptyGridError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

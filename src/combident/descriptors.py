@@ -450,52 +450,46 @@ def check_grid(
 
 # -- structural rewrites ----------------------------------------------------
 
+def map_blocks(
+    desc: IdentityDescriptor, fn: Callable[[KernelBlock], KernelBlock], name: str, swap: bool = False, params=None
+) -> IdentityDescriptor:
+    """The descriptor ``name`` whose blocks are ``fn`` of ``desc``'s, the left side's first.
+
+    The one rebuild of a descriptor's sides: ``swap`` exchanges them, and
+    ``params`` replaces ``desc``'s declarations.
+    """
+    sides = (desc.right, desc.left) if swap else (desc.left, desc.right)
+    left, right = (Side(tuple(map(fn, side.blocks))) for side in sides)
+    return IdentityDescriptor(desc.params if params is None else params, left, right, name)
+
+
+def reflect_block(block: KernelBlock) -> KernelBlock:
+    """x -> 1-x on one block: the x and (1-x) exponents trade places; a (1+x) kernel raises :class:`ShapeError`."""
+    if not block.one_plus_exp.is_zero():
+        raise ShapeError("x -> 1-x requires (1+x)-free kernels")
+    return KernelBlock(block.lo, block.hi, block.coef, x_exp=block.one_minus_exp, one_minus_exp=block.x_exp)
+
+
 def transpose_descriptor(desc: IdentityDescriptor) -> IdentityDescriptor:
-    """Swap the sides and exchange the x / (1-x) kernels (x -> 1-x).
+    """Swap the sides and reflect x -> 1-x (:func:`reflect_block`).
 
     Preserves the truth value at every admissible binding; requires every
     block to be free of (1+x) kernels.
     """
-
-    def flip(side: Side) -> Side:
-        blocks = []
-        for b in side.blocks:
-            if not b.one_plus_exp.is_zero():
-                raise ShapeError("transposition requires blocks without (1+x) kernels")
-            blocks.append(
-                KernelBlock(b.lo, b.hi, b.coef, x_exp=b.one_minus_exp, one_minus_exp=b.x_exp)
-            )
-        return Side(tuple(blocks))
-
-    return IdentityDescriptor(
-        params=desc.params,
-        left=flip(desc.right),
-        right=flip(desc.left),
-        name=f"{desc.name}-transposed" if desc.name else "transposed",
-    )
+    return map_blocks(desc, reflect_block, f"{desc.name}-transposed" if desc.name else "transposed", swap=True)
 
 
 def rename_descriptor_parameters(
     desc: IdentityDescriptor, mapping: Mapping[str, str]
 ) -> IdentityDescriptor:
-    def rename_side(side: Side) -> Side:
-        return Side(
-            tuple(
-                KernelBlock(
-                    b.lo.rename(mapping),
-                    b.hi.rename(mapping),
-                    rename_term(b.coef, mapping),
-                    b.x_exp.rename(mapping),
-                    b.one_minus_exp.rename(mapping),
-                    b.one_plus_exp.rename(mapping),
-                )
-                for b in side.blocks
-            )
+    def rename(b: KernelBlock) -> KernelBlock:
+        return KernelBlock(
+            b.lo.rename(mapping),
+            b.hi.rename(mapping),
+            rename_term(b.coef, mapping),
+            b.x_exp.rename(mapping),
+            b.one_minus_exp.rename(mapping),
+            b.one_plus_exp.rename(mapping),
         )
 
-    return IdentityDescriptor(
-        params=tuple((mapping.get(n, n), s) for n, s in desc.params),
-        left=rename_side(desc.left),
-        right=rename_side(desc.right),
-        name=desc.name,
-    )
+    return map_blocks(desc, rename, desc.name, params=tuple((mapping.get(n, n), s) for n, s in desc.params))

@@ -53,7 +53,7 @@ from .terms import (
     TermSum,
 )
 
-__all__ = ["parse_identity", "print_identity"]
+__all__ = ["parse_file", "parse_identity", "print_identity"]
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -444,6 +444,16 @@ def parse_identity(source: str) -> IdentityDescriptor:
     and :class:`DslArityError` for function factors with the wrong arity.
     """
     return _Parser(source).identity()
+
+
+def parse_file(path) -> IdentityDescriptor:
+    """Parse the identity source file at ``path``; a syntax error's message starts with the path."""
+    with open(path, encoding="utf-8") as handle:
+        source = handle.read()
+    try:
+        return parse_identity(source)
+    except DslSyntaxError as exc:
+        raise type(exc)(f"{path}: {exc.message}", exc.line, exc.column) from None
 
 
 # -- printer -----------------------------------------------------------------

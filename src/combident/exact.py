@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import PoleError
-
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
@@ -31,7 +29,6 @@ __all__ = [
     "binom_int",
     "binom_rational",
     "binom_rational_pair",
-    "inv_binom",
     "stirling2",
     "r_stirling2",
     "alternating_power_sum",
@@ -76,18 +73,6 @@ def binom_rational_pair(p: int, q: int, j: int) -> tuple[int, int]:
     for i in range(j):
         num *= p - i * q
     return num, q**j * math.factorial(j)
-
-
-def inv_binom(a: RationalLike, j: int) -> Fraction:
-    """Exact reciprocal of :func:`binom_rational`.
-
-    Raises :class:`PoleError` when the binomial vanishes: such a binding is
-    outside an identity's validity region.
-    """
-    value = binom_rational(a, j)
-    if value == 0:
-        raise PoleError(f"binom({Fraction(a)}, {j}) = 0 has no reciprocal")
-    return 1 / value
 
 
 def alternating_power_sum(count: int, shift: RationalLike, power: int, step: int = 1) -> RationalLike:

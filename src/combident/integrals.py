@@ -16,7 +16,6 @@ from operator import mul
 from typing import TYPE_CHECKING, Union
 
 from .errors import NonIntegerExponentError, SingularExponentError
-from .exact import inv_binom
 from .record import Record
 
 if TYPE_CHECKING:
@@ -239,33 +238,3 @@ def beta_integral_quadrature(args: BetaArgs, nodes: int = 64) -> mp.mpf:
     rows = quadrature_rows(nodes, max(low, gap))
     total = (sum(map(mul, rows.products[low], rows.sums[gap])) >> 2 * _PREC) + (rows.middle >> a + b)
     return _mpf(total, -_PREC)
-
-
-def _form_upper_weight(r: int, k: int, s: int, n: int):
-    return BetaArgs.of(r + k - s, s - 1), lambda: Fraction(1, s) * inv_binom(k + r, s)
-
-
-def _form_split_weight(r: int, k: int, s: int, n: int):
-    return BetaArgs.of(r - s, k + s - 1), lambda: Fraction(1, k + s) * inv_binom(k + r, k + s)
-
-
-def _form_plain_lower(r: int, k: int, s: int, n: int):
-    return BetaArgs.of(k + s, r - k - s), lambda: Fraction(1, r + 1) * inv_binom(r, k + s)
-
-
-def _form_reflected(r: int, k: int, s: int, n: int):
-    return BetaArgs.of(n - k + s, r - n - s), lambda: Fraction(1, r - k + 1) * inv_binom(
-        r - k, r - s - n
-    )
-
-
-#: The four packaged closed forms of the Beta integral used by the derivation
-#: schemes.  Each maps integer arguments to (exponent pair, closed-value thunk);
-#: inside the form's region (non-negative exponents) the closed value equals
-#: ``beta_integral_exact`` on the same exponents.
-PACKAGED_FORMS = {
-    "upper-weight": _form_upper_weight,
-    "split-weight": _form_split_weight,
-    "plain-lower": _form_plain_lower,
-    "reflected": _form_reflected,
-}

@@ -13,12 +13,16 @@ by term-wise integration or differentiation of the source identity:
 
 A term ``h(k) x^a (1-x)^b`` integrates to ``h(k) B(a+1, b+1)``; the Beta value
 is expressed with the integer-lower-index binomial form so derived identities
-stay evaluable at rational parameter bindings.
+stay evaluable at rational parameter bindings.  The weight and reciprocal
+rules are module functions of one block's coefficient and exponents
+(:func:`frisch_rule`, :func:`klamkin_rule`), and every scheme and rewrite
+rebuilds a descriptor by :func:`descriptors.map_blocks`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd
 from typing import Callable, Mapping, Sequence, Union
@@ -29,11 +33,12 @@ from .descriptors import (
     IdentityDescriptor,
     KernelBlock,
     RangeConstraint,
-    Side,
     ValidityPredicate,
     check_two_sided,
     fit_axes,
     format_binding,
+    map_blocks,
+    reflect_block,
     row_arguments,
     sides_agree,
     transpose_descriptor,
@@ -90,19 +95,14 @@ def _derive(
 ) -> DerivedIdentity:
     """Map ``rule(block) -> (hi, term)`` over every block of both sides of ``src`` (``desc`` after a prelude)."""
 
-    def convert(side: Side) -> Side:
-        blocks = []
-        for block in side.blocks:
-            if not block.one_plus_exp.is_zero():
-                raise ShapeError(
-                    f"{scheme} transform needs (1+x)-free kernels; rewrite with negate_x first"
-                )
-            hi, term = rule(block)
-            blocks.append(KernelBlock(block.lo, hi, term))
-        return Side(tuple(blocks))
+    def convert(block: KernelBlock) -> KernelBlock:
+        if not block.one_plus_exp.is_zero():
+            raise ShapeError(f"{scheme} transform needs (1+x)-free kernels; rewrite with negate_x first")
+        hi, term = rule(block)
+        return KernelBlock(block.lo, hi, term)
 
     provenance = f"{scheme}({desc.name or 'identity'}, {options})"
-    return DerivedIdentity(IdentityDescriptor(params, convert(src.left), convert(src.right), provenance), validity)
+    return DerivedIdentity(map_blocks(src, convert, provenance, params=params), validity)
 
 
 # -- parameter plumbing -------------------------------------------------------
@@ -120,80 +120,84 @@ def _resolve_param(
     return Affine.of(Fraction(value)), ()
 
 
-def _weight_params(src: IdentityDescriptor, r: ParamSpec, s: ParamSpec, s_min: int):
-    """r and s as affine forms, the derived parameter list, and the validity ``s >= s_min``."""
+#: The preludes a scheme option picks, run on the source before the rule:
+#: ``direction`` for the Frisch and Klamkin schemes, ``variant`` for the
+#: moment scheme, each value in the order the command line lists them.
+PRELUDES: dict[str, dict[str, Callable[[IdentityDescriptor], IdentityDescriptor]]] = {
+    "direction": {"forward": lambda desc: desc, "transposed": transpose_descriptor},
+    "variant": {
+        "direct": lambda desc: desc,
+        "swapped": transpose_descriptor,
+        "reflected": lambda desc: rewrite_descriptor(desc, "reciprocal_x"),
+        "swapped_reflected": lambda desc: rewrite_descriptor(transpose_descriptor(desc), "reciprocal_x"),
+    },
+}
+
+
+def _prelude(option: str, value: str, desc: IdentityDescriptor) -> IdentityDescriptor:
+    """``desc`` after the prelude that ``option`` (``direction`` or ``variant``) names by ``value``."""
+    if value not in PRELUDES[option]:
+        raise ValueError(f"unknown {option} {value!r}")
+    return PRELUDES[option][value](desc)
+
+
+# -- the Beta rules of the weight and reciprocal transforms ------------------------
+
+def frisch_rule(coef: TermExpr, a: Affine, b: Affine, r: Affine, s: Affine) -> TermExpr:
+    """``coef x^a (1-x)^b`` weighted by ``x^(r-s) (1-x)^(s-1)`` and integrated over [0, 1], times s.
+
+    That is ``s coef B(a+r-s+1, b+s)``, written
+    ``s coef / (b+s) * binom(a+b+r, b+s)^-1`` so that it stays evaluable at
+    a rational r; the plain-kernel side reads ``coef binom(a+r, s)^-1``.
+    """
+    return prod(af(s), coef, quot(1, b + s), ibinom(a + b + r, b + s))
+
+
+def klamkin_rule(coef: TermExpr, a: Affine, b: Affine, r: Affine, s: Affine) -> TermExpr:
+    """``coef x^a (1-x)^b`` after ``x -> 1/x``, weighted and integrated over [0, 1], times r+1.
+
+    That is ``(-1)^b (r+1) coef B(b+s+1, r-a-b-s+1)``, written
+    ``(-1)^b coef (r+1) / (r-a+1) * binom(r-a, b+s)^-1``.
+    """
+    return prod(sign(b), coef, af(r + 1), quot(1, r - a + 1), ibinom(r - a, b + s))
+
+
+def _integrate(
+    scheme: str, rule: Callable[..., TermExpr], s_min: int,
+    desc: IdentityDescriptor, r: ParamSpec, s: ParamSpec, direction: str,
+) -> DerivedIdentity:
+    """Apply ``rule`` to every block of ``desc`` after its ``direction`` prelude, under ``s >= s_min``.
+
+    A name for r (``rat``) or s (``int``) is declared after the source's own parameters.
+    """
+    src = _prelude("direction", direction, desc)
     taken = {name for name, _ in src.params}
     r_aff, r_decl = _resolve_param(r, "rat", taken)
     s_aff, s_decl = _resolve_param(s, "int", taken | {d[0] for d in r_decl})
+
+    def block_rule(block: KernelBlock) -> tuple[Bound, TermExpr]:
+        return block.hi, rule(block.coef, block.x_exp, block.one_minus_exp, r_aff, s_aff)
+
     validity = ValidityPredicate((RangeConstraint(s_aff, s_min),))
-    return r_aff, s_aff, src.params + r_decl + s_decl, validity
+    params = src.params + r_decl + s_decl
+    return _derive(scheme, desc, src, f"r={r}, s={s}, {direction}", block_rule, params, validity)
 
-
-def _source(desc: IdentityDescriptor, direction: str) -> IdentityDescriptor:
-    if direction == "forward":
-        return desc
-    if direction == "transposed":
-        return transpose_descriptor(desc)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-# -- Frisch-type (weight) transform -------------------------------------------
 
 def frisch_transform(
-    desc: IdentityDescriptor,
-    r: ParamSpec = "r",
-    s: ParamSpec = "s",
-    direction: str = "forward",
+    desc: IdentityDescriptor, r: ParamSpec = "r", s: ParamSpec = "s", direction: str = "forward"
 ) -> DerivedIdentity:
-    """Weight both sides by ``x^(r-s) (1-x)^(s-1)`` and integrate term-wise.
+    """Weight both sides by ``x^(r-s) (1-x)^(s-1)`` and integrate term-wise (:func:`frisch_rule`)."""
+    return _integrate("frisch", frisch_rule, 1, desc, r, s, direction)
 
-    A block term ``h(k) x^a (1-x)^b`` becomes
-    ``s * h(k) / (b+s) * binom(a+b+r, b+s)^-1`` (both sides carry the common
-    factor s so the plain-kernel side reads ``h(k) binom(a+r, s)^-1``).
-    """
-    src = _source(desc, direction)
-    r_aff, s_aff, params, validity = _weight_params(src, r, s, 1)
-
-    def rule(block: KernelBlock) -> tuple[Bound, TermExpr]:
-        a, b = block.x_exp, block.one_minus_exp
-        return block.hi, prod(af(s_aff), block.coef, quot(1, b + s_aff), ibinom(a + b + r_aff, b + s_aff))
-
-    return _derive("frisch", desc, src, f"r={r}, s={s}, {direction}", rule, params, validity)
-
-
-# -- Klamkin-type (reciprocal) transform ---------------------------------------
 
 def klamkin_transform(
-    desc: IdentityDescriptor,
-    r: ParamSpec = "r",
-    s: ParamSpec = "s",
-    direction: str = "forward",
+    desc: IdentityDescriptor, r: ParamSpec = "r", s: ParamSpec = "s", direction: str = "forward"
 ) -> DerivedIdentity:
-    """Substitute ``x -> 1/x``, weight, and integrate term-wise.
-
-    A block term ``h(k) x^a (1-x)^b`` becomes
-    ``(-1)^b h(k) (r+1) / (r-a+1) * binom(r-a, b+s)^-1``.
-    """
-    src = _source(desc, direction)
-    r_aff, s_aff, params, validity = _weight_params(src, r, s, 0)
-
-    def rule(block: KernelBlock) -> tuple[Bound, TermExpr]:
-        a, b = block.x_exp, block.one_minus_exp
-        term = prod(sign(b), block.coef, af(r_aff + 1), quot(1, r_aff - a + 1), ibinom(r_aff - a, b + s_aff))
-        return block.hi, term
-
-    return _derive("klamkin", desc, src, f"r={r}, s={s}, {direction}", rule, params, validity)
+    """Substitute ``x -> 1/x``, weight, and integrate term-wise (:func:`klamkin_rule`)."""
+    return _integrate("klamkin", klamkin_rule, 0, desc, r, s, direction)
 
 
 # -- moment transform ----------------------------------------------------------
-
-_MOMENT_PRELUDES = {
-    "direct": lambda desc: desc,
-    "swapped": transpose_descriptor,
-    "reflected": lambda desc: rewrite_descriptor(desc, "reciprocal_x"),
-    "swapped_reflected": lambda desc: rewrite_descriptor(transpose_descriptor(desc), "reciprocal_x"),
-}
-
 
 def moment_transform(
     desc: IdentityDescriptor, m: int, variant: str = "direct"
@@ -211,9 +215,7 @@ def moment_transform(
     """
     if m < 0:
         raise ValueError(f"moment order must be non-negative, got {m}")
-    if variant not in _MOMENT_PRELUDES:
-        raise ValueError(f"unknown variant {variant!r}")
-    src = _MOMENT_PRELUDES[variant](desc)
+    src = _prelude("variant", variant, desc)
     reflected = variant.endswith("reflected")
 
     def rule(block: KernelBlock) -> tuple[Bound, TermExpr]:
@@ -260,8 +262,39 @@ def _block_degree(block: KernelBlock) -> Affine:
     return total.substitute("k", at)
 
 
+def _negate_block(block: KernelBlock) -> KernelBlock:
+    """x -> -x on one block: the (1-x) and (1+x) exponents trade places and the coefficient gains ``(-1)^a``.
+
+    The rewrite is an involution: a leading ``(-1)^a`` is removed instead of doubled.
+    """
+    coef, a = block.coef, block.x_exp
+    if not a.is_zero():
+        marker = SignPow(a)
+        factors = list(coef.factors) if isinstance(coef, Product) else [coef]
+        if not factors or factors[0] != marker:
+            coef = Product(tuple([marker] + factors))
+        elif len(factors) == 1:
+            coef = Const(Fraction(1))
+        else:
+            coef = prod(*factors[1:])
+    return KernelBlock(block.lo, block.hi, coef, a, block.one_plus_exp, block.one_minus_exp)
+
+
+def _reciprocal_block(top: Affine, block: KernelBlock) -> KernelBlock:
+    """x -> 1/x on one block, cleared with ``x^top``; a (1-x)^b kernel puts ``(-1)^b`` in front of the coefficient."""
+    b = block.one_minus_exp
+    return KernelBlock(
+        block.lo,
+        block.hi,
+        block.coef if b.is_zero() else prod(sign(b), block.coef),
+        top - block.x_exp - b - block.one_plus_exp,
+        b,
+        block.one_plus_exp,
+    )
+
+
 def rewrite_descriptor(desc: IdentityDescriptor, rule: str) -> IdentityDescriptor:
-    """Rewrite a descriptor by a substitution that preserves its truth value.
+    """Rewrite a descriptor by a substitution that preserves its truth value, block by block.
 
     - ``negate_x``: x -> -x; swaps the (1-x) and (1+x) kernels.
     - ``reflect_x``: x -> 1-x; swaps the x and (1-x) kernels (an involution).
@@ -270,82 +303,15 @@ def rewrite_descriptor(desc: IdentityDescriptor, rule: str) -> IdentityDescripto
       leading factor (-1)^b.
     """
     if rule == "negate_x":
-
-        def negate_coef(coef, x_exp: Affine):
-            # multiplying by (-1)^a twice cancels; strip an existing sign factor
-            if x_exp.is_zero():
-                return coef
-            marker = SignPow(x_exp)
-            factors = list(coef.factors) if isinstance(coef, Product) else [coef]
-            if factors and factors[0] == marker:
-                rest = factors[1:]
-                if not rest:
-                    return Const(Fraction(1))
-                return rest[0] if len(rest) == 1 else Product(tuple(rest))
-            return Product(tuple([marker] + factors))
-
-        def flip(block: KernelBlock) -> KernelBlock:
-            return KernelBlock(
-                block.lo,
-                block.hi,
-                negate_coef(block.coef, block.x_exp),
-                x_exp=block.x_exp,
-                one_minus_exp=block.one_plus_exp,
-                one_plus_exp=block.one_minus_exp,
-            )
-
-        return IdentityDescriptor(
-            desc.params,
-            Side(tuple(flip(b) for b in desc.left.blocks)),
-            Side(tuple(flip(b) for b in desc.right.blocks)),
-            name=f"{desc.name}-negated" if desc.name else "negated",
-        )
-
-    if rule == "reflect_x":
-
-        def reflect(block: KernelBlock) -> KernelBlock:
-            if not block.one_plus_exp.is_zero():
-                raise ShapeError("reflect_x requires (1+x)-free kernels")
-            return KernelBlock(
-                block.lo,
-                block.hi,
-                block.coef,
-                x_exp=block.one_minus_exp,
-                one_minus_exp=block.x_exp,
-            )
-
-        return IdentityDescriptor(
-            desc.params,
-            Side(tuple(reflect(b) for b in desc.left.blocks)),
-            Side(tuple(reflect(b) for b in desc.right.blocks)),
-            name=f"{desc.name}-reflected" if desc.name else "reflected",
-        )
-
-    if rule == "reciprocal_x":
-        degrees = [
-            _block_degree(b) for side in (desc.left, desc.right) for b in side.blocks
-        ]
-        top = _affine_max(degrees)
-
-        def invert(block: KernelBlock) -> KernelBlock:
-            shifted = top - block.x_exp - block.one_minus_exp - block.one_plus_exp
-            return KernelBlock(
-                block.lo,
-                block.hi,
-                block.coef if block.one_minus_exp.is_zero() else prod(sign(block.one_minus_exp), block.coef),
-                x_exp=shifted,
-                one_minus_exp=block.one_minus_exp,
-                one_plus_exp=block.one_plus_exp,
-            )
-
-        return IdentityDescriptor(
-            desc.params,
-            Side(tuple(invert(b) for b in desc.left.blocks)),
-            Side(tuple(invert(b) for b in desc.right.blocks)),
-            name=f"{desc.name}-reciprocal" if desc.name else "reciprocal",
-        )
-
-    raise ValueError(f"unknown rewrite rule {rule!r}")
+        fn, word = _negate_block, "negated"
+    elif rule == "reflect_x":
+        fn, word = reflect_block, "reflected"
+    elif rule == "reciprocal_x":
+        top = _affine_max([_block_degree(b) for side in (desc.left, desc.right) for b in side.blocks])
+        fn, word = partial(_reciprocal_block, top), "reciprocal"
+    else:
+        raise ValueError(f"unknown rewrite rule {rule!r}")
+    return map_blocks(desc, fn, f"{desc.name}-{word}" if desc.name else word)
 
 
 # -- matching derived output against catalog entries -----------------------------

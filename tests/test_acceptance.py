@@ -28,16 +28,17 @@ from combident.errors import PoleError
 from combident.exact import binom_int, r_stirling2, stirling2
 from combident.integrals import (
     _DPS,
-    PACKAGED_FORMS,
     BetaArgs,
     beta_integral_exact,
     beta_integral_quadrature,
 )
 from combident.poly import Polynomial
-from combident.terms import evaluate_sum
+from combident.terms import const, evaluate, evaluate_sum
 from combident.transforms import (
     check_derived,
+    frisch_rule,
     frisch_transform,
+    klamkin_rule,
     klamkin_transform,
     match_against_entry,
     moment_transform,
@@ -197,18 +198,22 @@ def test_criterion_5_dixon_complements():
 
 
 def test_criterion_6_beta_oracle():
+    # each scheme rule, on the block x^a (1-x)^b, is its factor times the Beta
+    # integral of the exponent pair it reaches
     ok = True
     checked = 0
-    for name, form in PACKAGED_FORMS.items():
-        n_values = range(6) if name == "reflected" else (0,)
-        for r in range(16):
-            for k in range(6):
+    for a in range(6):
+        for b in range(6):
+            for r in range(16):
                 for s in range(6):
-                    for n in n_values:
-                        args, closed = form(r, k, s, n)
-                        if args.a < 0 or args.b < 0 or args.a > 20 or args.b > 20:
+                    forms = [Affine.of(v) for v in (a, b, r, s)]
+                    for rule, factor, p, q in (
+                        (frisch_rule, s, a + r - s, b + s - 1),
+                        (klamkin_rule, (-1) ** b * (r + 1), b + s, r - a - b - s),
+                    ):
+                        if p < 0 or q < 0:
                             continue
-                        if closed() != beta_integral_exact(args):
+                        if evaluate(rule(const(1), *forms), {}) != factor * beta_integral_exact(BetaArgs.of(p, q)):
                             ok = False
                         checked += 1
     worst = mp.mpf(0)
@@ -218,7 +223,7 @@ def test_criterion_6_beta_oracle():
             estimate = beta_integral_quadrature(BetaArgs.of(a, b))
             with mp.workdps(_DPS):
                 worst = max(worst, abs(estimate - mp.mpf(exact.numerator) / exact.denominator))
-    print(f"  packaged-form instantiations: {checked}; worst quadrature error: {mp.nstr(worst, 3)}")
+    print(f"  rule instantiations: {checked}; worst quadrature error: {mp.nstr(worst, 3)}")
     report(6, "Beta-integral oracle", ok and checked > 1000 and worst <= mp.mpf("1e-10"))
 
 

@@ -251,13 +251,13 @@ class TestDerive:
         assert result.stdout == ""
 
     def test_undeclared_name_exits_two_before_deriving(self, exported):
-        # a typo'd name is a parse error, not a grid axis of its own
+        # a typo'd name is a parse error, not a grid axis of its own, reported in its file
         source = (exported / "F03.dsl").read_text(encoding="utf-8")
         bad = exported / "F03-typo.dsl"
         bad.write_text(source.replace("binom(u, k) * x", "binom(u, k) * binom(t, 0) * x", 1), encoding="utf-8")
         result = run_cli("derive", "--scheme", "frisch", "--input", str(bad))
         assert result.returncode == 2
-        assert result.stderr == "error: undeclared parameter 't' (line 4, column 47)\n"
+        assert result.stderr == f"error: {bad}: undeclared parameter 't' (line 4, column 47)\n"
         assert result.stdout == ""
 
     def test_declared_unused_parameter_is_gridded(self, exported):
@@ -317,7 +317,7 @@ class TestDerive:
         bad.write_text(source.replace("(-1)^k", "1/0", 1), encoding="utf-8")
         result = run_cli("derive", "--scheme", "frisch", "--input", str(bad))
         assert result.returncode == 2
-        assert result.stderr == "error: zero denominator (line 4, column 15)\n"
+        assert result.stderr == f"error: {bad}: zero denominator (line 4, column 15)\n"
 
     def test_moment_scheme_derives_a_reversed_left_kernel(self, exported):
         # F03's left kernel is x^(n-k): one moment rule per block takes it
@@ -438,6 +438,36 @@ class TestIntegrals:
         result = run_cli("integrals", flag, value)
         assert result.returncode == 2
         assert f"{flag} must be at least" in result.stderr
+
+
+class TestUnusablePaths:
+    """A file that cannot be read or written is an error of the run: exit 2 and one line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--id", "C02", "--out", "{missing}/report.json"),
+            ("integrals", "--max-exp", "1", "--out", "{missing}/report.json"),
+            ("derive", "--scheme", "frisch", "--input", "{F03}", "--out-dsl", "{missing}/derived.dsl"),
+            ("derive", "--scheme", "frisch", "--input", "{missing}/F03.dsl"),
+        ],
+        ids=["verify-out", "integrals-out", "derive-out-dsl", "derive-input"],
+    )
+    def test_a_missing_directory_exits_two(self, tmp_path, argv):
+        run_cli("export-catalog", "--out-dir", str(tmp_path), check=True)
+        missing = tmp_path / "missing"
+        argv = [arg.format(missing=missing, F03=tmp_path / "F03.dsl") for arg in argv]
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        assert result.stderr == f"error: [Errno 2] No such file or directory: '{argv[-1]}'\n"
+
+    def test_an_out_dir_that_is_a_file_exits_two(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        result = run_cli("export-catalog", "--out-dir", str(taken))
+        assert result.returncode == 2
+        assert result.stderr == f"error: [Errno 17] File exists: '{taken}'\n"
+        assert result.stdout == ""
 
 
 class TestExport:

@@ -5,12 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from combident.errors import PoleError
 from combident.exact import (
     alternating_power_sum,
     binom_int,
     binom_rational,
-    inv_binom,
     r_stirling2,
     stirling2,
 )
@@ -95,18 +93,6 @@ class TestBinomRational:
                 lhs = binom_rational(u + 1, v + 1)
                 rhs = (u + 1) / (v + 1) * binom_rational(u, v)
                 assert lhs == rhs
-
-
-class TestInvBinom:
-    def test_reciprocal(self):
-        assert inv_binom(2, 1) == Fraction(1, 2)
-
-    def test_reciprocal_of_one(self):
-        assert inv_binom(Fraction(9, 4), 0) == 1
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            inv_binom(1, 2)
 
 
 class TestStirling2:

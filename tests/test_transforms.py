@@ -27,21 +27,23 @@ from combident.descriptors import (
     check_two_sided,
     eval_side,
     rename_descriptor_parameters,
+    transpose_descriptor,
 )
 from combident.dsl import parse_identity, print_identity
 from combident.errors import NonIntegerExponentError, ShapeError, SingularExponentError
 from combident.integrals import (
-    PACKAGED_FORMS,
     BetaArgs,
     beta_integral_exact,
     beta_integral_quadrature,
     gauss_legendre_rule,
 )
-from combident.terms import af, const, evaluate_sum, prod, sign
+from combident.terms import af, const, evaluate, evaluate_sum, prod, sign
 from combident.transforms import (
     DerivedIdentity,
     check_derived,
+    frisch_rule,
     frisch_transform,
+    klamkin_rule,
     klamkin_transform,
     match_against_entry,
     moment_transform,
@@ -94,6 +96,19 @@ def derive_grid_counts(derived) -> Counter:
 RULE_SIZES = [*range(1, 12), 31, 64]
 RULE_TOLERANCE = mp.mpf("1e-38")
 
+# the integer points (a, b, r, s) where the scheme rules are checked against the Beta integral
+RULE_GRID = [(a, b, r, s) for a in range(6) for b in range(6) for r in range(16) for s in range(6)]
+
+
+def beta(p: int, q: int) -> Fraction:
+    """``B(p, q)`` for positive integers: the exact integral of ``y^(p-1) (1-y)^(q-1)``."""
+    return beta_integral_exact(BetaArgs.of(p - 1, q - 1))
+
+
+def rule_value(rule, a: int, b: int, r: int, s: int, coef=const(1)) -> Fraction:
+    """The value of a scheme rule's term for the block ``coef x^a (1-x)^b`` at integer r and s."""
+    return evaluate(rule(coef, *(Affine.of(v) for v in (a, b, r, s))), {})
+
 
 class TestBetaIntegrals:
     def test_unit_interval(self):
@@ -102,25 +117,27 @@ class TestBetaIntegrals:
     def test_one_one(self):
         assert beta_integral_exact(BetaArgs.of(1, 1)) == Fraction(1, 6)
 
-    def test_packaged_form_spot(self):
-        # exponents (r+k-s, s-1) at r=3, k=2, s=2 give 1/20 both ways
-        args, closed = PACKAGED_FORMS["upper-weight"](3, 2, 2, 0)
-        assert closed() == Fraction(1, 20) == beta_integral_exact(args)
+    def test_frisch_rule_spot(self):
+        # x^2 weighted by x^(3-2) (1-x)^(2-1): s B(4, 2) = 2 * 3! 1! / 5!, the coefficient a factor
+        assert rule_value(frisch_rule, 2, 0, 3, 2) == Fraction(1, 10) == 2 * beta(4, 2)
+        assert rule_value(frisch_rule, 2, 0, 3, 2, const(3, 7)) == Fraction(3, 70)
 
-    def test_packaged_forms_agree_with_factorial_formula(self):
+    def test_frisch_rule_is_the_beta_integral(self):
         checked = 0
-        for name, form in PACKAGED_FORMS.items():
-            n_values = range(5) if name == "reflected" else (0,)
-            for r in range(12):
-                for k in range(5):
-                    for s in range(5):
-                        for n in n_values:
-                            args, closed = form(r, k, s, n)
-                            if args.a < 0 or args.b < 0 or args.a > 20 or args.b > 20:
-                                continue
-                            assert closed() == beta_integral_exact(args), (name, r, k, s, n)
-                            checked += 1
-        assert checked > 500
+        for a, b, r, s in RULE_GRID:
+            if a + r - s >= 0 and b + s >= 1:
+                assert rule_value(frisch_rule, a, b, r, s) == s * beta(a + r - s + 1, b + s), (a, b, r, s)
+                checked += 1
+        assert checked == 3150
+
+    def test_klamkin_rule_is_the_beta_integral(self):
+        checked = 0
+        for a, b, r, s in RULE_GRID:
+            if r - a - b - s >= 0:
+                expected = (-1) ** b * (r + 1) * beta(b + s + 1, r - a - b - s + 1)
+                assert rule_value(klamkin_rule, a, b, r, s) == expected, (a, b, r, s)
+                checked += 1
+        assert checked == 1836
 
     def test_exact_rejects_non_integer(self):
         with pytest.raises(NonIntegerExponentError):
@@ -651,3 +668,37 @@ class TestRewrites:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             rewrite_descriptor(get_entry("F02").descriptor, "conjugate_x")
+
+
+# every path that reflects x -> 1-x or integrates a block refuses C01's (1+x) kernels;
+# C01 declares r and s, so the weight schemes name theirs t and u
+REFUSALS = {
+    "transpose_descriptor": transpose_descriptor,
+    "reflect_x": lambda desc: rewrite_descriptor(desc, "reflect_x"),
+    **{
+        f"{scheme.__name__}-{direction}": lambda desc, scheme=scheme, direction=direction: scheme(desc, "t", "u", direction)
+        for scheme in (frisch_transform, klamkin_transform)
+        for direction in ("forward", "transposed")
+    },
+    **{f"moment-{variant}": lambda desc, variant=variant: moment_transform(desc, 1, variant) for variant in MOMENT_VARIANTS},
+}
+
+
+class TestOneBlockMap:
+    def test_transpose_is_reflect_with_the_sides_swapped(self):
+        sources = [get_entry(entry_id).descriptor for entry_id in entry_ids()] + [macmahon_doubled()]
+        checked = 0
+        for desc in sources:
+            if any(not b.one_plus_exp.is_zero() for side in (desc.left, desc.right) for b in side.blocks):
+                continue
+            reflected = rewrite_descriptor(desc, "reflect_x")
+            transposed = transpose_descriptor(desc)
+            assert (transposed.params, transposed.left, transposed.right) == (desc.params, reflected.right, reflected.left)
+            assert transposed.name == f"{desc.name}-transposed"
+            checked += 1
+        assert checked == len(sources) - 1  # C01 alone has (1+x) kernels
+
+    @pytest.mark.parametrize("path", sorted(REFUSALS))
+    def test_every_path_refuses_one_plus_x_kernels(self, path):
+        with pytest.raises(ShapeError, match=r"\(1\+x\)-free kernels"):
+            REFUSALS[path](get_entry("C01").descriptor)
